@@ -28,6 +28,7 @@ from .dist import (
     DiscreteDist,
     convolve,
     entropy_bits,
+    linear_combination,
     point_mass,
     scale,
     uniform_on,
@@ -61,33 +62,34 @@ class BoundReport:
         return out
 
 
-def _interference_dist(
-    row: Sequence[ExactScalar], dists: Sequence[DiscreteDist], skip: int, budget: int
-) -> DiscreteDist:
-    """Distribution of sum_{j != skip} row[j] X_j; a point mass at 0 when the
-    remaining coefficients are all zero (allowed here, unlike the public
-    linear_combination, because triangular matrices legitimately produce it)."""
-    result = None
-    for j, (coeff, dist) in enumerate(zip(row, dists)):
-        if j == skip or coeff.is_zero():
-            continue
-        scaled = scale(coeff, dist)
-        result = scaled if result is None else convolve(result, scaled, budget=budget)
-    return point_mass(0) if result is None else result
-
-
 def _user_dists(
     H: ChannelMatrix, W: Sequence[DiscreteDist], i: int, budget: int
 ) -> tuple[DiscreteDist, DiscreteDist, DiscreteDist]:
-    """(signal, interference, full) distributions for user i."""
+    """(signal, interference, full) distributions for user i. The
+    interference is a point mass at 0 when every cross coefficient is zero,
+    as in triangular matrices."""
     row = H.row(i)
-    interference = _interference_dist(row, W, i, budget)
+    cross = [(c, dist) for j, (c, dist) in enumerate(zip(row, W)) if j != i and not c.is_zero()]
+    interference = linear_combination(*zip(*cross), budget=budget) if cross else point_mass(0)
     diag = row[i]
     if diag.is_zero():
         return point_mass(0), interference, interference
     signal = scale(diag, W[i])
     full = convolve(signal, interference, budget=budget)
     return signal, interference, full
+
+
+def _output_entropies(
+    H: ChannelMatrix, W: Sequence[DiscreteDist], budget: int
+) -> list[tuple[float, float]]:
+    """(H(full_i), H(interference_i)) for every user i."""
+    if len(W) != H.K:
+        raise ValidationError(f"{len(W)} input distributions for K={H.K} users")
+    entropies = []
+    for i in range(H.K):
+        _, interference, full = _user_dists(H, W, i, budget)
+        entropies.append((entropy_bits(full), entropy_bits(interference)))
+    return entropies
 
 
 def _clamped_terms(
@@ -114,19 +116,17 @@ def prop1_bound(
     For each user: min{H(full)/r_log, 1} - min{H(interference)/r_log, 1},
     summed over users. Entropies are computed by exact enumeration.
     """
-    if len(W) != H.K:
-        raise ValidationError(f"{len(W)} input distributions for K={H.K} users")
     if not (r_log > 0):
         raise ValidationError(f"r_log must be positive, got {r_log}")
-    entropies = []
-    for i in range(H.K):
-        _, interference, full = _user_dists(H, W, i, budget)
-        entropies.append((entropy_bits(full), entropy_bits(interference)))
-    terms, bound = _clamped_terms(entropies, r_log)
+    terms, bound = _clamped_terms(_output_entropies(H, W, budget), r_log)
     return BoundReport(bound, terms, r_log, params={"K": H.K, "r_log": r_log})
 
 
-def _verify_split(signal: DiscreteDist, interference: DiscreteDist, full: DiscreteDist) -> None:
+def _verify_split(
+    signal: DiscreteDist, interference: DiscreteDist, full: DiscreteDist
+) -> tuple[float, float]:
+    """(H(full), H(interference)) once the split H(full) = H(signal) +
+    H(interference) is verified."""
     # injectivity of (s, t) -> s + t on the joint support, checked by exact
     # cardinality factorization, then the entropy identity it implies
     if len(full) != len(signal) * len(interference):
@@ -134,9 +134,28 @@ def _verify_split(signal: DiscreteDist, interference: DiscreteDist, full: Discre
             "entropy split violated: joint support does not factor "
             f"({len(full)} != {len(signal)} * {len(interference)})"
         )
-    gap = abs(entropy_bits(full) - entropy_bits(signal) - entropy_bits(interference))
+    h_full = entropy_bits(full)
+    h_intf = entropy_bits(interference)
+    gap = abs(h_full - entropy_bits(signal) - h_intf)
     if gap > SPLIT_TOL:
         raise RuntimeError(f"entropy split off by {gap:.3e} despite support factorization")
+    return h_full, h_intf
+
+
+def _certified_report(
+    H: ChannelMatrix,
+    W_dist: DiscreteDist,
+    r_log: float,
+    budget: int,
+    params: dict,
+    closed_form: float,
+) -> BoundReport:
+    """Clamped bound for i.i.d. inputs W_dist, reported only after the
+    signal/interference split is verified for every user."""
+    dists = [W_dist] * H.K
+    entropies = [_verify_split(*_user_dists(H, dists, i, budget)) for i in range(H.K)]
+    terms, bound = _clamped_terms(entropies, r_log)
+    return BoundReport(bound, terms, r_log, params=params, closed_form=closed_form)
 
 
 def nonasymptotic_floor(K: int, d: int, N: int) -> float:
@@ -175,18 +194,11 @@ def theorem1_certified_bound(
         )
     alphabet = build_wn(H, d, N, budget=budget)
     W_dist = uniform_on(alphabet)  # distinctness is certified by the check above
-    dists = [W_dist] * H.K
-    entropies = []
-    for i in range(H.K):
-        signal, interference, full = _user_dists(H, dists, i, budget)
-        _verify_split(signal, interference, full)
-        entropies.append((entropy_bits(full), entropy_bits(interference)))
-    r_log = 2 * phi(H.K, d) * math.log2(N)
-    terms, bound = _clamped_terms(entropies, r_log)
-    return BoundReport(
-        bound,
-        terms,
-        r_log,
+    return _certified_report(
+        H,
+        W_dist,
+        2 * phi(H.K, d) * math.log2(N),
+        budget,
         params={"K": H.K, "d": d, "N": N},
         closed_form=nonasymptotic_floor(H.K, d, N),
     )
@@ -225,21 +237,13 @@ def integer_example_bound(
     H = ChannelMatrix(K, tuple(rows))
     h_max = max(abs(offdiag[i][j]) for i in range(K) for j in range(K) if i != j)
     r_log = 2 * math.log2(2 * h_max * K * N)
-    W_dist = uniform_on(range(N))
-    dists = [W_dist] * K
-    entropies = []
-    for i in range(K):
-        signal, interference, full = _user_dists(H, dists, i, budget)
-        _verify_split(signal, interference, full)
-        entropies.append((entropy_bits(full), entropy_bits(interference)))
-    terms, bound = _clamped_terms(entropies, r_log)
-    closed = K * math.log2(N) / (2 * math.log2(2 * h_max * K * N)) if N > 1 else 0.0
-    return BoundReport(
-        bound,
-        terms,
+    return _certified_report(
+        H,
+        uniform_on(range(N)),
         r_log,
+        budget,
         params={"K": K, "N": N, "h_max": h_max},
-        closed_form=closed,
+        closed_form=K * math.log2(N) / r_log if N > 1 else 0.0,
     )
 
 
@@ -251,12 +255,7 @@ def theorem3_ratio(
     Scale-free: depends only on the distributions of the K linear forms.
     Errors when every full entropy is zero (deterministic inputs).
     """
-    if len(W) != H.K:
-        raise ValidationError(f"{len(W)} input distributions for K={H.K} users")
-    entropies = []
-    for i in range(H.K):
-        _, interference, full = _user_dists(H, W, i, budget)
-        entropies.append((entropy_bits(full), entropy_bits(interference)))
+    entropies = _output_entropies(H, W, budget)
     denom = max(h_full for h_full, _ in entropies)
     if denom <= 0:
         raise ValidationError("deterministic inputs: every output entropy is zero")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -35,7 +34,6 @@ from .infodim import (
 from .optimize import OptConfig, OptResult, optimize_hlambda, optimize_theorem3
 from .scalar import parse_rational
 from .sumsets import (
-    check_trivial_bounds,
     entropy_inequality_suite,
     is_arithmetic_progression,
     set_from_json,
@@ -138,7 +136,6 @@ def _opt_config(args) -> OptConfig:
         max_iters=args.max_iters,
         seed=args.seed,
         rationalization_denominator=args.max_denominator,
-        threads=args.threads,
     )
 
 
@@ -210,11 +207,13 @@ def _cmd_sumset(args) -> dict:
     A = set_from_json(_load_json(args.a))
     B = set_from_json(_load_json(args.b))
     total = sumset(A, B, budget=args.budget)
-    lower_ok, upper_ok = check_trivial_bounds(A, B, budget=args.budget)
     return {
         "sizes": {"a": len(A), "b": len(B), "sum": len(total)},
         "sum": set_to_json(total),
-        "trivial_bounds": {"lower_ok": lower_ok, "upper_ok": upper_ok},
+        "trivial_bounds": {
+            "lower_ok": max(len(A), len(B)) <= len(total),
+            "upper_ok": len(total) <= len(A) * len(B),
+        },
         "progressions": {"a": _ap_json(A), "b": _ap_json(B), "sum": _ap_json(total)},
     }
 
@@ -298,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-denominator", type=int, default=10**6)
-    p.add_argument("--threads", type=int, default=max(1, os.cpu_count() or 1))
     p.set_defaults(handler=_cmd_optimize)
 
     p = verbs.add_parser("infodim", help="dimension formula and optional empirical estimate")

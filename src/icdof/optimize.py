@@ -12,12 +12,9 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
-
-from scipy.optimize import minimize
 
 from .bounds import hlambda_bound, theorem3_ratio
 from .channel import ChannelMatrix
@@ -40,7 +37,6 @@ class OptConfig:
     max_iters: int = 200
     seed: int = 0
     rationalization_denominator: int = 10**6
-    threads: int = 1
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -104,6 +100,7 @@ class _Tracker:
     value: float = -math.inf
     dists: Optional[tuple[DiscreteDist, ...]] = None
     evaluations: int = 0
+    start_value: float = -math.inf
 
     def record(self, value: float, dists: tuple[DiscreteDist, ...]) -> None:
         self.evaluations += 1
@@ -118,6 +115,10 @@ def _run_restart(
     config: OptConfig,
     warm: Optional[tuple[float, tuple[DiscreteDist, ...]]] = None,
 ) -> _Tracker:
+    # Nelder-Mead is the only use of scipy; importing it here keeps every
+    # other entry point from paying for scipy.optimize at import time
+    from scipy.optimize import minimize
+
     tracker = _Tracker()
     if warm is not None:
         tracker.record(*warm)
@@ -127,8 +128,7 @@ def _run_restart(
         tracker.record(value, dists)
         return -value
 
-    start_value = -neg(x0)
-    tracker.start_value = start_value  # type: ignore[attr-defined]
+    tracker.start_value = -neg(x0)
     minimize(
         neg,
         list(x0),
@@ -152,15 +152,9 @@ def _search(
         x0, value, dists = warm_start
         starts[0] = list(x0)
         warms[0] = (value, dists)
-
-    def job(index: int) -> _Tracker:
-        return _run_restart(objective, starts[index], config, warm=warms[index])
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            trackers = list(pool.map(job, range(config.restarts)))
-    else:
-        trackers = [job(i) for i in range(config.restarts)]
+    trackers = [
+        _run_restart(objective, x0, config, warm=warm) for x0, warm in zip(starts, warms)
+    ]
 
     trace = []
     best_index = 0
@@ -168,7 +162,7 @@ def _search(
         trace.append(
             {
                 "restart": i,
-                "start_value": getattr(t, "start_value", t.value),
+                "start_value": t.start_value,
                 "best_value": t.value,
                 "evaluations": t.evaluations,
             }

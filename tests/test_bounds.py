@@ -27,6 +27,7 @@ from icdof import (
     theorem3_ratio,
     uniform_on,
 )
+from icdof.bounds import _certified_report
 from conftest import random_rational_dist
 
 
@@ -75,6 +76,14 @@ class TestTheorem1Certified:
     def test_not_fully_connected_rejected(self):
         with pytest.raises(ValidationError, match="connected"):
             theorem1_certified_bound(hlambda_matrix(-1), 0, 2)
+
+
+class TestCertifiedReport:
+    def test_split_that_does_not_factor_is_refused(self):
+        # {0,1} + {0,1} = {0,1,2}: three sums for 2 x 2 pairs
+        H = ChannelMatrix.from_rows([[1, 1], [1, 1]])
+        with pytest.raises(RuntimeError, match="does not factor"):
+            _certified_report(H, uniform_on([0, 1]), 1.0, 100, params={}, closed_form=0.0)
 
 
 class TestFloor:

@@ -3,10 +3,15 @@ agreement between the two objective routes."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import icdof
 from icdof import (
     ChannelMatrix,
     OptConfig,
@@ -107,9 +112,22 @@ class TestTheorem3Search:
         with pytest.raises(ValidationError, match="degenerate"):
             optimize_theorem3(H, 2, FAST)
 
-    def test_threaded_run_matches_sequential(self):
-        H = ChannelMatrix.generic(2)
-        seq = optimize_theorem3(H, 2, OptConfig(restarts=3, max_iters=40, seed=4, threads=1))
-        par = optimize_theorem3(H, 2, OptConfig(restarts=3, max_iters=40, seed=4, threads=3))
-        assert seq.best_value == par.best_value
-        assert seq.trace == par.trace
+
+def test_scipy_loads_only_for_the_optimizer():
+    # a fresh interpreter, since this test process has scipy loaded already
+    script = "\n".join(
+        [
+            "import sys",
+            "import icdof",
+            "icdof.nonasymptotic_floor(3, 1, 4)",
+            "assert 'scipy' not in sys.modules, 'scipy loaded outside the optimizer'",
+            "result = icdof.optimize_hlambda(1, 2, icdof.OptConfig(restarts=1, max_iters=5))",
+            "print(result.best_value)",
+        ]
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(icdof.__file__).resolve().parents[1]))
+    child = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert child.returncode == 0, child.stderr
+    assert float(child.stdout) == pytest.approx(1.0, abs=1e-12)
