@@ -26,6 +26,7 @@ from .channel import (
 from .dist import (
     DEFAULT_ATOM_BUDGET,
     DiscreteDist,
+    check_pair_budget,
     convolve,
     entropy_bits,
     linear_combination,
@@ -167,8 +168,11 @@ def nonasymptotic_floor(K: int, d: int, N: int) -> float:
         raise ValidationError(f"need d >= 0, got {d}")
     if N < 2:
         raise ValidationError(f"need N >= 2, got {N}")
-    ratio = (K * (K - 1) + d + 1) * math.log2((K - 1) * N) / ((d + 1) * math.log2(N))
-    return K / 2 * (2 - ratio)
+    try:
+        ratio = (K * (K - 1) + d + 1) * math.log2((K - 1) * N) / ((d + 1) * math.log2(N))
+        return K / 2 * (2 - ratio)
+    except OverflowError:
+        raise ValidationError("K, d or N is too large for the floating-point floor") from None
 
 
 def theorem1_certified_bound(
@@ -192,6 +196,12 @@ def theorem1_certified_bound(
             f"independence fails at degree {d} for user {report.witness.user}",
             witness=report.witness.to_json(),
         )
+    # The check certifies the alphabet distinct and scale is injective, so
+    # each user's first convolution pairs exactly size * size atoms; refuse it
+    # before the alphabet is built. A larger alphabet is refused by build_wn.
+    size = N ** phi(H.K, d)
+    if size <= budget:
+        check_pair_budget(size * size, budget)
     alphabet = build_wn(H, d, N, budget=budget)
     W_dist = uniform_on(alphabet)  # distinctness is certified by the check above
     return _certified_report(

@@ -227,10 +227,20 @@ def _cmd_ineq_suite(args) -> dict:
 # -- parser wiring ----------------------------------------------------------------
 
 
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_budget(parser) -> None:
     parser.add_argument(
         "--budget",
-        type=int,
+        type=_budget,
         default=DEFAULT_ATOM_BUDGET,
         help=f"atom limit for exact enumeration (default {DEFAULT_ATOM_BUDGET})",
     )

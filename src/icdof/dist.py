@@ -3,8 +3,11 @@
 Probabilities are exact rationals so that collision merging is exact; only
 entropy is evaluated in floating point. Convolution is plain pairwise
 enumeration (support points are symbolic, there is no lattice to exploit),
-guarded by an atom budget so oversized requests fail loudly instead of
-exhausting memory.
+guarded by an atom budget that is checked before anything is allocated, so
+oversized requests fail loudly instead of exhausting memory. Inside a
+convolution the weights are exact integers over a common denominator (the
+product of the operands' denominator lcms); each merged atom becomes a
+`Fraction` once, at the end, instead of one `Fraction` product per pair.
 """
 
 from __future__ import annotations
@@ -109,26 +112,44 @@ def scale(c, dist: DiscreteDist) -> DiscreteDist:
     return DiscreteDist._trusted({c * x: p for x, p in dist.items()})
 
 
-def convolve(A: DiscreteDist, B: DiscreteDist, budget: int = DEFAULT_ATOM_BUDGET) -> DiscreteDist:
-    """Distribution of X+Y for independent X~A, Y~B, collisions merged exactly."""
-    pairs = len(A) * len(B)
+def check_pair_budget(pairs: int, budget: int) -> None:
+    """Refuse a convolution of `pairs` atom pairs before it allocates."""
     if pairs > budget:
         raise BudgetExceededError(
             f"convolution needs {pairs} atom pairs, over the budget of {budget}"
         )
+
+
+def _integer_weights(dist: DiscreteDist) -> tuple[int, list[tuple[ExactScalar, int]]]:
+    """(D, [(x, p*D)]) with D the lcm of the probabilities' denominators."""
+    # pairwise, since lcm(*denominators) would leave an argument tuple of
+    # every operand size on the interpreter's free lists
+    denom = 1
+    for p in dist._atoms.values():
+        denom = math.lcm(denom, p.denominator)
+    return denom, [(x, p.numerator * (denom // p.denominator)) for x, p in dist.items()]
+
+
+def convolve(A: DiscreteDist, B: DiscreteDist, budget: int = DEFAULT_ATOM_BUDGET) -> DiscreteDist:
+    """Distribution of X+Y for independent X~A, Y~B, collisions merged exactly."""
+    check_pair_budget(len(A) * len(B), budget)
     if len(A) < len(B):
         A, B = B, A
-    acc: dict[ExactScalar, Fraction] = {}
-    b_items = list(B.items())
-    if len(b_items) == 1:
-        shift = b_items[0][0]
+    if len(B) == 1:
+        ((shift, _),) = B.items()
         return DiscreteDist._trusted({x + shift: p for x, p in A.items()})
+    da, a_weights = _integer_weights(A)
+    db, b_weights = _integer_weights(B)
+    acc: dict[ExactScalar, int] = {}
     acc_get = acc.get
-    for xa, pa in A.items():
-        for xb, pb in b_items:
+    for xa, wa in a_weights:
+        for xb, wb in b_weights:
             key = xa + xb
-            prev = acc_get(key)
-            acc[key] = pa * pb if prev is None else prev + pa * pb
+            acc[key] = acc_get(key, 0) + wa * wb
+    # in place, so no second output-sized dict is alive at the peak
+    denom = da * db
+    for key, weight in acc.items():
+        acc[key] = Fraction(weight, denom)
     return DiscreteDist._trusted(acc)
 
 

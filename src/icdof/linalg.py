@@ -1,84 +1,98 @@
-"""Exact kernel computation via fraction-free Gaussian elimination.
+"""Exact kernel computation via sparse fraction-free elimination.
 
 The independence checker needs certificates, not numerical judgments, so
-everything here is integer/rational arithmetic. Rows are cleared to integers,
-reduced with Bareiss-style exact division (intermediate values stay integers
-and stay small), and kernel vectors are back-substituted as fractions, then
-cleared to primitive integer vectors.
+everything here is integer/rational arithmetic. Each row is stored as a dict
+{column: nonzero int}, cleared of denominators over its nonzero entries only.
+Rows are reduced one at a time against the pivot row whose leading column
+they hit, as row <- a*row - b*pivot followed by division by the row's content
+gcd, so entries stay integers and stay small; a row with no entry in a pivot
+column is never touched. The channel checker's matrices are mostly columns of
+distinct unit vectors, for which this runs in time linear in the nonzeros.
+Kernel vectors are back-substituted as fractions, then cleared to primitive
+integer vectors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import ValidationError
 
-
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    cleared = []
-    for row in rows:
-        row = [Fraction(x) for x in row]
-        denom = 1
-        for x in row:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        cleared.append([int(x * denom) for x in row])
-    return cleared
+SparseRow = dict[int, int]
 
 
-def _row_echelon(matrix: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free elimination; returns the reduced rows and pivot columns."""
-    if not matrix:
-        return [], []
-    rows = [row[:] for row in matrix]
-    n_cols = len(rows[0])
-    pivots: list[int] = []
-    prev_pivot = 1
-    rank = 0
-    for col in range(n_cols):
-        pivot_row = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            factor = rows[r][col]
-            for c in range(col, n_cols):
-                # exact by the Bareiss determinant identity
-                rows[r][c] = (pivot * rows[r][c] - factor * rows[rank][c]) // prev_pivot
-        prev_pivot = pivot
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    return rows[:rank], pivots
+def _integer_row(row: Sequence[Fraction]) -> SparseRow:
+    """Nonzero entries of the row, scaled to coprime integers."""
+    entries = {col: Fraction(x) for col, x in enumerate(row) if x}
+    denom = lcm(*(x.denominator for x in entries.values()))
+    return _primitive({c: x.numerator * (denom // x.denominator) for c, x in entries.items()})
+
+
+def _primitive(row: SparseRow) -> SparseRow:
+    content = gcd(*row.values())
+    if content > 1:
+        return {col: x // content for col, x in row.items()}
+    return row
+
+
+def _reduce(row: SparseRow, pivots: dict[int, SparseRow]) -> SparseRow:
+    """Eliminate the row's leading entry while it hits a pivot column; the
+    result is empty or leads in a column with no pivot yet."""
+    while row:
+        lead = min(row)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            return row
+        g = gcd(pivot[lead], row[lead])
+        a, b = pivot[lead] // g, row[lead] // g
+        combined = {col: a * x for col, x in row.items()}
+        for col, x in pivot.items():
+            value = combined.get(col, 0) - b * x
+            if value:
+                combined[col] = value
+            else:
+                del combined[col]
+        row = _primitive(combined)
+    return row
 
 
 def kernel_basis(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Basis of {x : M x = 0} for the matrix with the given rows.
 
-    Returns one vector per free column, each normalized so the free column
-    holds 1; the empty list means the kernel is trivial.
+    Returns one vector per free (non-pivot) column, holding 1 in that column
+    and 0 in every other free column; the empty list means the kernel is
+    trivial. The pivot columns depend only on the matrix, so the basis is
+    unique.
     """
     if not rows:
         return []
     n_cols = len(rows[0])
     if any(len(row) != n_cols for row in rows):
         raise ValueError("ragged matrix")
-    echelon, pivots = _row_echelon(_integer_rows(rows))
-    free_cols = [c for c in range(n_cols) if c not in pivots]
+    pivots: dict[int, SparseRow] = {}
+    for row in rows:
+        reduced = _reduce(_integer_row(row), pivots)
+        if reduced:
+            pivots[min(reduced)] = reduced
+    # every entry of a pivot row lies at or right of its leading column, so
+    # back-substitution runs over pivots from the rightmost leading column
+    order = sorted(pivots, reverse=True)
+    zero = Fraction(0)
     basis = []
-    for free in free_cols:
-        vec = [Fraction(0)] * n_cols
-        vec[free] = Fraction(1)
-        # back-substitute pivot entries bottom-up
-        for r in range(len(pivots) - 1, -1, -1):
-            col = pivots[r]
-            residue = sum((Fraction(echelon[r][c]) * vec[c] for c in range(col + 1, n_cols)),
-                          Fraction(0))
-            vec[col] = -residue / echelon[r][col]
-        basis.append(vec)
+    for free in range(n_cols):
+        if free in pivots:
+            continue
+        vec: dict[int, Fraction] = {free: Fraction(1)}
+        for col in order:
+            if col > free:
+                continue  # its row only meets columns right of `free`, all zero
+            pivot = pivots[col]
+            residue = sum(x * vec[c] for c, x in pivot.items() if c in vec)
+            if residue:
+                vec[col] = -residue / pivot[col]
+        basis.append([vec.get(c, zero) for c in range(n_cols)])
     return basis
 
 

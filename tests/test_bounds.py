@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import pytest
 
+import icdof.bounds
 from icdof import (
+    BudgetExceededError,
     ChannelMatrix,
     ConditionStarViolationError,
     ExactScalar,
@@ -73,6 +75,30 @@ class TestTheorem1Certified:
             theorem1_certified_bound(H, 1, 2)
         assert "witness" in excinfo.value.payload
 
+    def test_refused_before_the_alphabet_is_built(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("build_wn reached for a refused job")
+
+        monkeypatch.setattr(icdof.bounds, "build_wn", fail)
+        with pytest.raises(BudgetExceededError) as excinfo:
+            theorem1_certified_bound(ChannelMatrix.generic(3), 1, 4)
+        assert str(excinfo.value) == (
+            "convolution needs 268435456 atom pairs, over the budget of 5000000"
+        )
+
+    def test_pair_count_is_exact(self):
+        # |W| = 4, and user 1's first convolution pairs 4 * 4 atoms
+        H = ChannelMatrix.generic(2)
+        theorem1_certified_bound(H, 0, 4, budget=16)
+        with pytest.raises(BudgetExceededError, match="needs 16 atom pairs"):
+            theorem1_certified_bound(H, 0, 4, budget=15)
+
+    def test_condition_violation_is_reported_before_the_budget(self):
+        H = ChannelMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+        # 4^7 = 16384 values fit the budget, their 16384^2 pairs do not
+        with pytest.raises(ConditionStarViolationError):
+            theorem1_certified_bound(H, 1, 4, budget=20_000)
+
     def test_not_fully_connected_rejected(self):
         with pytest.raises(ValidationError, match="connected"):
             theorem1_certified_bound(hlambda_matrix(-1), 0, 2)
@@ -109,6 +135,12 @@ class TestFloor:
             nonasymptotic_floor(3, -1, 2)
         with pytest.raises(ValidationError):
             nonasymptotic_floor(3, 1, 1)
+
+    def test_parameters_beyond_float_range_rejected(self):
+        with pytest.raises(ValidationError, match="too large"):
+            nonasymptotic_floor(10**400, 0, 2)
+        with pytest.raises(ValidationError, match="too large"):
+            nonasymptotic_floor(3, 10**400, 2)
 
 
 class TestIntegerExample:

@@ -123,6 +123,10 @@ class TestConditionStar:
             assert report.status == "holds-up-to-bound"
             assert report.witness is None
 
+    def test_generic_four_users_degree_two_holds(self):
+        report = check_condition_star(ChannelMatrix.generic(4), 2)
+        assert report.status == "holds-up-to-bound"
+
     def test_rational_matrix_violated_with_verifiable_witness(self):
         H = ChannelMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
         report = check_condition_star(H, 0)

@@ -185,6 +185,22 @@ class TestExitCodes:
         assert code == 2
         assert report["code"] == "budget-exceeded"
 
+    def test_budget_must_be_positive(self, capsys):
+        for budget in ("-5", "0"):
+            code, report = run_json(
+                capsys, ["bound-thm1", "--k", "2", "--d", "0", "--n", "3", "--budget", budget]
+            )
+            assert code == 2
+            assert report["code"] == "parse-error"
+            assert "--budget" in report["message"]
+
+    def test_bound_floor_overflow_is_invalid_input(self, capsys):
+        code, report = run_json(
+            capsys, ["bound-floor", "--k", str(10**400), "--d", "0", "--n", "2"]
+        )
+        assert code == 2
+        assert report["code"] == "invalid-input"
+
     def test_unknown_verb(self, capsys):
         code, report = run_json(capsys, ["frobnicate"])
         assert code == 2

@@ -6,6 +6,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icdof import (
     BudgetExceededError,
@@ -28,6 +30,37 @@ from icdof import (
 from conftest import random_rational_dist
 
 G1 = ExactScalar.generator("g1")
+G2 = ExactScalar.generator("g2")
+
+
+def reference_convolve(A: DiscreteDist, B: DiscreteDist) -> dict:
+    """Slow twin of `convolve`: one exact `Fraction` product per atom pair,
+    with the same operand order, so keys come out in the same order."""
+    if len(A) < len(B):
+        A, B = B, A
+    acc: dict = {}
+    for xa, pa in A.items():
+        for xb, pb in B.items():
+            key = xa + xb
+            acc[key] = acc.get(key, Fraction(0)) + pa * pb
+    return acc
+
+
+_small = st.integers(-3, 3)
+_rational_points = st.builds(Fraction, _small, st.integers(1, 3))
+_symbolic_points = st.builds(
+    lambda c, a, b: as_scalar(c) + a * G1 + b * G2, _rational_points, _small, _small
+)
+_numerators = st.integers(1, 2**80)
+_denominators = st.one_of(st.integers(1, 6), st.integers(1, 2**80))
+
+
+@st.composite
+def exact_dists(draw, points):
+    support = draw(st.lists(points.map(as_scalar), min_size=1, max_size=8, unique=True))
+    weights = [Fraction(draw(_numerators), draw(_denominators)) for _ in support]
+    total = sum(weights)
+    return DiscreteDist({x: w / total for x, w in zip(support, weights)})
 
 
 class TestConstruction:
@@ -93,6 +126,17 @@ class TestConvolution:
         with pytest.raises(BudgetExceededError):
             convolve(A, A, budget=99)
         convolve(A, A, budget=100 * 100)  # exactly at the limit is allowed
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.data())
+    def test_matches_pairwise_fraction_reference(self, data):
+        points = data.draw(st.sampled_from([_rational_points, _symbolic_points]))
+        A = data.draw(exact_dists(points))
+        B = data.draw(exact_dists(points))
+        expected = reference_convolve(A, B)
+        result = convolve(A, B)
+        assert list(result.items()) == list(expected.items())
+        assert entropy_bits(result) == entropy_bits(DiscreteDist(expected))
 
     def test_symbolic_values_stay_exact(self):
         A = uniform_on([ExactScalar.ZERO, G1])

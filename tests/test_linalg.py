@@ -1,4 +1,6 @@
-"""Exact kernels via fraction-free elimination, cross-checked against sympy."""
+"""Exact kernels via sparse fraction-free elimination, cross-checked against
+sympy: both normalize each kernel vector to 1 in its own free column and 0 in
+the other free columns, so the bases must agree entry for entry."""
 
 from __future__ import annotations
 
@@ -14,6 +16,16 @@ from icdof import kernel_basis, primitive_integer_vector
 def _check_in_kernel(rows, vec):
     for row in rows:
         assert sum(Fraction(a) * x for a, x in zip(row, vec)) == 0
+
+
+def _sympy_basis(rows):
+    matrix = sympy.Matrix(
+        [[sympy.Rational(a.numerator, a.denominator) for a in row] for row in rows]
+    )
+    return [
+        [Fraction(int(x.p), int(x.q)) for x in vec]
+        for vec in matrix.nullspace()
+    ]
 
 
 class TestKernelBasis:
@@ -56,11 +68,45 @@ class TestKernelBasis:
                 [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
                 for _ in range(m)
             ]
+            assert kernel_basis(rows) == _sympy_basis(rows)
+
+    def test_against_sympy_on_sparse_matrices(self):
+        rng = random.Random(2026)
+        for _ in range(12):
+            rows = [
+                [
+                    Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+                    if rng.random() < 0.1
+                    else Fraction(0)
+                    for _ in range(35)
+                ]
+                for _ in range(25)
+            ]
             basis = kernel_basis(rows)
-            expected = sympy.Matrix([[sympy.Rational(a) for a in row] for row in rows])
-            assert len(basis) == len(expected.nullspace())
+            assert basis == _sympy_basis(rows)
             for vec in basis:
                 _check_in_kernel(rows, vec)
+
+    def test_against_sympy_on_rank_deficient_matrices(self):
+        rng = random.Random(404)
+        for _ in range(20):
+            n = rng.randint(3, 8)
+            base = [
+                [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+                for _ in range(rng.randint(1, n - 1))
+            ]
+            rows = list(base)
+            for _ in range(rng.randint(1, 4)):
+                a, b = rng.choice(base), rng.choice(base)
+                if rng.random() < 0.5:
+                    rows.append(list(a))  # repeated row
+                else:
+                    c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                    rows.append([x + c * y for x, y in zip(a, b)])  # combined rows
+            rng.shuffle(rows)
+            basis = kernel_basis(rows)
+            assert len(basis) >= n - len(base)
+            assert basis == _sympy_basis(rows)
 
 
 class TestPrimitiveVector:
