@@ -26,17 +26,17 @@ from .channel import (
 from .dist import (
     DEFAULT_ATOM_BUDGET,
     DiscreteDist,
+    _pack,
     check_pair_budget,
     convolve,
     entropy_bits,
-    linear_combination,
     point_mass,
     scale,
     uniform_on,
 )
 from .errors import ConditionStarViolationError, ValidationError
 from .infodim import NON_EXCEPTIONAL_CAVEAT
-from .scalar import ExactScalar
+from .scalar import ONE, ExactScalar
 
 SPLIT_TOL = 1e-12
 
@@ -68,16 +68,21 @@ def _user_dists(
 ) -> tuple[DiscreteDist, DiscreteDist, DiscreteDist]:
     """(signal, interference, full) distributions for user i. The
     interference is a point mass at 0 when every cross coefficient is zero,
-    as in triangular matrices."""
+    as in triangular matrices. All terms of the row share one lattice, so
+    the full output is one more step from the interference and entropies
+    never decode a point."""
     row = H.row(i)
     cross = [(c, dist) for j, (c, dist) in enumerate(zip(row, W)) if j != i and not c.is_zero()]
-    interference = linear_combination(*zip(*cross), budget=budget) if cross else point_mass(0)
+    cross = cross or [(ONE, point_mass(0))]
     diag = row[i]
-    if diag.is_zero():
+    signal = [(diag, W[i])] if not diag.is_zero() else []
+    packed = _pack(cross + signal)
+    interference = packed[0]
+    for term in packed[1 : len(cross)]:
+        interference = convolve(interference, term, budget=budget)
+    if not signal:
         return point_mass(0), interference, interference
-    signal = scale(diag, W[i])
-    full = convolve(signal, interference, budget=budget)
-    return signal, interference, full
+    return packed[-1], interference, convolve(packed[-1], interference, budget=budget)
 
 
 def _output_entropies(
@@ -238,7 +243,7 @@ def integer_example_bound(
                 row.append(ExactScalar.generator(f"g_{i + 1}"))
                 continue
             value = offdiag[i][j]
-            if not isinstance(value, int):
+            if not isinstance(value, int) or isinstance(value, bool):
                 raise ValidationError(f"off-diagonal entries must be integers, got {value!r}")
             if value == 0:
                 raise ValidationError(f"zero off-diagonal entry at ({i + 1},{j + 1})")

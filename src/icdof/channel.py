@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .dist import DEFAULT_ATOM_BUDGET
 from .errors import BudgetExceededError, ParseError, ValidationError
-from .linalg import kernel_basis, primitive_integer_vector
+from .linalg import first_kernel_vector, primitive_integer_vector
 from .scalar import ExactScalar, Monomial, MONO_ONE, as_scalar, mono_from_pairs, mono_str
 
 
@@ -66,7 +66,7 @@ def channel_from_json(obj) -> ChannelMatrix:
     if not isinstance(obj, dict) or "K" not in obj or "entries" not in obj:
         raise ParseError('channel JSON must be {"K": k, "entries": [[...], ...]}')
     K = obj["K"]
-    if not isinstance(K, int):
+    if not isinstance(K, int) or isinstance(K, bool):
         raise ParseError(f'"K" must be an integer, got {K!r}')
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != K:
@@ -272,24 +272,15 @@ def check_condition_star(H: ChannelMatrix, d: int) -> ConditionStarReport:
 
 def _kernel_witness(family) -> Optional[list[int]]:
     """First primitive integer kernel vector of the stacked coefficient
-    matrix, or None when the family is independent."""
-    monomials: dict[Monomial, int] = {}
-    for _, _, value in family:
-        for mono, _ in value.terms():
-            monomials.setdefault(mono, len(monomials))
-    rows = [[Fraction(0)] * len(family) for _ in range(len(monomials))]
+    matrix, or None when the family is independent. The matrix has one sparse
+    row {column: coefficient} per concrete monomial; with no row at all, every
+    value is the zero scalar and the first unit vector vanishes."""
+    rows: dict[Monomial, dict[int, Fraction | int]] = {}
     for col, (_, _, value) in enumerate(family):
         for mono, coeff in value.terms():
-            rows[monomials[mono]][col] = Fraction(coeff)
-    if not rows:
-        # every value is the zero scalar; any unit vector vanishes
-        vec = [0] * len(family)
-        vec[0] = 1
-        return vec
-    basis = kernel_basis(rows)
-    if not basis:
-        return None
-    return primitive_integer_vector(basis[0])
+            rows.setdefault(mono, {})[col] = coeff
+    vector = first_kernel_vector(rows.values(), len(family))
+    return None if vector is None else primitive_integer_vector(vector)
 
 
 def verify_witness(H: ChannelMatrix, witness: Witness) -> bool:

@@ -2,8 +2,9 @@
 JSON in, JSON out.
 
 Exit codes: 0 on success, 2 on any input problem (the error object
-{code, message, ...} goes to stdout so pipelines can consume it), 1 on an
-internal failure. Progress chatter goes to stderr only.
+{code, message, ...} goes to stdout so pipelines can consume it) and on a
+result that is not finite (code "non-finite", since JSON has no NaN or
+infinity), 1 on an internal failure. Progress chatter goes to stderr only.
 """
 
 from __future__ import annotations
@@ -54,10 +55,6 @@ def _round_floats(obj):
     if isinstance(obj, (list, tuple)):
         return [_round_floats(value) for value in obj]
     return obj
-
-
-def _emit(report: dict) -> None:
-    print(json.dumps(_round_floats(report), indent=2))
 
 
 def _load_json(path: str):
@@ -335,17 +332,21 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        report = args.handler(args)
+        report, status = args.handler(args), 0
     except IcdofError as exc:
-        _emit({"code": exc.code, "message": str(exc), **exc.payload})
-        return 2
+        report, status = {"code": exc.code, "message": str(exc), **exc.payload}, 2
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except Exception as exc:  # pragma: no cover - defensive
-        _emit({"code": "internal-error", "message": f"{type(exc).__name__}: {exc}"})
-        return 1
-    _emit(report)
-    return 0
+        report, status = {"code": "internal-error", "message": f"{type(exc).__name__}: {exc}"}, 1
+    try:
+        text = json.dumps(_round_floats(report), indent=2, allow_nan=False)
+    except ValueError:
+        # refused rather than printed as the non-standard `NaN` or `Infinity`
+        error = {"code": "non-finite", "message": "the result holds a value that is not finite"}
+        text, status = json.dumps(error, indent=2), 2
+    print(text)
+    return status
 
 
 def main() -> None:

@@ -1,13 +1,17 @@
 """Finitely supported distributions over exact scalars.
 
 Probabilities are exact rationals so that collision merging is exact; only
-entropy is evaluated in floating point. Convolution is plain pairwise
-enumeration (support points are symbolic, there is no lattice to exploit),
-guarded by an atom budget that is checked before anything is allocated, so
-oversized requests fail loudly instead of exhausting memory. Inside a
-convolution the weights are exact integers over a common denominator (the
-product of the operands' denominator lcms); each merged atom becomes a
-`Fraction` once, at the end, instead of one `Fraction` product per pair.
+entropy is evaluated in floating point. Every sum goes through one kernel,
+the lattice of a linear form sum_j c_j X_j: each support point c_j*x is
+written as integer coordinates over one sorted monomial basis and one common
+denominator, and the coordinates are packed into one Python int whose radix
+leaves room for every partial sum, so adding two keys is adding the points
+and equal keys are equal points. A `convolve` step is then a loop of int
+additions and integer weight products (weights over the product of the
+operands' denominators), checked against its atom-pair budget before it
+allocates, so oversized requests fail loudly instead of exhausting memory.
+Its result keeps the packed keys: `len` and `entropy_bits` read the integer
+weights, and the support points are decoded only when they are asked for.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceededError, ParseError, ValidationError
-from .scalar import ExactScalar, ZERO, as_scalar, parse_rational
+from .scalar import ONE, ExactScalar, as_scalar, parse_rational
 
 DEFAULT_ATOM_BUDGET = 5_000_000
 
@@ -69,8 +73,8 @@ class DiscreteDist:
         return NotImplemented
 
     def __repr__(self):
-        if len(self._atoms) > 6:
-            return f"DiscreteDist(<{len(self._atoms)} atoms>)"
+        if len(self) > 6:
+            return f"DiscreteDist(<{len(self)} atoms>)"
         body = ", ".join(f"'{x}': {p}" for x, p in sorted_items(self))
         return f"DiscreteDist({{{body}}})"
 
@@ -130,27 +134,128 @@ def _integer_weights(dist: DiscreteDist) -> tuple[int, list[tuple[ExactScalar, i
     return denom, [(x, p.numerator * (denom // p.denominator)) for x, p in dist.items()]
 
 
+class _Lattice:
+    """Packed integer keys for the support points of one linear form
+    sum_j c_j X_j.
+
+    Every scaled point c_j*x is written as integer coordinates over one sorted
+    monomial basis and one common denominator D (the lcm of all coefficient
+    denominators), and the coordinates are packed into one int in balanced
+    base R = 2 * sum_j max|coordinate of term j| + 1. No sum that takes each
+    term at most once reaches a coordinate outside [-(R-1)/2, (R-1)/2], so
+    packing is injective on every such partial sum and key(x) + key(y) ==
+    key(x + y). A rational-only form has one coordinate: its key is the
+    value's numerator over D.
+    """
+
+    __slots__ = ("basis", "denominator", "radix")
+
+    def __init__(self, basis: list, denominator: int, radix: int):
+        self.basis = basis
+        self.denominator = denominator
+        self.radix = radix
+
+    def point(self, key: int) -> ExactScalar:
+        """The canonical scalar whose packed key is `key`."""
+        flat = []
+        radix, denom = self.radix, self.denominator
+        half = radix // 2
+        for mono in self.basis:
+            digit = key % radix
+            if digit > half:
+                digit -= radix
+            key = (key - digit) // radix
+            if digit:
+                coeff = Fraction(digit, denom)
+                flat += (mono, coeff.numerator if coeff.denominator == 1 else coeff)
+        return ExactScalar(tuple(flat))
+
+
+class _PackedDist(DiscreteDist):
+    """A distribution held as integer weights over one denominator on packed
+    lattice keys. Sums and entropies work on the keys; the support points
+    are decoded only when they are asked for. `reach` bounds the absolute
+    value of every coordinate of its points."""
+
+    __slots__ = ("lattice", "weights", "denominator", "reach", "_decoded")
+
+    def __init__(
+        self, lattice: _Lattice, weights: dict[int, int], denominator: int, reach: int
+    ):
+        self.lattice = lattice
+        self.weights = weights
+        self.denominator = denominator
+        self.reach = reach
+        self._decoded = None
+
+    @property
+    def _atoms(self) -> dict[ExactScalar, Fraction]:
+        if self._decoded is None:
+            point, denom = self.lattice.point, self.denominator
+            self._decoded = {point(k): Fraction(w, denom) for k, w in self.weights.items()}
+        return self._decoded
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+
+def _pack(terms: Sequence[tuple[ExactScalar, DiscreteDist]]) -> list[_PackedDist]:
+    """The distributions of c_j*X_j for the terms of one linear form, packed
+    on one shared lattice, so that `convolve` can add any of them."""
+    scaled = []
+    monomials = set()
+    denom = 1
+    for c, dist in terms:
+        weights_denom, weights = _integer_weights(dist)
+        if c != ONE:
+            weights = [(c * x, w) for x, w in weights]
+        scaled.append((weights_denom, weights))
+        for x, _ in weights:
+            for mono, coeff in x.terms():
+                monomials.add(mono)
+                denom = math.lcm(denom, coeff.denominator)
+    basis = sorted(monomials)
+    index = {mono: i for i, mono in enumerate(basis)}
+    coordinates = []
+    for _, weights in scaled:
+        points = [
+            [(index[mono], c.numerator * (denom // c.denominator)) for mono, c in x.terms()]
+            for x, _ in weights
+        ]
+        reach = max((abs(v) for point in points for _, v in point), default=0)
+        coordinates.append((points, reach))
+    lattice = _Lattice(basis, denom, 2 * sum(reach for _, reach in coordinates) + 1)
+    powers = [lattice.radix**i for i in range(len(basis))]
+    return [
+        _PackedDist(lattice, {
+            sum(v * powers[i] for i, v in point): w for point, (_, w) in zip(points, weights)
+        }, weights_denom, reach)
+        for (points, reach), (weights_denom, weights) in zip(coordinates, scaled)
+    ]
+
+
 def convolve(A: DiscreteDist, B: DiscreteDist, budget: int = DEFAULT_ATOM_BUDGET) -> DiscreteDist:
     """Distribution of X+Y for independent X~A, Y~B, collisions merged exactly."""
     check_pair_budget(len(A) * len(B), budget)
+    # keys add as points only while every coordinate of the sum stays within
+    # the lattice's digit range, so operands past it are packed afresh
+    if not (
+        isinstance(A, _PackedDist)
+        and isinstance(B, _PackedDist)
+        and A.lattice is B.lattice
+        and A.reach + B.reach <= A.lattice.radix // 2
+    ):
+        A, B = _pack([(ONE, A), (ONE, B)])
     if len(A) < len(B):
         A, B = B, A
-    if len(B) == 1:
-        ((shift, _),) = B.items()
-        return DiscreteDist._trusted({x + shift: p for x, p in A.items()})
-    da, a_weights = _integer_weights(A)
-    db, b_weights = _integer_weights(B)
-    acc: dict[ExactScalar, int] = {}
-    acc_get = acc.get
-    for xa, wa in a_weights:
-        for xb, wb in b_weights:
-            key = xa + xb
-            acc[key] = acc_get(key, 0) + wa * wb
-    # in place, so no second output-sized dict is alive at the peak
-    denom = da * db
-    for key, weight in acc.items():
-        acc[key] = Fraction(weight, denom)
-    return DiscreteDist._trusted(acc)
+    merged: dict[int, int] = {}
+    get = merged.get
+    inner = list(B.weights.items())
+    for ka, wa in A.weights.items():
+        for kb, wb in inner:
+            key = ka + kb
+            merged[key] = get(key, 0) + wa * wb
+    return _PackedDist(A.lattice, merged, A.denominator * B.denominator, A.reach + B.reach)
 
 
 def linear_combination(
@@ -169,9 +274,11 @@ def linear_combination(
     live = [(c, d) for c, d in live if not c.is_zero()]
     if not live:
         raise ValidationError("degenerate combination: all coefficients are zero")
-    result = scale(live[0][0], live[0][1])
-    for c, d in live[1:]:
-        result = convolve(result, scale(c, d), budget=budget)
+    if len(live) == 1:
+        return scale(*live[0])
+    result, *rest = _pack(live)
+    for term in rest:
+        result = convolve(result, term, budget=budget)
     return result
 
 
@@ -182,19 +289,35 @@ def support_set(dist: DiscreteDist) -> frozenset:
 # -- entropy ------------------------------------------------------------------
 
 
-def _plog2p(p: Fraction) -> float:
-    # log2 via integer logs so huge denominators stay finite
-    return float(p) * (math.log2(p.numerator) - math.log2(p.denominator))
+def _plog2p(n: int, d: int) -> float:
+    # p = n/d in lowest terms; log2 via integer logs so huge denominators stay
+    # finite. p = 1 gives 0.0, which leaves the sum unchanged.
+    return n / d * (math.log2(n) - math.log2(d))
 
 
-def entropy_of_probs(probs: Iterable[Fraction]) -> float:
-    total = math.fsum(_plog2p(p) for p in probs if p != 1)
+def _entropy(terms: Iterable[float]) -> float:
+    # fsum is correctly rounded, so the result does not depend on term order
+    total = math.fsum(terms)
     return -total if total else 0.0
 
 
 def entropy_bits(dist: DiscreteDist) -> float:
     """Shannon entropy -sum p*log2(p), evaluated in double precision."""
-    return entropy_of_probs(dist._atoms.values())
+    if isinstance(dist, _PackedDist):
+        return _weight_entropy(dist.weights, dist.denominator)
+    return _entropy(_plog2p(p.numerator, p.denominator) for p in dist._atoms.values())
+
+
+def _weight_entropy(weights: dict, total: int) -> float:
+    """Entropy of the probabilities w/total over the weights' values; each
+    term equals the one entropy_bits takes for Fraction(w, total)."""
+    values = weights.values()
+    # one term per distinct weight, repeated: fsum sees the same multiset
+    terms = {}
+    for w in set(values):
+        g = math.gcd(w, total)
+        terms[w] = _plog2p(w // g, total // g)
+    return _entropy(map(terms.__getitem__, values))
 
 
 # -- JSON ----------------------------------------------------------------------
@@ -209,6 +332,8 @@ def parse_probability(text) -> Fraction:
             return Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad probability {text!r}: {exc}") from None
+    if isinstance(text, bool):
+        raise ParseError(f"a probability must be a number or a string, got {text!r}")
     if isinstance(text, int):
         return Fraction(text)
     return parse_rational(text)

@@ -18,8 +18,10 @@ from typing import Sequence
 from .dist import (
     DEFAULT_ATOM_BUDGET,
     DiscreteDist,
+    _pack,
+    _PackedDist,
+    _weight_entropy,
     entropy_bits,
-    entropy_of_probs,
     linear_combination,
     parse_probability,
 )
@@ -144,12 +146,14 @@ def empirical_infodim(
             stacklevel=2,
         )
     X = truncated_dist(ifs, m, budget=budget)
-    cells: dict[int, Fraction] = {}
-    kr = k * ifs.r
-    for x, p in X.items():
-        cell = math.floor(kr * x.as_fraction())
-        if cell in cells:
-            cells[cell] += p
-        else:
-            cells[cell] = p
-    return entropy_of_probs(cells.values()) / math.log2(k)
+    if not isinstance(X, _PackedDist):  # m = 1: the offset distribution itself
+        (X,) = _pack([(ExactScalar.ONE, X)])
+    # the truncation's points are rationals x = key / D, so each cell
+    # floor(k*r*x) is one exact integer floor division of its packed key
+    scale = k * ifs.r.numerator
+    denom = ifs.r.denominator * X.lattice.denominator
+    cells: dict[int, int] = {}
+    for key, w in X.weights.items():
+        cell = key * scale // denom
+        cells[cell] = cells.get(cell, 0) + w
+    return _weight_entropy(cells, X.denominator) / math.log2(k)

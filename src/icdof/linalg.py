@@ -16,16 +16,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ValidationError
 
 SparseRow = dict[int, int]
 
 
-def _integer_row(row: Sequence[Fraction]) -> SparseRow:
-    """Nonzero entries of the row, scaled to coprime integers."""
-    entries = {col: Fraction(x) for col, x in enumerate(row) if x}
+def _integer_row(entries: Mapping[int, Fraction | int]) -> SparseRow:
+    """The nonzero entries {column: value}, scaled to coprime integers."""
     denom = lcm(*(x.denominator for x in entries.values()))
     return _primitive({c: x.numerator * (denom // x.denominator) for c, x in entries.items()})
 
@@ -58,6 +57,33 @@ def _reduce(row: SparseRow, pivots: dict[int, SparseRow]) -> SparseRow:
     return row
 
 
+def _pivots(rows: Iterable[Mapping[int, Fraction | int]]) -> dict[int, SparseRow]:
+    """Reduced pivot rows keyed by their leading column."""
+    pivots: dict[int, SparseRow] = {}
+    for row in rows:
+        reduced = _reduce(_integer_row(row), pivots)
+        if reduced:
+            pivots[min(reduced)] = reduced
+    return pivots
+
+
+def _kernel_vector(pivots: dict[int, SparseRow], free: int, n_cols: int) -> list[Fraction]:
+    """The kernel vector with 1 in the free column `free` and 0 in every
+    other free column."""
+    vec: dict[int, Fraction] = {free: Fraction(1)}
+    # every entry of a pivot row lies at or right of its leading column, so
+    # back-substitution runs over pivots from the rightmost leading column
+    for col in sorted(pivots, reverse=True):
+        if col > free:
+            continue  # its row only meets columns right of `free`, all zero
+        pivot = pivots[col]
+        residue = sum(x * vec[c] for c, x in pivot.items() if c in vec)
+        if residue:
+            vec[col] = -residue / pivot[col]
+    zero = Fraction(0)
+    return [vec.get(c, zero) for c in range(n_cols)]
+
+
 def kernel_basis(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Basis of {x : M x = 0} for the matrix with the given rows.
 
@@ -71,29 +97,19 @@ def kernel_basis(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     n_cols = len(rows[0])
     if any(len(row) != n_cols for row in rows):
         raise ValueError("ragged matrix")
-    pivots: dict[int, SparseRow] = {}
-    for row in rows:
-        reduced = _reduce(_integer_row(row), pivots)
-        if reduced:
-            pivots[min(reduced)] = reduced
-    # every entry of a pivot row lies at or right of its leading column, so
-    # back-substitution runs over pivots from the rightmost leading column
-    order = sorted(pivots, reverse=True)
-    zero = Fraction(0)
-    basis = []
-    for free in range(n_cols):
-        if free in pivots:
-            continue
-        vec: dict[int, Fraction] = {free: Fraction(1)}
-        for col in order:
-            if col > free:
-                continue  # its row only meets columns right of `free`, all zero
-            pivot = pivots[col]
-            residue = sum(x * vec[c] for c, x in pivot.items() if c in vec)
-            if residue:
-                vec[col] = -residue / pivot[col]
-        basis.append([vec.get(c, zero) for c in range(n_cols)])
-    return basis
+    pivots = _pivots({c: Fraction(x) for c, x in enumerate(row) if x} for row in rows)
+    return [_kernel_vector(pivots, free, n_cols) for free in range(n_cols) if free not in pivots]
+
+
+def first_kernel_vector(
+    rows: Iterable[Mapping[int, Fraction | int]], n_cols: int
+) -> Optional[list[Fraction]]:
+    """`kernel_basis(M)[0]` for the matrix with `n_cols` columns whose rows
+    are given sparsely as {column: nonzero value}, or None when the kernel is
+    trivial. Only that one vector is back-substituted."""
+    pivots = _pivots(rows)
+    free = next((c for c in range(n_cols) if c not in pivots), None)
+    return None if free is None else _kernel_vector(pivots, free, n_cols)
 
 
 def primitive_integer_vector(vec: Sequence[Fraction]) -> list[int]:

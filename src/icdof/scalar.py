@@ -213,8 +213,7 @@ class ExactScalar:
 
     def terms(self) -> Iterator[tuple[Monomial, Fraction | int]]:
         flat = self._flat
-        for i in range(0, len(flat), 2):
-            yield flat[i], flat[i + 1]
+        return zip(flat[::2], flat[1::2])
 
     def generators(self) -> frozenset:
         gens = set()
@@ -295,7 +294,8 @@ def as_scalar(value) -> ExactScalar:
     """Coerce an int, Fraction, text expression, or ExactScalar to ExactScalar."""
     if isinstance(value, ExactScalar):
         return value
-    if isinstance(value, (int, Fraction)):
+    # bool is an int subclass; a JSON true/false is not a number
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return ExactScalar.rational(value)
     if isinstance(value, str):
         return parse_scalar(value)

@@ -1,7 +1,7 @@
-"""Shared corpus builders for the property tests.
+"""Shared corpus builders and the hypothesis profile for the property tests.
 
-Seeded stdlib RNG everywhere: failures reproduce exactly, and the corpora
-are cheap enough to regenerate per module.
+Seeded stdlib RNG and derandomized hypothesis everywhere: failures reproduce
+exactly, and the corpora are cheap enough to regenerate per module.
 """
 
 from __future__ import annotations
@@ -10,9 +10,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from icdof import DiscreteDist, as_scalar
 
+# One profile for every property suite: the same examples on every run, no
+# example database, and no per-example deadline on a loaded shared host.
+settings.register_profile("icdof", derandomize=True, database=None, deadline=None)
+settings.load_profile("icdof")
 
 ACCEPTANCE_LINES: list[str] = []
 

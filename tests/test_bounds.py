@@ -19,6 +19,7 @@ from icdof import (
     entropy_bits,
     hlambda_bound,
     integer_example_bound,
+    linear_combination,
     nonasymptotic_floor,
     phi,
     point_mass,
@@ -29,7 +30,7 @@ from icdof import (
     theorem3_ratio,
     uniform_on,
 )
-from icdof.bounds import _certified_report
+from icdof.bounds import _certified_report, _user_dists
 from conftest import random_rational_dist
 
 
@@ -102,6 +103,27 @@ class TestTheorem1Certified:
     def test_not_fully_connected_rejected(self):
         with pytest.raises(ValidationError, match="connected"):
             theorem1_certified_bound(hlambda_matrix(-1), 0, 2)
+
+
+class TestUserDists:
+    def test_matches_decoded_distributions(self, rng):
+        # reference: the interference from the cross terms alone (a point
+        # mass at 0 without any), the full output from the whole row
+        g = ExactScalar.generator("g")
+        H = ChannelMatrix.from_rows([[g, 2, 0], [0, 0, 0], [1, g + 1, Fraction(-1, 3)]])
+        W = [random_rational_dist(rng, min_support=2, max_support=5) for _ in range(3)]
+        for i in range(3):
+            row = H.row(i)
+            cross = [(c, d) for j, (c, d) in enumerate(zip(row, W)) if j != i and c != 0]
+            interference = linear_combination(*zip(*cross)) if cross else point_mass(0)
+            full = linear_combination(row, W) if any(c != 0 for c in row) else point_mass(0)
+            signal = scale(row[i], W[i]) if row[i] != 0 else point_mass(0)
+            result = _user_dists(H, W, i, 10**6)
+            # entropies and sizes first, from the packed weights
+            assert [(len(d), entropy_bits(d)) for d in result] == [
+                (len(d), entropy_bits(d)) for d in (signal, interference, full)
+            ]
+            assert result == (signal, interference, full)
 
 
 class TestCertifiedReport:

@@ -135,6 +135,25 @@ class TestConditionStar:
         assert witness is not None and len(witness.terms) >= 2
         assert verify_witness(H, witness)
 
+    def test_witness_is_the_first_free_column(self):
+        # the kernel vector of the first free column, as in the README example
+        H = ChannelMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+        assert check_condition_star(H, 2).witness.to_json()["combination"] == [
+            {"family": "monomial", "monomial": "1", "coefficient": "2"},
+            {"family": "monomial", "monomial": "h_1_2", "coefficient": "-1"},
+        ]
+        H = channel_from_json({"K": 3, "entries": [
+            ["generic"] * 3, ["generic"] * 3, ["generic", "generic", "h_1_2 * h_2_1 + 1/2"]]})
+        assert check_condition_star(H, 1).witness.to_json() == {
+            "user": 3,
+            "degree": 1,
+            "combination": [
+                {"family": "monomial", "monomial": "1", "coefficient": "1"},
+                {"family": "monomial", "monomial": "h_1_2*h_2_1", "coefficient": "2"},
+                {"family": "diag-multiple", "monomial": "1", "coefficient": "-2"},
+            ],
+        }
+
     def test_witness_resubstitutes_to_zero(self):
         H = ChannelMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
         witness = check_condition_star(H, 1).witness

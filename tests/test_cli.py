@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from icdof import cli
 from icdof.cli import run
 
 
@@ -222,6 +223,37 @@ class TestExitCodes:
         assert code == 2
         assert report["code"] == "parse-error"
         assert "fraction" in report["message"]
+
+    @pytest.mark.parametrize(
+        "verb, obj, flags",
+        [
+            ("condition", {"K": 2, "entries": [["generic", True], [False, "generic"]]},
+             ["--degree", "1"]),
+            ("hlambda", {"atoms": [{"value": True, "prob": "1/2"}, {"value": "0", "prob": "1/2"}]},
+             ["--lambda", "-1"]),
+            ("hlambda", {"atoms": [{"value": "1", "prob": True}]}, ["--lambda", "-1"]),
+            ("bound-integer", {"K": 2, "entries": [[0, True], [1, 0]]}, ["--n", "2"]),
+            ("infodim", {"r": "1/3", "w": ["0", "2"], "probs": [True, "0"]}, []),
+        ],
+    )
+    def test_json_booleans_are_rejected(self, capsys, files, verb, obj, flags):
+        path = files("input.json", obj)
+        inputs = {"hlambda": ["--u", path, "--v", path], "infodim": ["--ifs", path]}
+        argv = [verb, *inputs.get(verb, ["--matrix", path]), *flags]
+        code, report = run_json(capsys, argv)
+        assert code == 2
+        assert report["code"] in ("parse-error", "invalid-input")
+        assert "True" in report["message"]
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_result_is_an_error(self, capsys, monkeypatch, value):
+        monkeypatch.setattr(cli, "_cmd_bound_floor", lambda args: {"floor": value})
+        code = run(["bound-floor", "--k", "3", "--d", "1", "--n", "4"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "Infinity" not in out and "NaN" not in out
+        report = json.loads(out)
+        assert report["code"] == "non-finite"
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0

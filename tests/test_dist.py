@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -13,11 +14,14 @@ from icdof import (
     BudgetExceededError,
     DiscreteDist,
     ExactScalar,
+    IFSSpec,
+    ParseError,
     ValidationError,
     as_scalar,
     convolve,
     dist_from_json,
     dist_to_json,
+    empirical_infodim,
     entropy_bits,
     linear_combination,
     parse_probability,
@@ -25,6 +29,7 @@ from icdof import (
     scale,
     sorted_items,
     support_set,
+    truncated_dist,
     uniform_on,
 )
 from conftest import random_rational_dist
@@ -56,11 +61,49 @@ _denominators = st.one_of(st.integers(1, 6), st.integers(1, 2**80))
 
 
 @st.composite
-def exact_dists(draw, points):
-    support = draw(st.lists(points.map(as_scalar), min_size=1, max_size=8, unique=True))
+def exact_dists(draw, points, max_size=8):
+    support = draw(st.lists(points.map(as_scalar), min_size=1, max_size=max_size, unique=True))
     weights = [Fraction(draw(_numerators), draw(_denominators)) for _ in support]
     total = sum(weights)
     return DiscreteDist({x: w / total for x, w in zip(support, weights)})
+
+
+def reference_combination(coeffs, dists) -> DiscreteDist:
+    """Slow twin of `linear_combination`: scale each term, then fold the
+    pairwise `Fraction` reference over them."""
+    live = [scale(c, d) for c, d in zip(coeffs, dists) if c != 0]
+    result = live[0]
+    for term in live[1:]:
+        result = DiscreteDist(reference_convolve(result, term))
+    return result
+
+
+def reference_empirical_infodim(ifs, m: int, k: int) -> float:
+    """Slow twin of `empirical_infodim`: floor k*r*x on the decoded
+    truncation, one `Fraction` per atom."""
+    cells: dict = {}
+    kr = k * ifs.r
+    for x, p in truncated_dist(ifs, m).items():
+        cell = math.floor(kr * x.as_fraction())
+        cells[cell] = cells.get(cell, 0) + p
+    return entropy_bits(DiscreteDist({as_scalar(c): p for c, p in cells.items()})) / math.log2(k)
+
+
+G3 = ExactScalar.generator("g3")
+# degree-2 monomials over three generators, with coefficient denominators up to 2^80
+_quadratic_points = st.builds(
+    lambda c, a, b, e, f: as_scalar(c) + a * G1 + b * G2 * G3 + e * G1 * G1 + f * G3,
+    st.one_of(_rational_points, st.builds(Fraction, _small, st.integers(1, 2**80))),
+    _rational_points,
+    _small,
+    _rational_points,
+    st.sampled_from([0, 1, Fraction(-1, 2**80)]),
+)
+_coefficients = st.one_of(
+    st.just(as_scalar(0)),
+    _rational_points.map(as_scalar),
+    st.sampled_from([G1, G2 - 1, G1 * G3, Fraction(1, 3) * G2]),
+)
 
 
 class TestConstruction:
@@ -127,7 +170,7 @@ class TestConvolution:
             convolve(A, A, budget=99)
         convolve(A, A, budget=100 * 100)  # exactly at the limit is allowed
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(st.data())
     def test_matches_pairwise_fraction_reference(self, data):
         points = data.draw(st.sampled_from([_rational_points, _symbolic_points]))
@@ -142,6 +185,137 @@ class TestConvolution:
         A = uniform_on([ExactScalar.ZERO, G1])
         S = convolve(A, A)
         assert support_set(S) == {ExactScalar.ZERO, G1, 2 * G1}
+
+
+class TestLattice:
+    """The packed-integer kernel against the per-pair `Fraction` twins:
+    decoded atoms are equal, and entropies are equal bit for bit."""
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_chains_match_iterated_reference(self, data):
+        size = data.draw(st.integers(3, 5))
+        points = data.draw(st.sampled_from([_rational_points, _symbolic_points, _quadratic_points]))
+        dists = [data.draw(exact_dists(points, max_size=4)) for _ in range(size)]
+        coeffs = data.draw(st.lists(_coefficients, min_size=size, max_size=size))
+        if all(c.is_zero() for c in coeffs):
+            coeffs[0] = as_scalar(1)
+        expected = reference_combination(coeffs, dists)
+        result = linear_combination(coeffs, dists)
+        # the entropy first, from the packed weights, before any point is decoded
+        assert entropy_bits(result) == entropy_bits(expected)
+        assert len(result) == len(expected)
+        assert result == expected
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_quadratic_pairs_match_reference(self, data):
+        A = data.draw(exact_dists(_quadratic_points))
+        B = data.draw(exact_dists(_quadratic_points))
+        expected = reference_convolve(A, B)
+        assert entropy_bits(convolve(A, B)) == entropy_bits(DiscreteDist(expected))
+        assert list(convolve(A, B).items()) == list(expected.items())
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_coordinates_at_the_radix_edge(self, sign):
+        # every term puts its largest coordinate on the same monomials with
+        # the same sign, so one sum reaches the edge digit (R-1)/2 exactly
+        maxima = [3, 5, 7, 2]
+        dists = [
+            DiscreteDist({
+                as_scalar(0): Fraction(1, 3),
+                sign * (M * G1 + Fraction(M, 4) * G2 + M): Fraction(1, 3),
+                -sign * (M * G1 + M): Fraction(1, 3),
+            })
+            for M in maxima
+        ]
+        coeffs = [as_scalar(1)] * len(dists)
+        result = linear_combination(coeffs, dists)
+        assert result == reference_combination(coeffs, dists)
+        total = sum(maxima)
+        assert sign * (total * G1 + Fraction(total, 4) * G2 + total) in result.atoms
+        assert -sign * (total * G1 + total) in result.atoms
+        assert entropy_bits(linear_combination(coeffs, dists)) == entropy_bits(
+            DiscreteDist(dict(result.items()))
+        )
+
+    def test_single_atom_operands(self):
+        A = DiscreteDist({as_scalar(1): Fraction(1, 3), G1: Fraction(2, 3)})
+        shift = point_mass(G2 + Fraction(1, 2))
+        for pair in ((A, shift), (shift, A), (shift, shift)):
+            assert list(convolve(*pair).items()) == list(reference_convolve(*pair).items())
+        coeffs = [as_scalar(2), G3, as_scalar(-1)]
+        dists = [shift, A, point_mass(5)]
+        assert linear_combination(coeffs, dists) == reference_combination(coeffs, dists)
+
+    def test_sums_of_sums_repack(self):
+        # two convolution results on different lattices meet in a third
+        A = DiscreteDist({as_scalar(1): Fraction(1, 3), G1: Fraction(2, 3)})
+        B = uniform_on([0, Fraction(1, 2) * G2])
+        C = uniform_on([G1 * G3, 5, -G2])
+        D = DiscreteDist({as_scalar(Fraction(2, 7)): Fraction(3, 4), G3: Fraction(1, 4)})
+        left = convolve(A, B)
+        right = convolve(C, D)
+        expected = reference_convolve(DiscreteDist(dict(left.items())), DiscreteDist(dict(right.items())))
+        assert entropy_bits(convolve(convolve(A, B), convolve(C, D))) == entropy_bits(
+            DiscreteDist(expected)
+        )
+        assert list(convolve(left, right).items()) == list(expected.items())
+
+    def test_results_can_be_summed_again(self):
+        # a sum reused as an operand reaches past the digits its lattice was
+        # sized for, so it must be packed afresh rather than added as is
+        A = uniform_on([0, G1])
+        B = DiscreteDist({G1 - G2: Fraction(1, 3), 2 * G2: Fraction(2, 3)})
+        S = convolve(A, B)
+        plain = DiscreteDist(dict(S.items()))
+        for left, right in ((S, S), (S, A), (A, S)):
+            expected = reference_convolve(
+                DiscreteDist(dict(left.items())), DiscreteDist(dict(right.items())))
+            assert convolve(left, right) == DiscreteDist(expected)
+        for coeffs in ([as_scalar(1), as_scalar(-1), G3], [as_scalar(1)] * 3):
+            T = linear_combination(coeffs, [A, B, A])
+            expected = reference_combination([as_scalar(1)] * 2, [T, T])
+            assert entropy_bits(convolve(T, T)) == entropy_bits(expected)
+            assert convolve(T, T) == expected
+        assert convolve(S, plain) == convolve(plain, S)
+
+    def test_zero_coefficients_are_dropped(self):
+        A = uniform_on([0, 1, 2])
+        B = uniform_on([0, G1])
+        C = uniform_on([7, 9])
+        coeffs = [as_scalar(0), as_scalar(3), as_scalar(0), G2]
+        result = linear_combination(coeffs, [C, A, C, B])
+        assert result == reference_combination(coeffs, [C, A, C, B])
+        assert result == convolve(scale(3, A), scale(G2, B))
+
+    def test_chain_is_refused_at_the_same_step(self):
+        dists = [uniform_on(range(0, 10 * step, step)) for step in (1, 10, 100)]
+        coeffs = [as_scalar(1)] * 3
+        message = "convolution needs 1000 atom pairs, over the budget of 999"
+        with pytest.raises(BudgetExceededError, match=message):
+            linear_combination(coeffs, dists, budget=999)
+        with pytest.raises(BudgetExceededError, match=message):
+            convolve(convolve(dists[0], dists[1], budget=999), dists[2], budget=999)
+        assert len(linear_combination(coeffs, dists, budget=1000)) == 1000
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_empirical_infodim_matches_fraction_floors(self, data):
+        q = data.draw(st.integers(2, 5))
+        r = Fraction(data.draw(st.integers(1, q - 1)), q)
+        offsets = data.draw(
+            st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+                     min_size=2, max_size=4, unique=True)
+        )
+        weights = [data.draw(st.integers(1, 9)) for _ in offsets]
+        probs = [Fraction(w, sum(weights)) for w in weights]
+        ifs = IFSSpec.create(r, offsets, probs)
+        m = data.draw(st.integers(1, 5))
+        k = data.draw(st.integers(2, 60))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert empirical_infodim(ifs, m, k) == reference_empirical_infodim(ifs, m, k)
 
 
 class TestScaleAndCombine:
@@ -231,6 +405,12 @@ class TestJson:
         D = dist_from_json(obj)
         assert G1 in D.atoms
         assert dist_from_json(dist_to_json(D)) == D
+
+    def test_booleans_are_not_numbers(self):
+        with pytest.raises(ValidationError):
+            dist_from_json({"atoms": [{"value": True, "prob": "1"}]})
+        with pytest.raises(ParseError):
+            dist_from_json({"atoms": [{"value": "1", "prob": True}]})
 
     def test_malformed(self):
         with pytest.raises(Exception):

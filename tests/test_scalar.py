@@ -7,7 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from icdof import ExactScalar, NotRationalError, ParseError, as_scalar, parse_rational, parse_scalar
+from icdof import (
+    ExactScalar,
+    NotRationalError,
+    ParseError,
+    ValidationError,
+    as_scalar,
+    parse_rational,
+    parse_scalar,
+)
 
 G1 = ExactScalar.generator("g1")
 G2 = ExactScalar.generator("g2")
@@ -126,6 +134,11 @@ class TestParsing:
     def test_malformed(self, bad):
         with pytest.raises(Exception):
             parse_scalar(bad)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_booleans_are_not_scalars(self, flag):
+        with pytest.raises(ValidationError):
+            as_scalar(flag)
 
     def test_parse_rational(self):
         assert parse_rational("3/4") == Fraction(3, 4)
