@@ -26,10 +26,10 @@ from .channel import (
 from .dist import (
     DEFAULT_ATOM_BUDGET,
     DiscreteDist,
-    _pack,
     check_pair_budget,
     convolve,
     entropy_bits,
+    partial_sums,
     point_mass,
     scale,
     uniform_on,
@@ -68,21 +68,18 @@ def _user_dists(
 ) -> tuple[DiscreteDist, DiscreteDist, DiscreteDist]:
     """(signal, interference, full) distributions for user i. The
     interference is a point mass at 0 when every cross coefficient is zero,
-    as in triangular matrices. All terms of the row share one lattice, so
-    the full output is one more step from the interference and entropies
-    never decode a point."""
+    as in triangular matrices. The row is one linear form, so the full
+    output is one more running sum after the interference."""
     row = H.row(i)
     cross = [(c, dist) for j, (c, dist) in enumerate(zip(row, W)) if j != i and not c.is_zero()]
     cross = cross or [(ONE, point_mass(0))]
     diag = row[i]
     signal = [(diag, W[i])] if not diag.is_zero() else []
-    packed = _pack(cross + signal)
-    interference = packed[0]
-    for term in packed[1 : len(cross)]:
-        interference = convolve(interference, term, budget=budget)
+    sums = list(partial_sums(cross + signal, budget))
+    interference = sums[len(cross) - 1]
     if not signal:
         return point_mass(0), interference, interference
-    return packed[-1], interference, convolve(packed[-1], interference, budget=budget)
+    return scale(diag, W[i]), interference, sums[-1]
 
 
 def _output_entropies(

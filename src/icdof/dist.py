@@ -1,75 +1,175 @@
 """Finitely supported distributions over exact scalars.
 
-Probabilities are exact rationals so that collision merging is exact; only
-entropy is evaluated in floating point. Every sum goes through one kernel,
-the lattice of a linear form sum_j c_j X_j: each support point c_j*x is
-written as integer coordinates over one sorted monomial basis and one common
-denominator, and the coordinates are packed into one Python int whose radix
-leaves room for every partial sum, so adding two keys is adding the points
-and equal keys are equal points. A `convolve` step is then a loop of int
-additions and integer weight products (weights over the product of the
-operands' denominators), checked against its atom-pair budget before it
-allocates, so oversized requests fail loudly instead of exhausting memory.
-Its result keeps the packed keys: `len` and `entropy_bits` read the integer
-weights, and the support points are decoded only when they are asked for.
+Every distribution has one representation: positive integer weights over one
+common denominator, on packed integer keys. A key packs a support point's
+integer coordinates over a lattice (a sorted monomial basis and one common
+denominator) into one Python int. The terms of one linear form sum_j c_j X_j
+share one lattice whose radix leaves room for every partial sum, so adding two
+keys is adding the points and equal keys are equal points: a `convolve` step
+is a loop of int additions and integer weight products, checked against its
+budget before it allocates. Packing reads coordinates from keys, and `len` and
+`entropy_bits` read only the weights, so probabilities stay exact and only the
+entropy is evaluated in floating point. Points are decoded to `ExactScalar`s
+only at the output boundary: `items`, `atoms`, `==`, `repr`, `sorted_items`,
+`support_set` and JSON. No other module knows the format.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import BudgetExceededError, ParseError, ValidationError
-from .scalar import ONE, ExactScalar, as_scalar, parse_rational
+from .errors import BudgetExceededError, NotRationalError, ParseError, ValidationError
+from .scalar import MONO_ONE, ONE, ExactScalar, as_scalar, mono_mul, parse_rational
 
 DEFAULT_ATOM_BUDGET = 5_000_000
+
+
+@dataclass(slots=True)
+class _Lattice:
+    """Packed keys sum_i v_i * R^i in balanced base R = `radix` for points
+    with coordinates v_i / `denominator` over `basis`. With every |v_i| <=
+    (R-1)/2, packing is injective, and key(x) + key(y) == key(x + y) while the
+    sum's coordinates stay in that range too. The top digit is whatever the
+    lower ones leave, so on one coordinate (rational points) a key is the
+    numerator itself, any sum fits, and R only sizes the keys."""
+
+    basis: list
+    denominator: int
+    radix: int
+
+    def digits(self, key: int) -> list[int]:
+        """The coordinates of the point packed as `key`, one per basis monomial."""
+        radix = self.radix
+        half = radix // 2
+        digits = []
+        for _ in range(len(self.basis) - 1):
+            digit = key % radix
+            if digit > half:
+                digit -= radix
+            key = (key - digit) // radix
+            digits.append(digit)
+        digits.append(key)
+        return digits
+
+    def point(self, key: int) -> ExactScalar:
+        denom = self.denominator
+        return ExactScalar.from_terms(
+            {mono: Fraction(v, denom) for mono, v in zip(self.basis, self.digits(key))})
+
+
+def _share(terms: list[tuple[int, list]]) -> tuple[_Lattice, list[tuple[list[int], int]]]:
+    """Place several terms' points on one lattice. A term is (E, points), each
+    point a list of (monomial, v) with v/E its nonzero coordinates. Returns the
+    lattice and, per term, its keys and reach (largest |coordinate|); the radix
+    2 * sum(reach) + 1 fits every sum that takes each term at most once."""
+    denom = 1
+    for E, points in terms:  # reduced, so that keys are no wider than they need be
+        denom = math.lcm(denom, E // math.gcd(E, *(v for point in points for _, v in point)))
+    basis = sorted({mono for _, points in terms for point in points for mono, _ in point})
+    index = {mono: i for i, mono in enumerate(basis)}
+    placed = []
+    for E, points in terms:
+        coordinates = [[(index[mono], v * denom // E) for mono, v in point] for point in points]
+        placed.append((coordinates, max((abs(v) for p in coordinates for _, v in p), default=0)))
+    radix = 2 * sum(reach for _, reach in placed) + 1
+    powers = [radix**i for i in range(len(basis))]
+    return _Lattice(basis, denom, radix), [
+        ([sum(v * powers[i] for i, v in point) for point in coordinates], reach)
+        for coordinates, reach in placed
+    ]
+
+
+def _born(points: Sequence[ExactScalar]) -> tuple[_Lattice, list[int], int]:
+    """Distinct points on a lattice of their own: (lattice, keys, reach)."""
+    if all(x.is_rational() for x in points):  # one coordinate, read without terms
+        values = [x.as_fraction() for x in points]
+        denom = math.lcm(*(v.denominator for v in values))
+        keys = [v.numerator * (denom // v.denominator) for v in values]
+        reach = max(map(abs, keys))
+        return _Lattice([MONO_ONE], denom, 2 * reach + 1), keys, reach
+    terms = [tuple(x.terms()) for x in points]
+    denom = math.lcm(*(c.denominator for point in terms for _, c in point))
+    coordinates = [[(m, c.numerator * (denom // c.denominator)) for m, c in p] for p in terms]
+    lattice, [(keys, reach)] = _share([(denom, coordinates)])
+    return lattice, keys, reach
+
+
+def _pack(terms: Sequence[tuple[ExactScalar, "DiscreteDist"]]) -> list["DiscreteDist"]:
+    """The distributions of c_j*X_j for the terms of one linear form (every
+    c_j nonzero) on one shared lattice, so that `convolve` can add any of
+    them. Each basis monomial m of X_j's lattice maps to the terms of c_j*m,
+    with integer coefficients over one denominator, and each point's digits
+    are read from its key."""
+    scaled = []
+    for c, dist in terms:
+        lattice = dist._lattice
+        denom = math.lcm(*(a.denominator for _, a in c.terms()))
+        images = [[(mono_mul(m, mc), a.numerator * (denom // a.denominator))
+                   for mc, a in c.terms()] for m in lattice.basis]
+        points = []
+        for key in dist._weights:
+            point: dict = {}
+            for image, v in zip(images, lattice.digits(key)):
+                for mono, a in image:
+                    point[mono] = point.get(mono, 0) + v * a
+            points.append([(m, v) for m, v in point.items() if v])
+        scaled.append((lattice.denominator * denom, points))
+    lattice, placed = _share(scaled)
+    return [
+        _new(lattice, dict(zip(keys, dist._weights.values())), dist._denominator, reach)
+        for (keys, reach), (_, dist) in zip(placed, terms)
+    ]
 
 
 class DiscreteDist:
     """Immutable map from support point to positive rational probability."""
 
-    __slots__ = ("_atoms",)
+    # `reach` bounds the absolute value of every coordinate of the points
+    __slots__ = ("_lattice", "_weights", "_denominator", "_reach")
 
     def __init__(self, atoms: Mapping[ExactScalar, Fraction]):
         checked: dict[ExactScalar, Fraction] = {}
-        total = Fraction(0)
         for point, prob in atoms.items():
             point = as_scalar(point)
-            prob = Fraction(prob)
-            if prob <= 0:
+            prob = prob if type(prob) is Fraction else Fraction(prob)
+            if prob.numerator <= 0:
                 raise ValidationError(f"probability {prob} of atom '{point}' is not positive")
             if point in checked:
                 raise ValidationError(f"duplicate support point '{point}'")
             checked[point] = prob
-            total += prob
         if not checked:
             raise ValidationError("a distribution needs at least one atom")
-        if total != 1:
+        denom = math.lcm(*(prob.denominator for prob in checked.values()))
+        weights = [prob.numerator * (denom // prob.denominator) for prob in checked.values()]
+        if sum(weights) != denom:
+            total = Fraction(sum(weights), denom)
             raise ValidationError(f"probabilities sum to {total}, expected exactly 1")
-        self._atoms = checked
+        lattice, keys, reach = _born(list(checked))
+        self._fill(lattice, dict(zip(keys, weights)), denom, reach)
 
-    @classmethod
-    def _trusted(cls, atoms: dict[ExactScalar, Fraction]) -> "DiscreteDist":
-        # internal fast path for operations that preserve total mass exactly
-        self = object.__new__(cls)
-        self._atoms = atoms
+    def _fill(self, lattice: _Lattice, weights: dict, denominator: int, reach: int):
+        self._lattice, self._weights = lattice, weights
+        self._denominator, self._reach = denominator, reach
         return self
 
     @property
     def atoms(self) -> Mapping[ExactScalar, Fraction]:
-        return MappingProxyType(self._atoms)
+        return MappingProxyType(dict(self.items()))
 
     def items(self) -> Iterator[tuple[ExactScalar, Fraction]]:
-        return iter(self._atoms.items())
+        point, denom = self._lattice.point, self._denominator
+        return ((point(key), Fraction(w, denom)) for key, w in self._weights.items())
 
     def __len__(self) -> int:
-        return len(self._atoms)
+        return len(self._weights)
 
     def __eq__(self, other):
         if isinstance(other, DiscreteDist):
-            return self._atoms == other._atoms
+            return dict(self.items()) == dict(other.items())
         return NotImplemented
 
     def __repr__(self):
@@ -79,13 +179,23 @@ class DiscreteDist:
         return f"DiscreteDist({{{body}}})"
 
 
+def _new(lattice: _Lattice, weights: dict, denominator: int, reach: int) -> DiscreteDist:
+    # for operations that keep the keys distinct and the total mass exact
+    return object.__new__(DiscreteDist)._fill(lattice, weights, denominator, reach)
+
+
 def sorted_items(dist: DiscreteDist) -> list[tuple[ExactScalar, Fraction]]:
     """Atoms in the canonical deterministic order (stable across processes)."""
     return sorted(dist.items(), key=lambda item: item[0].sort_key())
 
 
+def support_set(dist: DiscreteDist) -> frozenset:
+    return frozenset(map(dist._lattice.point, dist._weights))
+
+
 def point_mass(value) -> DiscreteDist:
-    return DiscreteDist._trusted({as_scalar(value): Fraction(1)})
+    lattice, (key,), reach = _born([as_scalar(value)])
+    return _new(lattice, {key: 1}, 1, reach)
 
 
 def uniform_on(support: Iterable) -> DiscreteDist:
@@ -97,13 +207,13 @@ def uniform_on(support: Iterable) -> DiscreteDist:
     points = [as_scalar(x) for x in support]
     if not points:
         raise ValidationError("empty support")
-    atoms: dict[ExactScalar, Fraction] = {}
-    prob = Fraction(1, len(points))
-    for point in points:
-        if point in atoms:
+    lattice, keys, reach = _born(points)
+    weights: dict[int, int] = {}
+    for key, point in zip(keys, points):
+        if key in weights:
             raise ValidationError(f"support not distinct: '{point}' appears twice")
-        atoms[point] = prob
-    return DiscreteDist._trusted(atoms)
+        weights[key] = 1
+    return _new(lattice, weights, len(points), reach)
 
 
 def scale(c, dist: DiscreteDist) -> DiscreteDist:
@@ -111,9 +221,24 @@ def scale(c, dist: DiscreteDist) -> DiscreteDist:
     c = as_scalar(c)
     if c.is_zero():
         raise ValidationError("degenerate scaling: coefficient is zero")
-    if c == 1:
+    if c == ONE:
         return dist
-    return DiscreteDist._trusted({c * x: p for x, p in dist.items()})
+    return _pack([(c, dist)])[0]
+
+
+def floor_dist(s: Fraction, dist: DiscreteDist) -> DiscreteDist:
+    """Distribution of floor(s*X) for a rational s and a rational-valued X."""
+    lattice = dist._lattice
+    if lattice.basis not in ([], [MONO_ONE]):
+        raise NotRationalError("floor needs rational support points")
+    # the points are x = key / D, so each floor(s*x) is one integer floor division
+    num, den = s.numerator, s.denominator * lattice.denominator
+    cells: dict[int, int] = {}
+    for key, w in dist._weights.items():
+        cell = key * num // den
+        cells[cell] = cells.get(cell, 0) + w
+    reach = max(map(abs, cells))
+    return _new(_Lattice([MONO_ONE], 1, 2 * reach + 1), cells, dist._denominator, reach)
 
 
 def check_pair_budget(pairs: int, budget: int) -> None:
@@ -124,138 +249,52 @@ def check_pair_budget(pairs: int, budget: int) -> None:
         )
 
 
-def _integer_weights(dist: DiscreteDist) -> tuple[int, list[tuple[ExactScalar, int]]]:
-    """(D, [(x, p*D)]) with D the lcm of the probabilities' denominators."""
-    # pairwise, since lcm(*denominators) would leave an argument tuple of
-    # every operand size on the interpreter's free lists
-    denom = 1
-    for p in dist._atoms.values():
-        denom = math.lcm(denom, p.denominator)
-    return denom, [(x, p.numerator * (denom // p.denominator)) for x, p in dist.items()]
-
-
-class _Lattice:
-    """Packed integer keys for the support points of one linear form
-    sum_j c_j X_j.
-
-    Every scaled point c_j*x is written as integer coordinates over one sorted
-    monomial basis and one common denominator D (the lcm of all coefficient
-    denominators), and the coordinates are packed into one int in balanced
-    base R = 2 * sum_j max|coordinate of term j| + 1. No sum that takes each
-    term at most once reaches a coordinate outside [-(R-1)/2, (R-1)/2], so
-    packing is injective on every such partial sum and key(x) + key(y) ==
-    key(x + y). A rational-only form has one coordinate: its key is the
-    value's numerator over D.
-    """
-
-    __slots__ = ("basis", "denominator", "radix")
-
-    def __init__(self, basis: list, denominator: int, radix: int):
-        self.basis = basis
-        self.denominator = denominator
-        self.radix = radix
-
-    def point(self, key: int) -> ExactScalar:
-        """The canonical scalar whose packed key is `key`."""
-        flat = []
-        radix, denom = self.radix, self.denominator
-        half = radix // 2
-        for mono in self.basis:
-            digit = key % radix
-            if digit > half:
-                digit -= radix
-            key = (key - digit) // radix
-            if digit:
-                coeff = Fraction(digit, denom)
-                flat += (mono, coeff.numerator if coeff.denominator == 1 else coeff)
-        return ExactScalar(tuple(flat))
-
-
-class _PackedDist(DiscreteDist):
-    """A distribution held as integer weights over one denominator on packed
-    lattice keys. Sums and entropies work on the keys; the support points
-    are decoded only when they are asked for. `reach` bounds the absolute
-    value of every coordinate of its points."""
-
-    __slots__ = ("lattice", "weights", "denominator", "reach", "_decoded")
-
-    def __init__(
-        self, lattice: _Lattice, weights: dict[int, int], denominator: int, reach: int
-    ):
-        self.lattice = lattice
-        self.weights = weights
-        self.denominator = denominator
-        self.reach = reach
-        self._decoded = None
-
-    @property
-    def _atoms(self) -> dict[ExactScalar, Fraction]:
-        if self._decoded is None:
-            point, denom = self.lattice.point, self.denominator
-            self._decoded = {point(k): Fraction(w, denom) for k, w in self.weights.items()}
-        return self._decoded
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-
-def _pack(terms: Sequence[tuple[ExactScalar, DiscreteDist]]) -> list[_PackedDist]:
-    """The distributions of c_j*X_j for the terms of one linear form, packed
-    on one shared lattice, so that `convolve` can add any of them."""
-    scaled = []
-    monomials = set()
-    denom = 1
-    for c, dist in terms:
-        weights_denom, weights = _integer_weights(dist)
-        if c != ONE:
-            weights = [(c * x, w) for x, w in weights]
-        scaled.append((weights_denom, weights))
-        for x, _ in weights:
-            for mono, coeff in x.terms():
-                monomials.add(mono)
-                denom = math.lcm(denom, coeff.denominator)
-    basis = sorted(monomials)
-    index = {mono: i for i, mono in enumerate(basis)}
-    coordinates = []
-    for _, weights in scaled:
-        points = [
-            [(index[mono], c.numerator * (denom // c.denominator)) for mono, c in x.terms()]
-            for x, _ in weights
-        ]
-        reach = max((abs(v) for point in points for _, v in point), default=0)
-        coordinates.append((points, reach))
-    lattice = _Lattice(basis, denom, 2 * sum(reach for _, reach in coordinates) + 1)
-    powers = [lattice.radix**i for i in range(len(basis))]
-    return [
-        _PackedDist(lattice, {
-            sum(v * powers[i] for i, v in point): w for point, (_, w) in zip(points, weights)
-        }, weights_denom, reach)
-        for (points, reach), (weights_denom, weights) in zip(coordinates, scaled)
-    ]
-
-
 def convolve(A: DiscreteDist, B: DiscreteDist, budget: int = DEFAULT_ATOM_BUDGET) -> DiscreteDist:
-    """Distribution of X+Y for independent X~A, Y~B, collisions merged exactly."""
-    check_pair_budget(len(A) * len(B), budget)
-    # keys add as points only while every coordinate of the sum stays within
-    # the lattice's digit range, so operands past it are packed afresh
-    if not (
-        isinstance(A, _PackedDist)
-        and isinstance(B, _PackedDist)
-        and A.lattice is B.lattice
-        and A.reach + B.reach <= A.lattice.radix // 2
-    ):
+    """Distribution of X+Y for independent X~A, Y~B, collisions merged exactly.
+    The budget counts atom pairs times the 64-bit words a key can need, so
+    wide keys are refused while their pair count still looks small."""
+    pairs = len(A) * len(B)
+    check_pair_budget(pairs, budget)
+    lattice, other = A._lattice, B._lattice
+    reach = A._reach + B._reach
+    if len(lattice.basis) > 1:  # keys add while every coordinate stays within its digit
+        shared = lattice is other and reach <= lattice.radix // 2
+    else:  # one coordinate: keys are numerators over one denominator
+        shared = (lattice.basis, lattice.denominator) == (other.basis, other.denominator)
+    if not shared:
         A, B = _pack([(ONE, A), (ONE, B)])
+        lattice, reach = A._lattice, A._reach + B._reach
+    elif reach > lattice.radix // 2:
+        lattice = _Lattice(lattice.basis, lattice.denominator, 2 * reach + 1)
+    words = max(1, -(-len(lattice.basis) * lattice.radix.bit_length() // 64))
+    if pairs * words > budget:
+        raise BudgetExceededError(
+            f"convolution needs {pairs} atom pairs of {words}-word keys, "
+            f"over the budget of {budget}"
+        )
     if len(A) < len(B):
         A, B = B, A
     merged: dict[int, int] = {}
     get = merged.get
-    inner = list(B.weights.items())
-    for ka, wa in A.weights.items():
+    inner = list(B._weights.items())
+    for ka, wa in A._weights.items():
         for kb, wb in inner:
             key = ka + kb
             merged[key] = get(key, 0) + wa * wb
-    return _PackedDist(A.lattice, merged, A.denominator * B.denominator, A.reach + B.reach)
+    return _new(lattice, merged, A._denominator * B._denominator, reach)
+
+
+def partial_sums(
+    terms: Sequence[tuple[ExactScalar, DiscreteDist]], budget: int = DEFAULT_ATOM_BUDGET
+) -> Iterator[DiscreteDist]:
+    """The running sums c_0 X_0, c_0 X_0 + c_1 X_1, ... of a linear form with
+    nonzero coefficients c_j, on one lattice: each is one `convolve` step
+    from the one before."""
+    total, *rest = _pack(terms)
+    yield total
+    for term in rest:
+        total = convolve(total, term, budget=budget)
+        yield total
 
 
 def linear_combination(
@@ -274,50 +313,27 @@ def linear_combination(
     live = [(c, d) for c, d in live if not c.is_zero()]
     if not live:
         raise ValidationError("degenerate combination: all coefficients are zero")
-    if len(live) == 1:
-        return scale(*live[0])
-    result, *rest = _pack(live)
-    for term in rest:
-        result = convolve(result, term, budget=budget)
-    return result
-
-
-def support_set(dist: DiscreteDist) -> frozenset:
-    return frozenset(dist._atoms)
+    for total in partial_sums(live, budget):
+        pass
+    return total
 
 
 # -- entropy ------------------------------------------------------------------
 
 
-def _plog2p(n: int, d: int) -> float:
-    # p = n/d in lowest terms; log2 via integer logs so huge denominators stay
-    # finite. p = 1 gives 0.0, which leaves the sum unchanged.
-    return n / d * (math.log2(n) - math.log2(d))
-
-
-def _entropy(terms: Iterable[float]) -> float:
-    # fsum is correctly rounded, so the result does not depend on term order
-    total = math.fsum(terms)
-    return -total if total else 0.0
-
-
 def entropy_bits(dist: DiscreteDist) -> float:
     """Shannon entropy -sum p*log2(p), evaluated in double precision."""
-    if isinstance(dist, _PackedDist):
-        return _weight_entropy(dist.weights, dist.denominator)
-    return _entropy(_plog2p(p.numerator, p.denominator) for p in dist._atoms.values())
-
-
-def _weight_entropy(weights: dict, total: int) -> float:
-    """Entropy of the probabilities w/total over the weights' values; each
-    term equals the one entropy_bits takes for Fraction(w, total)."""
-    values = weights.values()
-    # one term per distinct weight, repeated: fsum sees the same multiset
+    weights, total = dist._weights.values(), dist._denominator
+    # one term per distinct weight, with p = n/d in lowest terms and log2 via
+    # integer logs, so huge denominators stay finite; p = 1 gives 0.0
     terms = {}
-    for w in set(values):
+    for w in set(weights):
         g = math.gcd(w, total)
-        terms[w] = _plog2p(w // g, total // g)
-    return _entropy(map(terms.__getitem__, values))
+        n, d = w // g, total // g
+        terms[w] = n / d * (math.log2(n) - math.log2(d))
+    # fsum is correctly rounded, so the result does not depend on term order
+    s = math.fsum(map(terms.__getitem__, weights))
+    return -s if s else 0.0
 
 
 # -- JSON ----------------------------------------------------------------------

@@ -18,10 +18,8 @@ from typing import Sequence
 from .dist import (
     DEFAULT_ATOM_BUDGET,
     DiscreteDist,
-    _pack,
-    _PackedDist,
-    _weight_entropy,
     entropy_bits,
+    floor_dist,
     linear_combination,
     parse_probability,
 )
@@ -146,14 +144,4 @@ def empirical_infodim(
             stacklevel=2,
         )
     X = truncated_dist(ifs, m, budget=budget)
-    if not isinstance(X, _PackedDist):  # m = 1: the offset distribution itself
-        (X,) = _pack([(ExactScalar.ONE, X)])
-    # the truncation's points are rationals x = key / D, so each cell
-    # floor(k*r*x) is one exact integer floor division of its packed key
-    scale = k * ifs.r.numerator
-    denom = ifs.r.denominator * X.lattice.denominator
-    cells: dict[int, int] = {}
-    for key, w in X.weights.items():
-        cell = key * scale // denom
-        cells[cell] = cells.get(cell, 0) + w
-    return _weight_entropy(cells, X.denominator) / math.log2(k)
+    return entropy_bits(floor_dist(k * ifs.r, X)) / math.log2(k)

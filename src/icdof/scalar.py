@@ -23,14 +23,6 @@ Monomial = tuple
 
 MONO_ONE: Monomial = (0, ())
 
-_mono_cache: dict[Monomial, Monomial] = {MONO_ONE: MONO_ONE}
-
-
-def _intern(mono: Monomial) -> Monomial:
-    # shared monomial objects keep term tuples pointer-light and make the
-    # `is` fast path in _merge hit almost always
-    return _mono_cache.setdefault(mono, mono)
-
 
 def mono_from_pairs(pairs) -> Monomial:
     """Build a canonical monomial from (generator, exponent) pairs."""
@@ -41,22 +33,22 @@ def mono_from_pairs(pairs) -> Monomial:
         if exp:
             merged[gen] = merged.get(gen, 0) + exp
     items = tuple(sorted(merged.items()))
-    return _intern((sum(e for _, e in items), items))
+    return (sum(e for _, e in items), items)
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if a is MONO_ONE:
+    if not a[1]:
         return b
-    if b is MONO_ONE:
+    if not b[1]:
         return a
     merged = dict(a[1])
     for gen, exp in b[1]:
         merged[gen] = merged.get(gen, 0) + exp
-    return _intern((a[0] + b[0], tuple(sorted(merged.items()))))
+    return (a[0] + b[0], tuple(sorted(merged.items())))
 
 
 def mono_str(mono: Monomial) -> str:
-    if mono is MONO_ONE or not mono[1]:
+    if not mono[1]:
         return "1"
     return "*".join(g if e == 1 else f"{g}^{e}" for g, e in mono[1])
 
@@ -87,7 +79,7 @@ class ExactScalar:
                 continue
             if isinstance(coeff, Fraction) and coeff.denominator == 1:
                 coeff = coeff.numerator
-            flat.append(_intern(mono))
+            flat.append(mono)
             flat.append(coeff)
         return ExactScalar(tuple(flat))
 
@@ -103,7 +95,7 @@ class ExactScalar:
     def generator(gen_id: str) -> "ExactScalar":
         if not _IDENT_RE.fullmatch(gen_id):
             raise ValidationError(f"invalid generator id '{gen_id}'")
-        return ExactScalar((_intern((1, ((gen_id, 1),))), 1))
+        return ExactScalar(((1, ((gen_id, 1),)), 1))
 
     # -- ring operations ----------------------------------------------------
 
@@ -201,13 +193,13 @@ class ExactScalar:
 
     def is_rational(self) -> bool:
         flat = self._flat
-        return not flat or (len(flat) == 2 and flat[0] is MONO_ONE)
+        return not flat or (len(flat) == 2 and not flat[0][1])
 
     def as_fraction(self) -> Fraction:
         flat = self._flat
         if not flat:
             return Fraction(0)
-        if len(flat) == 2 and flat[0] is MONO_ONE:
+        if len(flat) == 2 and not flat[0][1]:
             return Fraction(flat[1])
         raise NotRationalError(f"'{self}' is symbolic, not a rational")
 
@@ -262,7 +254,7 @@ class ExactScalar:
         for mono, coeff in self.terms():
             negative = coeff < 0
             mag = -coeff if negative else coeff
-            if mono is MONO_ONE or not mono[1]:
+            if not mono[1]:
                 body = str(mag)
             elif mag == 1:
                 body = mono_str(mono)

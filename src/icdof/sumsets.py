@@ -8,7 +8,7 @@ both directions.
 
 from __future__ import annotations
 
-
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import AbstractSet, Iterable, Optional
@@ -78,16 +78,20 @@ def is_arithmetic_progression(
     if not A:
         raise ValidationError("empty set")
     try:
-        values = sorted(x.as_fraction() for x in A)
+        values = [x.as_fraction() for x in A]
     except NotRationalError:
         raise NotRationalError("progression test requires ordered rationals") from None
-    if len(values) == 1:
-        return values[0], None, 1
-    step = values[1] - values[0]
-    for prev, cur in zip(values, values[1:]):
+    # integer numerators over one common denominator sort far faster than Fractions
+    denom = math.lcm(*(value.denominator for value in values))
+    numerators = sorted(v.numerator * (denom // v.denominator) for v in values)
+    start = Fraction(numerators[0], denom)
+    if len(numerators) == 1:
+        return start, None, 1
+    step = numerators[1] - numerators[0]
+    for prev, cur in zip(numerators, numerators[1:]):
         if cur - prev != step:
             return None
-    return values[0], step, len(values)
+    return start, Fraction(step, denom), len(numerators)
 
 
 @dataclass(frozen=True)

@@ -318,6 +318,124 @@ class TestLattice:
             assert empirical_infodim(ifs, m, k) == reference_empirical_infodim(ifs, m, k)
 
 
+def reference_scale(c, A: DiscreteDist) -> dict:
+    """Slow twin of `scale`: one `ExactScalar` product per decoded point."""
+    return {c * x: p for x, p in A.items()}
+
+
+def reference_entropy(probs) -> float:
+    """Slow twin of `entropy_bits`: one term per `Fraction` probability."""
+    total = math.fsum(
+        p.numerator / p.denominator * (math.log2(p.numerator) - math.log2(p.denominator))
+        for p in probs
+    )
+    return -total if total else 0.0
+
+
+class TestPacking:
+    """Every constructor packs its points, and every packing is read back
+    through the decoded slow twins: atoms, their order and entropies are
+    equal exactly."""
+
+    _points = st.sampled_from([_rational_points, _symbolic_points, _quadratic_points])
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_born_distributions_decode_to_their_atoms(self, data):
+        points = data.draw(st.lists(
+            data.draw(self._points).map(as_scalar), min_size=1, max_size=8, unique=True))
+        weights = [data.draw(_numerators) for _ in points]
+        atoms = {x: Fraction(w, sum(weights)) for x, w in zip(points, weights)}
+        D = DiscreteDist(atoms)
+        assert list(D.items()) == list(atoms.items())
+        assert entropy_bits(D) == reference_entropy(atoms.values())
+        assert support_set(D) == frozenset(points)
+        U = uniform_on(points)
+        assert list(U.items()) == [(x, Fraction(1, len(points))) for x in points]
+        assert entropy_bits(U) == reference_entropy([Fraction(1, len(points))] * len(points))
+        assert list(point_mass(points[-1]).items()) == [(points[-1], Fraction(1))]
+        assert dist_from_json(dist_to_json(D)) == D
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_scale_reads_digits(self, data):
+        points = data.draw(self._points)
+        A = data.draw(exact_dists(points, max_size=5))
+        if data.draw(st.booleans()):
+            # a sum on a shared lattice, whose radix is wider than its own points need
+            A = linear_combination(
+                [as_scalar(1), data.draw(_coefficients.filter(bool))],
+                [A, data.draw(exact_dists(points, max_size=3))],
+            )
+        c = data.draw(_coefficients.filter(bool))
+        expected = reference_scale(c, A)
+        scaled = scale(c, A)
+        assert list(scaled.items()) == list(expected.items())
+        assert entropy_bits(scaled) == entropy_bits(A)
+        B = data.draw(exact_dists(points, max_size=4))
+        reference = reference_convolve(DiscreteDist(expected), B)
+        assert list(convolve(scaled, B).items()) == list(reference.items())
+        assert entropy_bits(convolve(scaled, B)) == entropy_bits(DiscreteDist(reference))
+
+    def test_equality_across_lattices(self):
+        A = DiscreteDist({as_scalar(-3): Fraction(1, 6), as_scalar(2): Fraction(1, 2),
+                          as_scalar(7): Fraction(1, 3)})
+        # the same distribution through a lattice with a denominator of 2,
+        # and through one with an extra all-zero monomial and a wider radix
+        halves = convolve(convolve(A, point_mass(Fraction(1, 2))), point_mass(Fraction(-1, 2)))
+        symbolic = convolve(convolve(A, point_mass(G1)), point_mass(-G1))
+        for other in (halves, symbolic, scale(Fraction(1, 3), scale(3, A))):
+            assert other == A and A == other
+            assert sorted_items(other) == sorted_items(A)
+            assert dist_to_json(other) == dist_to_json(A)
+            assert support_set(other) == support_set(A)
+            assert entropy_bits(other) == entropy_bits(A)
+        # equal keys and weights on different lattices are different points
+        assert uniform_on([0, 1]) != uniform_on([0, Fraction(1, 2)])
+        assert uniform_on([0, 1]) != uniform_on([0, G1])
+
+    @pytest.mark.parametrize("atoms, message", [
+        ({0: Fraction(1, 2)}, "probabilities sum to 1/2, expected exactly 1"),
+        ({0: Fraction(1, 3), 1: Fraction(1, 3)}, "probabilities sum to 2/3, expected exactly 1"),
+        ({0: Fraction(3, 2), 1: Fraction(-1, 2)}, "probability -1/2 of atom '1' is not positive"),
+        ({0: Fraction(1), 1: 0}, "probability 0 of atom '1' is not positive"),
+        ({"1/2": Fraction(1, 2), Fraction(1, 2): Fraction(1, 2)},
+         "duplicate support point '1/2'"),
+        ({}, "a distribution needs at least one atom"),
+        # checked atom by atom, in order, before the total
+        ({"g1": Fraction(1, 2), G1: Fraction(1, 2), 3: -1}, "duplicate support point 'g1'"),
+        ({3: -1, "g1": Fraction(1, 2), G1: Fraction(1, 2)},
+         "probability -1 of atom '3' is not positive"),
+        ({0: 2, 1: -1, 2: Fraction(1, 2)}, "probability -1 of atom '1' is not positive"),
+    ])
+    def test_validation_messages_and_order(self, atoms, message):
+        with pytest.raises(ValidationError) as info:
+            DiscreteDist(atoms)
+        assert str(info.value) == message
+
+    def test_wide_keys_count_against_the_budget(self):
+        # one coordinate: keys near 2^71 need 2 words per pair
+        A = uniform_on([0, 2**70])
+        B = uniform_on([0, 1])
+        message = "convolution needs 4 atom pairs of 2-word keys, over the budget of 7"
+        with pytest.raises(BudgetExceededError, match=message):
+            convolve(A, B, budget=7)
+        with pytest.raises(BudgetExceededError, match=message):
+            linear_combination([as_scalar(1)] * 2, [A, B], budget=7)
+        assert len(convolve(A, B, budget=8)) == 4
+        # keys of 64 bits whose sums need 65
+        D = uniform_on([0, 2**62])
+        with pytest.raises(BudgetExceededError, match="2-word keys, over the budget of 7"):
+            convolve(D, D, budget=7)
+        # two coordinates of 33 bits each: 66 bits, 2 words
+        C = uniform_on([0, 2**31 * G1 + 2**31])
+        with pytest.raises(BudgetExceededError, match="2-word keys, over the budget of 7"):
+            convolve(C, B, budget=7)
+        assert len(convolve(C, B, budget=8)) == 4
+        # keys of one word keep the plain pair count
+        assert len(convolve(B, B, budget=4)) == 3
+
+
 class TestScaleAndCombine:
     def test_scale_zero_rejected(self):
         with pytest.raises(ValidationError):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from icdof.scalar import mono_from_pairs, mono_mul
 from icdof import (
     ExactScalar,
     NotRationalError,
@@ -84,6 +85,15 @@ class TestQueries:
         assert not G1.is_rational()
         with pytest.raises(NotRationalError):
             G1.as_fraction()
+
+    def test_constant_monomial_is_matched_by_value(self):
+        # a freshly built constant monomial, equal to but not the same object
+        # as any other, still makes a rational that prints as one
+        one = mono_from_pairs([("g1", 0)])
+        q = ExactScalar.from_terms({one: Fraction(3, 2)})
+        assert q.is_rational() and q.as_fraction() == Fraction(3, 2)
+        assert str(q) == "3/2" and str(q * G1 - G1) == "1/2*g1"
+        assert mono_mul(one, (1, (("g1", 1),))) == (1, (("g1", 1),))
 
     def test_generators_and_degree(self):
         s = 2 * G1**2 * G2 + G3

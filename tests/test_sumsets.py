@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icdof import (
     BudgetExceededError,
@@ -25,6 +27,17 @@ from icdof import (
 from conftest import random_rational_dist
 
 G1 = ExactScalar.generator("g1")
+
+
+def reference_progression(A):
+    """Slow twin of `is_arithmetic_progression`: sorts `Fraction`s."""
+    values = sorted(x.as_fraction() for x in A)
+    if len(values) == 1:
+        return values[0], None, 1
+    step = values[1] - values[0]
+    if any(cur - prev != step for prev, cur in zip(values, values[1:])):
+        return None
+    return values[0], step, len(values)
 
 
 def int_set(values) -> frozenset:
@@ -90,6 +103,18 @@ class TestProgressionDetection:
     def test_rational_step(self):
         A = finite_set([Fraction(1, 2), 1, Fraction(3, 2)])
         assert is_arithmetic_progression(A) == (Fraction(1, 2), Fraction(1, 2), 3)
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_matches_fraction_sorting_reference(self, data):
+        start = Fraction(data.draw(st.integers(-30, 30)), data.draw(st.integers(1, 12)))
+        step = Fraction(data.draw(st.integers(1, 30)), data.draw(st.integers(1, 12)))
+        values = [start + step * i for i in range(data.draw(st.integers(1, 8)))]
+        # a few extra non-integer points, which usually break the progression
+        values += data.draw(st.lists(
+            st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)), max_size=2))
+        A = finite_set(values)
+        assert is_arithmetic_progression(A) == reference_progression(A)
 
     def test_symbolic_rejected(self):
         with pytest.raises(NotRationalError):
