@@ -65,21 +65,17 @@ class BoundReport:
 
 def _user_dists(
     H: ChannelMatrix, W: Sequence[DiscreteDist], i: int, budget: int
-) -> tuple[DiscreteDist, DiscreteDist, DiscreteDist]:
-    """(signal, interference, full) distributions for user i. The
-    interference is a point mass at 0 when every cross coefficient is zero,
-    as in triangular matrices. The row is one linear form, so the full
-    output is one more running sum after the interference."""
+) -> tuple[DiscreteDist, DiscreteDist]:
+    """(interference, full) distributions for user i. The interference is a
+    point mass at 0 when every cross coefficient is zero, as in triangular
+    matrices. The row is one linear form, so the full output is one more
+    running sum after the interference."""
     row = H.row(i)
     cross = [(c, dist) for j, (c, dist) in enumerate(zip(row, W)) if j != i and not c.is_zero()]
     cross = cross or [(ONE, point_mass(0))]
-    diag = row[i]
-    signal = [(diag, W[i])] if not diag.is_zero() else []
+    signal = [(row[i], W[i])] if not row[i].is_zero() else []
     sums = list(partial_sums(cross + signal, budget))
-    interference = sums[len(cross) - 1]
-    if not signal:
-        return point_mass(0), interference, interference
-    return scale(diag, W[i]), interference, sums[-1]
+    return sums[len(cross) - 1], sums[-1]
 
 
 def _output_entropies(
@@ -90,7 +86,7 @@ def _output_entropies(
         raise ValidationError(f"{len(W)} input distributions for K={H.K} users")
     entropies = []
     for i in range(H.K):
-        _, interference, full = _user_dists(H, W, i, budget)
+        interference, full = _user_dists(H, W, i, budget)
         entropies.append((entropy_bits(full), entropy_bits(interference)))
     return entropies
 
@@ -156,7 +152,12 @@ def _certified_report(
     """Clamped bound for i.i.d. inputs W_dist, reported only after the
     signal/interference split is verified for every user."""
     dists = [W_dist] * H.K
-    entropies = [_verify_split(*_user_dists(H, dists, i, budget)) for i in range(H.K)]
+    entropies = []
+    for i in range(H.K):
+        # scaling by a nonzero h_ii is injective, so the signal h_ii*W has
+        # W's atom count and entropy
+        signal = W_dist if not H.row(i)[i].is_zero() else point_mass(0)
+        entropies.append(_verify_split(signal, *_user_dists(H, dists, i, budget)))
     terms, bound = _clamped_terms(entropies, r_log)
     return BoundReport(bound, terms, r_log, params=params, closed_form=closed_form)
 

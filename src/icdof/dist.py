@@ -9,7 +9,10 @@ keys is adding the points and equal keys are equal points: a `convolve` step
 is a loop of int additions and integer weight products, checked against its
 budget before it allocates. Packing reads coordinates from keys, and `len` and
 `entropy_bits` read only the weights, so probabilities stay exact and only the
-entropy is evaluated in floating point. Points are decoded to `ExactScalar`s
+entropy is evaluated in floating point. Rational points live on one coordinate,
+where a key is the point's numerator: `_pack` scales such keys by a rational
+coefficient with one integer multiply, and decoding one is one `Fraction`.
+Points are decoded to `ExactScalar`s
 only at the output boundary: `items`, `atoms`, `==`, `repr`, `sorted_items`,
 `support_set` and JSON. No other module knows the format.
 """
@@ -41,6 +44,11 @@ class _Lattice:
     denominator: int
     radix: int
 
+    def is_rational(self) -> bool:
+        """One coordinate (or none, when every point is 0): keys are numerators."""
+        basis = self.basis
+        return not basis or (len(basis) == 1 and basis[0] == MONO_ONE)
+
     def digits(self, key: int) -> list[int]:
         """The coordinates of the point packed as `key`, one per basis monomial."""
         radix = self.radix
@@ -57,6 +65,8 @@ class _Lattice:
 
     def point(self, key: int) -> ExactScalar:
         denom = self.denominator
+        if self.is_rational():
+            return ExactScalar.rational(Fraction(key, denom))
         return ExactScalar.from_terms(
             {mono: Fraction(v, denom) for mono, v in zip(self.basis, self.digits(key))})
 
@@ -103,7 +113,37 @@ def _pack(terms: Sequence[tuple[ExactScalar, "DiscreteDist"]]) -> list["Discrete
     c_j nonzero) on one shared lattice, so that `convolve` can add any of
     them. Each basis monomial m of X_j's lattice maps to the terms of c_j*m,
     with integer coefficients over one denominator, and each point's digits
-    are read from its key."""
+    are read from its key.
+
+    On one coordinate (rational points and coefficients) no point is read:
+    c*key/D is the numerator c.numerator*key over E = D*c.denominator, with E
+    reduced as `_share` reduces it, so each key takes one multiply (and an
+    exact division when E does not divide the common denominator)."""
+    if all(c.is_rational() and dist._lattice.is_rational() for c, dist in terms):
+        coeffs = [c.as_fraction() for c, _ in terms]
+        denom = 1
+        for c, (_, dist) in zip(coeffs, terms):
+            E = dist._lattice.denominator * c.denominator
+            denom = math.lcm(denom, E // math.gcd(E, c.numerator * math.gcd(*dist._weights)))
+        placed = []
+        for c, (_, dist) in zip(coeffs, terms):
+            num, den = c.numerator * denom, dist._lattice.denominator * c.denominator
+            g = math.gcd(num, den)
+            num, den = num // g, den // g
+            keys = [key * num // den for key in dist._weights]
+            placed.append((keys, max(map(abs, keys))))
+        total = sum(reach for _, reach in placed)
+        lattice = _Lattice([MONO_ONE] if total else [], denom, 2 * total + 1)
+    else:
+        lattice, placed = _share(_scaled_points(terms))
+    return [
+        _new(lattice, dict(zip(keys, dist._weights.values())), dist._denominator, reach)
+        for (keys, reach), (_, dist) in zip(placed, terms)
+    ]
+
+
+def _scaled_points(terms: Sequence[tuple[ExactScalar, "DiscreteDist"]]) -> list[tuple[int, list]]:
+    """The points c_j*x of every term as `_share` takes them: (E, points)."""
     scaled = []
     for c, dist in terms:
         lattice = dist._lattice
@@ -118,11 +158,7 @@ def _pack(terms: Sequence[tuple[ExactScalar, "DiscreteDist"]]) -> list["Discrete
                     point[mono] = point.get(mono, 0) + v * a
             points.append([(m, v) for m, v in point.items() if v])
         scaled.append((lattice.denominator * denom, points))
-    lattice, placed = _share(scaled)
-    return [
-        _new(lattice, dict(zip(keys, dist._weights.values())), dist._denominator, reach)
-        for (keys, reach), (_, dist) in zip(placed, terms)
-    ]
+    return scaled
 
 
 class DiscreteDist:
@@ -198,8 +234,9 @@ def point_mass(value) -> DiscreteDist:
     return _new(lattice, {key: 1}, 1, reach)
 
 
-def uniform_on(support: Iterable) -> DiscreteDist:
-    """Uniform distribution on the given support points.
+def weighted_on(support: Iterable, weights: Sequence[int]) -> DiscreteDist:
+    """Distribution on the given support points with probabilities in the
+    ratios of positive integer weights.
 
     Errors on an empty support and on duplicates (exact canonical equality),
     since silently merging would change the intended probabilities.
@@ -207,13 +244,25 @@ def uniform_on(support: Iterable) -> DiscreteDist:
     points = [as_scalar(x) for x in support]
     if not points:
         raise ValidationError("empty support")
+    if len(weights) != len(points):
+        raise ValidationError(f"{len(weights)} weights for {len(points)} support points")
+    for w in weights:
+        if type(w) is not int or w <= 0:
+            raise ValidationError(f"weight {w!r} is not a positive integer")
     lattice, keys, reach = _born(points)
-    weights: dict[int, int] = {}
-    for key, point in zip(keys, points):
-        if key in weights:
+    g = math.gcd(*weights)  # lowest terms, as `DiscreteDist(atoms)` stores them
+    packed: dict[int, int] = {}
+    for key, point, w in zip(keys, points, weights):
+        if key in packed:
             raise ValidationError(f"support not distinct: '{point}' appears twice")
-        weights[key] = 1
-    return _new(lattice, weights, len(points), reach)
+        packed[key] = w // g
+    return _new(lattice, packed, sum(weights) // g, reach)
+
+
+def uniform_on(support: Iterable) -> DiscreteDist:
+    """Uniform distribution on the given support points; errors as `weighted_on`."""
+    points = list(support)
+    return weighted_on(points, [1] * len(points))
 
 
 def scale(c, dist: DiscreteDist) -> DiscreteDist:
@@ -229,7 +278,7 @@ def scale(c, dist: DiscreteDist) -> DiscreteDist:
 def floor_dist(s: Fraction, dist: DiscreteDist) -> DiscreteDist:
     """Distribution of floor(s*X) for a rational s and a rational-valued X."""
     lattice = dist._lattice
-    if lattice.basis not in ([], [MONO_ONE]):
+    if not lattice.is_rational():
         raise NotRationalError("floor needs rational support points")
     # the points are x = key / D, so each floor(s*x) is one integer floor division
     num, den = s.numerator, s.denominator * lattice.denominator

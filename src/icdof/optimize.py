@@ -3,9 +3,10 @@ parametrized discrete distributions.
 
 Candidates are log-weight vectors over a fixed integer support grid. Each
 evaluation exponentiates (softmax style), rationalizes every weight with a
-bounded-denominator continued-fraction approximation, normalizes exactly, and
-scores the resulting distributions through the exact engine, so no floating
-objective value is ever reported that the exact path did not produce.
+bounded-denominator continued-fraction approximation in integer arithmetic,
+brings the approximations to integer weights over their common denominator,
+and scores the resulting distributions through the exact engine, so no
+floating objective value is ever reported that the exact path did not produce.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 from .bounds import hlambda_bound, theorem3_ratio
 from .channel import ChannelMatrix
-from .dist import DiscreteDist
+from .dist import DiscreteDist, weighted_on
 from .errors import ValidationError
 from .scalar import ExactScalar
 
@@ -67,19 +68,43 @@ def integer_grid(n: int) -> tuple[ExactScalar, ...]:
     return tuple(ExactScalar.rational(i) for i in range(n))
 
 
-def rationalize_weights(
-    weights: Sequence[float], max_denominator: int
-) -> tuple[Fraction, ...]:
-    """Positive exact probabilities from positive float weights: each weight
-    is approximated by a bounded-denominator fraction (floored at the
-    smallest positive one so no atom dies), then normalized exactly."""
+def _limit_denominator(n: int, d: int, max_denominator: int) -> tuple[int, int]:
+    """The closest fraction p/q to n/d (d > 0, lowest terms) with q at most
+    max_denominator, in lowest terms: the rule of `Fraction.limit_denominator`
+    on integers. The continued fraction of n/d runs until the next convergent's
+    denominator is too large; the answer is then the last convergent p1/q1 or
+    the semiconvergent p2/q2 below the bound, whichever is closer, and p1/q1
+    on a tie."""
+    if d <= max_denominator:
+        return n, d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    a_n, a_d = n, d
+    while True:
+        a = a_n // a_d
+        q2 = q0 + a * q1
+        if q2 > max_denominator:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        a_n, a_d = a_d, a_n - a * a_d
+    k = (max_denominator - q0) // q1
+    p2, q2 = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - n/d| <= |p2/q2 - n/d|, both sides multiplied by d*q1*q2
+    if abs(p1 * d - n * q1) * q2 <= abs(p2 * d - n * q2) * q1:
+        return p1, q1
+    return p2, q2
+
+
+def rationalize_weights(weights: Sequence[float], max_denominator: int) -> list[int]:
+    """Positive integer weights from positive float weights: each weight is
+    approximated by a bounded-denominator fraction (floored at the smallest
+    positive one so no atom dies), and the approximations are brought to
+    integer numerators over their common denominator."""
     approx = []
-    floor = Fraction(1, max_denominator)
     for w in weights:
-        q = Fraction(w).limit_denominator(max_denominator)
-        approx.append(q if q > 0 else floor)
-    total = sum(approx)
-    return tuple(q / total for q in approx)
+        p, q = _limit_denominator(*w.as_integer_ratio(), max_denominator)
+        approx.append((p, q) if p > 0 else (1, max_denominator))
+    common = math.lcm(*(q for _, q in approx))
+    return [p * (common // q) for p, q in approx]
 
 
 def dist_from_logweights(
@@ -87,8 +112,7 @@ def dist_from_logweights(
 ) -> DiscreteDist:
     shift = max(x)
     weights = [math.exp(v - shift) for v in x]
-    probs = rationalize_weights(weights, max_denominator)
-    return DiscreteDist(dict(zip(support, probs)))
+    return weighted_on(support, rationalize_weights(weights, max_denominator))
 
 
 @dataclass

@@ -117,13 +117,16 @@ class TestUserDists:
             cross = [(c, d) for j, (c, d) in enumerate(zip(row, W)) if j != i and c != 0]
             interference = linear_combination(*zip(*cross)) if cross else point_mass(0)
             full = linear_combination(row, W) if any(c != 0 for c in row) else point_mass(0)
-            signal = scale(row[i], W[i]) if row[i] != 0 else point_mass(0)
             result = _user_dists(H, W, i, 10**6)
             # entropies and sizes first, from the packed weights
             assert [(len(d), entropy_bits(d)) for d in result] == [
-                (len(d), entropy_bits(d)) for d in (signal, interference, full)
+                (len(d), entropy_bits(d)) for d in (interference, full)
             ]
-            assert result == (signal, interference, full)
+            assert result == (interference, full)
+            # the certified split reads the signal's size and entropy off W[i]
+            if row[i] != 0:
+                signal = scale(row[i], W[i])
+                assert (len(signal), entropy_bits(signal)) == (len(W[i]), entropy_bits(W[i]))
 
 
 class TestCertifiedReport:

@@ -57,6 +57,135 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+# stdout of two small optimizer runs, pinned byte for byte: any drift in how
+# weights are rationalized changes the printed probabilities
+GOLDEN_HLAMBDA = """\
+{
+  "best_value": 1.1333762636,
+  "seed": 0,
+  "dists": [
+    {
+      "atoms": [
+        {
+          "value": "0",
+          "prob": "1080999986332/3010291946805837"
+        },
+        {
+          "value": "1",
+          "prob": "15188845881455/3010291946805837"
+        },
+        {
+          "value": "2",
+          "prob": "191867627133238/3010291946805837"
+        },
+        {
+          "value": "3",
+          "prob": "2802154473804812/3010291946805837"
+        }
+      ]
+    },
+    {
+      "atoms": [
+        {
+          "value": "0",
+          "prob": "7550321351769/23290575512350673"
+        },
+        {
+          "value": "1",
+          "prob": "107876612253816/23290575512350673"
+        },
+        {
+          "value": "2",
+          "prob": "1447374432918584/23290575512350673"
+        },
+        {
+          "value": "3",
+          "prob": "21727774145826504/23290575512350673"
+        }
+      ]
+    }
+  ],
+  "trace": [
+    {
+      "restart": 0,
+      "start_value": 1.13257556846,
+      "best_value": 1.1333762636,
+      "evaluations": 66
+    },
+    {
+      "restart": 1,
+      "start_value": 0.99025127297,
+      "best_value": 1.03741725983,
+      "evaluations": 62
+    }
+  ],
+  "target": "hlambda",
+  "lambda": "-1"
+}
+"""
+
+GOLDEN_THM3 = """\
+{
+  "best_value": 0.999987339524,
+  "seed": 0,
+  "dists": [
+    {
+      "atoms": [
+        {
+          "value": "0",
+          "prob": "970147/970214"
+        },
+        {
+          "value": "1",
+          "prob": "67/970214"
+        }
+      ]
+    },
+    {
+      "atoms": [
+        {
+          "value": "0",
+          "prob": "501177/845075"
+        },
+        {
+          "value": "1",
+          "prob": "343898/845075"
+        }
+      ]
+    },
+    {
+      "atoms": [
+        {
+          "value": "0",
+          "prob": "1/1000001"
+        },
+        {
+          "value": "1",
+          "prob": "1000000/1000001"
+        }
+      ]
+    }
+  ],
+  "trace": [
+    {
+      "restart": 0,
+      "start_value": 0.766252733331,
+      "best_value": 0.999987339524,
+      "evaluations": 64
+    },
+    {
+      "restart": 1,
+      "start_value": 0.776179918394,
+      "best_value": 0.986387572652,
+      "evaluations": 64
+    }
+  ],
+  "target": "thm3",
+  "K": 3
+}
+"""
+
+
 class TestVerbs:
     def test_hlambda(self, capsys, prop4_file):
         code, report = run_json(
@@ -271,6 +400,19 @@ class TestOutputContract:
         assert run(argv) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    def test_optimizer_stdout_is_pinned(self, capsys, files):
+        matrix = files(
+            "m3.json",
+            {"K": 3, "entries": [["1", "2", "3"], ["4", "5", "7"], ["2", "-1", "1"]]},
+        )
+        common = ["--restarts", "2", "--max-iters", "40"]
+        for argv, golden in (
+            (["optimize", "--target", "hlambda", "--lambda", "-1", "--n", "4"], GOLDEN_HLAMBDA),
+            (["optimize", "--target", "thm3", "--matrix", matrix, "--n", "2"], GOLDEN_THM3),
+        ):
+            assert run(argv + common) == 0
+            assert capsys.readouterr().out == golden
 
     def test_floats_are_limited_to_twelve_significant_digits(self, capsys):
         code, report = run_json(capsys, ["bound-floor", "--k", "3", "--d", "1", "--n", "3"])

@@ -33,6 +33,7 @@ from icdof import (
     uniform_on,
 )
 from conftest import random_rational_dist
+from icdof.dist import _pack, _scaled_points, _share
 
 G1 = ExactScalar.generator("g1")
 G2 = ExactScalar.generator("g2")
@@ -434,6 +435,82 @@ class TestPacking:
         assert len(convolve(C, B, budget=8)) == 4
         # keys of one word keep the plain pair count
         assert len(convolve(B, B, budget=4)) == 3
+
+
+_wide_rationals = st.builds(
+    Fraction, st.integers(-(2**80), 2**80), st.sampled_from([1, 3, 2**80, 3 * 2**80]))
+_rational_coefficients = st.builds(
+    Fraction, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 7, 2**80]))
+
+
+@st.composite
+def rational_dists(draw):
+    kind = draw(st.sampled_from(["small", "wide", "zero", "sum"]))
+    if kind == "zero":
+        return point_mass(0)
+    A = draw(exact_dists(_rational_points if kind == "small" else _wide_rationals, max_size=5))
+    if kind == "sum":  # a lattice whose radix is wider than its own points need
+        A = convolve(A, draw(exact_dists(_rational_points, max_size=3)))
+    return A
+
+
+class TestRationalPacking:
+    """The one-coordinate branch of `_pack` against the decoded slow twins,
+    and against the general branch it bypasses: the same lattice, keys and
+    reach, so budgets and every later step are unchanged."""
+
+    @settings(max_examples=150)
+    @given(rational_dists(), _rational_coefficients, rational_dists())
+    def test_scale_matches_reference(self, A, c, B):
+        expected = reference_scale(as_scalar(c), A)
+        scaled = scale(c, A)
+        assert entropy_bits(scaled) == entropy_bits(A)
+        assert list(scaled.items()) == list(expected.items())
+        reference = reference_convolve(DiscreteDist(expected), B)
+        assert entropy_bits(convolve(scaled, B)) == entropy_bits(DiscreteDist(reference))
+        assert list(convolve(scaled, B).items()) == list(reference.items())
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_chains_match_reference(self, data):
+        size = data.draw(st.integers(1, 4))
+        dists = [data.draw(rational_dists()) for _ in range(size)]
+        coeffs = [as_scalar(data.draw(_rational_coefficients)) for _ in range(size)]
+        expected = reference_combination(coeffs, dists)
+        result = linear_combination(coeffs, dists)
+        assert entropy_bits(result) == entropy_bits(expected)
+        assert list(result.items()) == list(expected.items())
+        # the general branch on the same terms gives the same packing
+        terms = list(zip(coeffs, dists))
+        lattice, placed = _share(_scaled_points(terms))
+        packed = _pack(terms)
+        assert [d._lattice for d in packed] == [lattice] * size
+        assert [(list(d._weights), d._reach) for d in packed] == placed
+
+    def test_wide_chain_key_width_refusals(self):
+        # keys over a denominator near 2^83 need 2 words, and 3 once a term
+        # scaled by 2^-80 joins them; messages as before the one-coordinate branch
+        dists = [uniform_on(range(4)), uniform_on([0, Fraction(1, 3), 5]),
+                 DiscreteDist({as_scalar(-2): Fraction(1, 3), as_scalar(7): Fraction(2, 3)})]
+        coeffs = [as_scalar(Fraction(1, 2**80)), as_scalar(-3), as_scalar(Fraction(5, 7))]
+        with pytest.raises(BudgetExceededError) as info:
+            linear_combination(coeffs, dists, budget=24 * 2 - 1)
+        assert str(info.value) == (
+            "convolution needs 24 atom pairs of 2-word keys, over the budget of 47")
+        total = linear_combination(coeffs, dists, budget=24 * 2)
+        assert total == reference_combination(coeffs, dists)
+        with pytest.raises(BudgetExceededError) as info:
+            convolve(total, total, budget=576 * 2 - 1)
+        assert str(info.value) == (
+            "convolution needs 576 atom pairs of 2-word keys, over the budget of 1151")
+        assert len(convolve(total, total, budget=576 * 2)) == 126
+        shrunk = scale(Fraction(-1, 2**80), total)
+        with pytest.raises(BudgetExceededError) as info:
+            convolve(total, shrunk, budget=576 * 2)
+        assert str(info.value) == (
+            "convolution needs 576 atom pairs of 3-word keys, over the budget of 1152")
+        assert convolve(total, shrunk, budget=576 * 3) == DiscreteDist(
+            reference_convolve(total, shrunk))
 
 
 class TestScaleAndCombine:

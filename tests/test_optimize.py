@@ -3,6 +3,7 @@ agreement between the two objective routes."""
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import icdof
 from icdof import (
@@ -21,20 +24,80 @@ from icdof import (
     optimize_theorem3,
     prop4_dist,
 )
-from icdof.optimize import dist_from_logweights, integer_grid, rationalize_weights
+from icdof.optimize import (
+    _limit_denominator,
+    dist_from_logweights,
+    integer_grid,
+    rationalize_weights,
+)
 
 FAST = OptConfig(restarts=2, max_iters=40, seed=0)
 
 
+def fraction_rationalize_weights(weights, max_denominator) -> tuple[Fraction, ...]:
+    """Slow twin of `rationalize_weights`: `Fraction.limit_denominator` per
+    weight, floored at 1/max_denominator, normalized as `Fraction`s."""
+    approx = []
+    floor = Fraction(1, max_denominator)
+    for w in weights:
+        q = Fraction(w).limit_denominator(max_denominator)
+        approx.append(q if q > 0 else floor)
+    total = sum(approx)
+    return tuple(q / total for q in approx)
+
+
+def normalized(weights) -> tuple[Fraction, ...]:
+    return tuple(Fraction(w, sum(weights)) for w in weights)
+
+
+_weights = st.floats(min_value=0.0, max_value=1e6, allow_subnormal=True)
+_max_denominators = st.one_of(st.integers(2, 20), st.integers(2, 10**7))
+# x = n/d halfway between the last convergent and the semiconvergent below
+# max_denominator; the convergent wins: 1/4 -> 0/1 (then floored), 3/4 -> 1/1
+TIES = [(0.25, 2), (0.75, 2), (1.25, 2), (0.125, 4), (0.875, 4), (1 / 16, 8), (15 / 16, 8)]
+
+
 class TestParametrization:
     def test_rationalized_weights_are_positive_and_sum_to_one(self):
-        probs = rationalize_weights([0.3, 1e-300, 2.5], 10**6)
+        weights = rationalize_weights([0.3, 1e-300, 2.5], 10**6)
+        assert all(type(w) is int and w > 0 for w in weights)
+        probs = normalized(weights)
         assert sum(probs) == 1
         assert all(p > 0 for p in probs)
 
     def test_underflow_is_floored(self):
-        probs = rationalize_weights([1.0, 0.0], 1000)
-        assert probs[1] == Fraction(1, 1001)
+        weights = rationalize_weights([1.0, 0.0], 1000)
+        assert normalized(weights)[1] == Fraction(1, 1001)
+
+    @given(st.lists(_weights, min_size=1, max_size=6), _max_denominators)
+    def test_matches_fraction_rationalization(self, weights, max_denominator):
+        assert normalized(rationalize_weights(weights, max_denominator)) == (
+            fraction_rationalize_weights(weights, max_denominator))
+
+    @given(_weights, _max_denominators)
+    def test_limit_denominator_matches_fraction(self, w, max_denominator):
+        expected = Fraction(w).limit_denominator(max_denominator)
+        assert _limit_denominator(*w.as_integer_ratio(), max_denominator) == (
+            expected.numerator, expected.denominator)
+
+    @pytest.mark.parametrize("w, max_denominator", [
+        (0.0, 10**6), (5e-324, 10**6), (5e-324, 2), (1.0, 10**6), (1.0, 2),
+        # dyadic weights whose denominator is within the bound are kept exactly
+        (0.375, 8), (0.5, 2), (1.5, 2), (2.0**-20, 2**20),
+        (0.3, 2), (2 / 3, 2), (0.999999, 2), (0.3, 10**6), (math.pi, 7),
+        *TIES,
+    ])
+    def test_edge_cases(self, w, max_denominator):
+        expected = Fraction(w).limit_denominator(max_denominator)
+        assert _limit_denominator(*w.as_integer_ratio(), max_denominator) == (
+            expected.numerator, expected.denominator)
+        for weights in ([w], [w, 1.0], [1.0, w, 5e-324]):
+            assert normalized(rationalize_weights(weights, max_denominator)) == (
+                fraction_rationalize_weights(weights, max_denominator))
+
+    def test_ties_go_to_the_convergent(self):
+        assert [_limit_denominator(*w.as_integer_ratio(), m) for w, m in TIES] == [
+            (0, 1), (1, 1), (1, 1), (0, 1), (1, 1), (0, 1), (1, 1)]
 
     def test_dist_from_logweights(self):
         support = integer_grid(3)
