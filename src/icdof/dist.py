@@ -1,4 +1,5 @@
-"""Finitely supported distributions over exact scalars.
+"""Finitely supported distributions over exact scalars, and finite sets as
+their supports.
 
 Every distribution has one representation: positive integer weights over one
 common denominator, on packed integer keys. A key packs a support point's
@@ -12,18 +13,23 @@ budget before it allocates. Packing reads coordinates from keys, and `len` and
 entropy is evaluated in floating point. Rational points live on one coordinate,
 where a key is the point's numerator: `_pack` scales such keys by a rational
 coefficient with one integer multiply, and decoding one is one `Fraction`.
-Points are decoded to `ExactScalar`s
-only at the output boundary: `items`, `atoms`, `==`, `repr`, `sorted_items`,
-`support_set` and JSON. No other module knows the format.
+
+A finite set is the support of a packed distribution (`SupportSet`), so a
+sumset is the support of one `convolve` and a progression test sorts integer
+keys. Points are decoded to `ExactScalar`s only at the output boundary:
+`items`, `atoms`, `==`, `repr` and `sorted_items` of a distribution,
+iteration, `==` and `hash` of a set (`in` packs its argument instead), and
+JSON. No other module knows the format.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import BudgetExceededError, NotRationalError, ParseError, ValidationError
 from .scalar import MONO_ONE, ONE, ExactScalar, as_scalar, mono_mul, parse_rational
@@ -69,6 +75,21 @@ class _Lattice:
             return ExactScalar.rational(Fraction(key, denom))
         return ExactScalar.from_terms(
             {mono: Fraction(v, denom) for mono, v in zip(self.basis, self.digits(key))})
+
+    def key(self, x: ExactScalar, reach: int) -> Optional[int]:
+        """The key of `x`, or None unless `x` lies on this lattice with no
+        coordinate above `reach` (which is at most (R-1)/2, so the key is
+        the only one that decodes to `x`)."""
+        basis, denom = self.basis, self.denominator
+        digits = [0] * len(basis)
+        for mono, c in x.terms():
+            if mono not in basis:
+                return None
+            v, rem = divmod(c.numerator * denom, c.denominator)
+            if rem or abs(v) > reach:
+                return None
+            digits[basis.index(mono)] = v
+        return sum(v * self.radix**i for i, v in enumerate(digits))
 
 
 def _share(terms: list[tuple[int, list]]) -> tuple[_Lattice, list[tuple[list[int], int]]]:
@@ -225,8 +246,63 @@ def sorted_items(dist: DiscreteDist) -> list[tuple[ExactScalar, Fraction]]:
     return sorted(dist.items(), key=lambda item: item[0].sort_key())
 
 
-def support_set(dist: DiscreteDist) -> frozenset:
-    return frozenset(map(dist._lattice.point, dist._weights))
+class SupportSet(Set):
+    """The support of a distribution, read as a finite set of exact scalars.
+
+    Read-only and packed: it holds `dist` and decodes a point only when the
+    set is read point by point. Set operators (`|`, `&`, `-`, `^`) return
+    plain frozensets, and `hash` is that of the equal frozenset.
+    """
+
+    __slots__ = ("dist",)
+
+    def __init__(self, dist: DiscreteDist):
+        self.dist = dist
+
+    def __len__(self) -> int:
+        return len(self.dist._weights)
+
+    def __iter__(self) -> Iterator[ExactScalar]:
+        return map(self.dist._lattice.point, self.dist._weights)
+
+    def __contains__(self, x) -> bool:
+        if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+            x = ExactScalar.rational(x)
+        elif not isinstance(x, ExactScalar):
+            return False
+        key = self.dist._lattice.key(x, self.dist._reach)
+        return key is not None and key in self.dist._weights
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self))
+
+    @classmethod
+    def _from_iterable(cls, points) -> frozenset:
+        return frozenset(points)
+
+    def __repr__(self):
+        body = ", ".join(map(str, sorted(self, key=ExactScalar.sort_key)))
+        return f"SupportSet({{{body}}})"
+
+    def rational_grid(self) -> tuple[list[int], int]:
+        """The points as sorted integer numerators over one common
+        denominator. Raises NotRationalError if a point is symbolic."""
+        lattice, keys = self.dist._lattice, self.dist._weights
+        if lattice.is_rational():  # the keys are the numerators
+            return sorted(keys), lattice.denominator
+        constant = lattice.basis[0] == MONO_ONE  # first in the graded order
+        numerators = []
+        for key in keys:  # rational points can sit on a symbolic lattice: g1 + (-g1)
+            digits = lattice.digits(key)
+            if any(digits[constant:]):
+                raise NotRationalError(f"'{lattice.point(key)}' is symbolic, not a rational")
+            numerators.append(digits[0] if constant else 0)
+        return sorted(numerators), lattice.denominator
+
+
+def support_set(dist: DiscreteDist) -> SupportSet:
+    """The support of `dist` as a set; nothing is decoded."""
+    return SupportSet(dist)
 
 
 def point_mass(value) -> DiscreteDist:

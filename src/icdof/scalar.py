@@ -116,7 +116,7 @@ class ExactScalar:
         la, lb = len(a), len(b)
         while i < la and j < lb:
             ma, mb = a[i], b[j]
-            if ma is mb or ma == mb:
+            if ma == mb:
                 c = a[i + 1] + b[j + 1]
                 if c:
                     append(ma)

@@ -1,29 +1,48 @@
 """Sumset cardinalities, arithmetic-progression structure, and the entropy
 inequality suite for sums and differences of independent variables.
 
-Difference sets and difference distributions are always formed by scaling
-with -1 and reusing the sum path, so there is a single audited kernel for
-both directions.
+A finite set is the support of a packed distribution (`SupportSet`): the sets
+built here are packed at birth, and a plain set passed in is packed once on
+entry. A sumset A+B is then the support of one `convolve`, the same kernel
+that sums distributions, and a progression test sorts integer keys. Difference
+sets and difference distributions are always formed by scaling with -1 and
+reusing the sum path, so there is a single audited kernel for both directions.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import AbstractSet, Iterable, Optional
 
-from .dist import DEFAULT_ATOM_BUDGET, DiscreteDist, convolve, entropy_bits, scale
+from .dist import (
+    DEFAULT_ATOM_BUDGET,
+    DiscreteDist,
+    SupportSet,
+    convolve,
+    entropy_bits,
+    scale,
+    support_set,
+    uniform_on,
+)
 from .errors import BudgetExceededError, NotRationalError, ParseError, ValidationError
 from .scalar import ExactScalar, as_scalar
 
 
-def finite_set(elements: Iterable) -> frozenset:
-    """Canonical deduplicated set of exact scalars."""
-    return frozenset(as_scalar(x) for x in elements)
+def finite_set(elements: Iterable) -> AbstractSet[ExactScalar]:
+    """Canonical deduplicated set of exact scalars, packed as the support of
+    the uniform distribution on it. The empty set, which is no support,
+    comes back as an empty frozenset."""
+    points = list(dict.fromkeys(map(as_scalar, elements)))
+    return support_set(uniform_on(points)) if points else frozenset()
 
 
-def set_from_json(obj) -> frozenset:
+def _packed(A: AbstractSet) -> SupportSet:
+    """`A` itself if packed, else `A` packed once; `A` is not empty."""
+    return A if isinstance(A, SupportSet) else finite_set(A)
+
+
+def set_from_json(obj) -> AbstractSet[ExactScalar]:
     if not isinstance(obj, dict) or "elements" not in obj:
         raise ParseError('set JSON must be {"elements": [...]}')
     elements = list(obj["elements"])
@@ -44,14 +63,21 @@ def sumset(
     A: AbstractSet[ExactScalar],
     B: AbstractSet[ExactScalar],
     budget: int = DEFAULT_ATOM_BUDGET,
-) -> frozenset:
-    """{a + b : a in A, b in B} with exact collision merging."""
+) -> SupportSet:
+    """{a + b : a in A, b in B} with exact collision merging: the support of
+    the convolution of any two distributions with supports A and B.
+
+    Refused when |A|*|B| is over the budget. `convolve` also counts the
+    64-bit words of the sum's keys, so a pair count within the budget is
+    still refused when the keys are wide (many monomials or large
+    coordinates) and pairs times words is over it.
+    """
     if not A or not B:
         raise ValidationError("sumset needs non-empty operands")
     pairs = len(A) * len(B)
     if pairs > budget:
         raise BudgetExceededError(f"sumset needs {pairs} pairs, over the budget of {budget}")
-    return frozenset(a + b for a in A for b in B)
+    return support_set(convolve(_packed(A).dist, _packed(B).dist, budget=budget))
 
 
 def check_trivial_bounds(
@@ -78,12 +104,9 @@ def is_arithmetic_progression(
     if not A:
         raise ValidationError("empty set")
     try:
-        values = [x.as_fraction() for x in A]
+        numerators, denom = _packed(A).rational_grid()
     except NotRationalError:
         raise NotRationalError("progression test requires ordered rationals") from None
-    # integer numerators over one common denominator sort far faster than Fractions
-    denom = math.lcm(*(value.denominator for value in values))
-    numerators = sorted(v.numerator * (denom // v.denominator) for v in values)
     start = Fraction(numerators[0], denom)
     if len(numerators) == 1:
         return start, None, 1

@@ -186,6 +186,77 @@ GOLDEN_THM3 = """\
 """
 
 
+# stdout of `icdof sumset` on a rational and a symbolic example, pinned byte
+# for byte: the order of the elements and the progression reports
+GOLDEN_SUMSET_RATIONAL = """\
+{
+  "sizes": {
+    "a": 3,
+    "b": 2,
+    "sum": 4
+  },
+  "sum": {
+    "elements": [
+      "-1/6",
+      "1/3",
+      "5/6",
+      "4/3"
+    ]
+  },
+  "trivial_bounds": {
+    "lower_ok": true,
+    "upper_ok": true
+  },
+  "progressions": {
+    "a": {
+      "start": "-1/2",
+      "step": "1/2",
+      "length": 3
+    },
+    "b": {
+      "start": "1/3",
+      "step": "1/2",
+      "length": 2
+    },
+    "sum": {
+      "start": "-1/6",
+      "step": "1/2",
+      "length": 4
+    }
+  }
+}
+"""
+
+GOLDEN_SUMSET_SYMBOLIC = """\
+{
+  "sizes": {
+    "a": 3,
+    "b": 2,
+    "sum": 6
+  },
+  "sum": {
+    "elements": [
+      "1/3 + 2*g1",
+      "1/3 + 3*g1",
+      "1",
+      "1 + g1",
+      "g1",
+      "2*g1"
+    ]
+  },
+  "trivial_bounds": {
+    "lower_ok": true,
+    "upper_ok": true
+  },
+  "progressions": {
+    "a": null,
+    "b": null,
+    "sum": null
+  }
+}
+"""
+
+
 class TestVerbs:
     def test_hlambda(self, capsys, prop4_file):
         code, report = run_json(
@@ -413,6 +484,25 @@ class TestOutputContract:
         ):
             assert run(argv + common) == 0
             assert capsys.readouterr().out == golden
+
+    def test_sumset_stdout_is_pinned(self, capsys, files):
+        for a, b, golden in (
+            (["-1/2", "0", "1/2"], ["1/3", "5/6"], GOLDEN_SUMSET_RATIONAL),
+            (["1", "g1", "2*g1 + 1/3"], ["0", "g1"], GOLDEN_SUMSET_SYMBOLIC),
+        ):
+            argv = ["sumset", "--a", files("a.json", {"elements": a}),
+                    "--b", files("b.json", {"elements": b})]
+            assert run(argv) == 0
+            assert capsys.readouterr().out == golden
+
+    def test_symbolic_sets_can_sum_to_a_progression(self, capsys, files):
+        a = files("a.json", {"elements": ["g1", "g1 + 1", "g1 + 2"]})
+        b = files("b.json", {"elements": ["-g1"]})
+        code, report = run_json(capsys, ["sumset", "--a", a, "--b", b])
+        assert code == 0
+        assert report["sum"]["elements"] == ["0", "1", "2"]
+        assert report["progressions"] == {
+            "a": None, "b": None, "sum": {"start": "0", "step": "1", "length": 3}}
 
     def test_floats_are_limited_to_twelve_significant_digits(self, capsys):
         code, report = run_json(capsys, ["bound-floor", "--k", "3", "--d", "1", "--n", "3"])
