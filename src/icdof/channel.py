@@ -129,14 +129,10 @@ def enumerate_monomials(K: int, d: int) -> MonomialBasis:
     )
     monos: list[Monomial] = [MONO_ONE]
     for degree in range(1, d + 1):
-        for combo in combinations_with_replacement(names, degree):
-            pairs = []
-            for name in combo:
-                if pairs and pairs[-1][0] == name:
-                    pairs[-1] = (name, pairs[-1][1] + 1)
-                else:
-                    pairs.append((name, 1))
-            monos.append(mono_from_pairs(pairs))
+        monos.extend(
+            mono_from_pairs((name, 1) for name in combo)
+            for combo in combinations_with_replacement(names, degree)
+        )
     assert len(monos) == count
     return MonomialBasis(K, d, tuple(monos))
 
@@ -231,55 +227,49 @@ def check_condition_star(H: ChannelMatrix, d: int) -> ConditionStarReport:
     linearly independent over the rationals.
 
     For each user i the family is {f : deg f <= d+1} together with
-    {h_ii * f : deg f <= d}, both evaluated at H's entries. Their coefficient
-    vectors over the concrete generator monomials are stacked columnwise and
-    the exact kernel decides dependence with any rational coefficients, which
-    is what integer combinations reduce to after clearing denominators. A
+    {h_ii * f : deg f <= d}, both evaluated at H's entries. The degree-<=(d+1)
+    basis is evaluated once; it is graded with the constant first, so the
+    degree-<=d basis is its first phi(K, d) values. Their coefficient vectors
+    over the concrete generator monomials are stacked columnwise and the
+    exact kernel decides dependence with any rational coefficients, which is
+    what integer combinations reduce to after clearing denominators. A
     nonzero kernel yields an integer witness tagged by family, so a report
-    shows whether the plain monomials or the diagonal multiples collapsed.
+    shows whether the plain monomials or the diagonal multiples collapsed;
+    `verify_witness` re-substitutes it from H before it is reported.
     """
     if d < 0:
         raise ValidationError(f"need d >= 0, got {d}")
-    base_hi = enumerate_monomials(H.K, d + 1)
-    base_lo = enumerate_monomials(H.K, d)
-    values_hi = basis_values(H, base_hi)
+    basis = enumerate_monomials(H.K, d + 1)
+    values = basis_values(H, basis)
+    prefix = values[: phi(H.K, d)]
+    monos, n = basis.monomials, len(basis)
     for i in range(H.K):
         diag = H.entry(i, i)
-        family: list[tuple[str, Monomial, ExactScalar]] = [
-            ("monomial", m, v) for m, v in zip(base_hi.monomials, values_hi)
-        ]
-        family.extend(
-            ("diag-multiple", m, diag * evaluate_monomial(H, m)) for m in base_lo.monomials
-        )
-        witness = _kernel_witness(family)
-        if witness is not None:
+        vector = _kernel_witness(values + [diag * v for v in prefix])
+        if vector is not None:
             terms = tuple(
-                WitnessTerm(tag, mono, coeff)
-                for (tag, mono, _), coeff in zip(family, witness)
+                WitnessTerm("monomial", monos[c], coeff) if c < n
+                else WitnessTerm("diag-multiple", monos[c - n], coeff)
+                for c, coeff in enumerate(vector)
                 if coeff
             )
-            combo = ExactScalar.rational(0)
-            for (_, _, value), coeff in zip(family, witness):
-                if coeff:
-                    combo = combo + value * coeff
-            if not combo.is_zero():
+            witness = Witness(user=i + 1, degree=d, terms=terms)
+            if not verify_witness(H, witness):
                 raise RuntimeError("kernel witness failed re-substitution; elimination bug")
-            return ConditionStarReport(
-                "violated", d, Witness(user=i + 1, degree=d, terms=terms)
-            )
+            return ConditionStarReport("violated", d, witness)
     return ConditionStarReport("holds-up-to-bound", d)
 
 
-def _kernel_witness(family) -> Optional[list[int]]:
-    """First primitive integer kernel vector of the stacked coefficient
-    matrix, or None when the family is independent. The matrix has one sparse
-    row {column: coefficient} per concrete monomial; with no row at all, every
-    value is the zero scalar and the first unit vector vanishes."""
+def _kernel_witness(columns: list[ExactScalar]) -> Optional[list[int]]:
+    """First primitive integer kernel vector of the columns' coefficient
+    matrix, or None when the columns are independent. The matrix has one
+    sparse row {column: coefficient} per concrete monomial; with no row at
+    all, every value is the zero scalar and the first unit vector vanishes."""
     rows: dict[Monomial, dict[int, Fraction | int]] = {}
-    for col, (_, _, value) in enumerate(family):
+    for col, value in enumerate(columns):
         for mono, coeff in value.terms():
             rows.setdefault(mono, {})[col] = coeff
-    vector = first_kernel_vector(rows.values(), len(family))
+    vector = first_kernel_vector(rows.values(), len(columns))
     return None if vector is None else primitive_integer_vector(vector)
 
 

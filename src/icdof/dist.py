@@ -287,17 +287,25 @@ class SupportSet(Set):
     def rational_grid(self) -> tuple[list[int], int]:
         """The points as sorted integer numerators over one common
         denominator. Raises NotRationalError if a point is symbolic."""
-        lattice, keys = self.dist._lattice, self.dist._weights
-        if lattice.is_rational():  # the keys are the numerators
-            return sorted(keys), lattice.denominator
-        constant = lattice.basis[0] == MONO_ONE  # first in the graded order
-        numerators = []
-        for key in keys:  # rational points can sit on a symbolic lattice: g1 + (-g1)
-            digits = lattice.digits(key)
-            if any(digits[constant:]):
-                raise NotRationalError(f"'{lattice.point(key)}' is symbolic, not a rational")
-            numerators.append(digits[0] if constant else 0)
-        return sorted(numerators), lattice.denominator
+        return sorted(_numerators(self.dist)), self.dist._lattice.denominator
+
+
+def _numerators(dist: DiscreteDist) -> Iterable[int]:
+    """The numerators of the points over the lattice denominator, in key
+    order: the keys themselves on a rational lattice, digit 0 otherwise
+    (rational points can sit on a symbolic lattice: g1 + (-g1)). Raises
+    NotRationalError if a point is symbolic."""
+    lattice, keys = dist._lattice, dist._weights
+    if lattice.is_rational():
+        return keys.keys()
+    constant = lattice.basis[0] == MONO_ONE  # first in the graded order
+    numerators = []
+    for key in keys:
+        digits = lattice.digits(key)
+        if any(digits[constant:]):
+            raise NotRationalError(f"'{lattice.point(key)}' is symbolic, not a rational")
+        numerators.append(digits[0] if constant else 0)
+    return numerators
 
 
 def support_set(dist: DiscreteDist) -> SupportSet:
@@ -353,14 +361,15 @@ def scale(c, dist: DiscreteDist) -> DiscreteDist:
 
 def floor_dist(s: Fraction, dist: DiscreteDist) -> DiscreteDist:
     """Distribution of floor(s*X) for a rational s and a rational-valued X."""
-    lattice = dist._lattice
-    if not lattice.is_rational():
-        raise NotRationalError("floor needs rational support points")
-    # the points are x = key / D, so each floor(s*x) is one integer floor division
-    num, den = s.numerator, s.denominator * lattice.denominator
+    try:
+        numerators = _numerators(dist)
+    except NotRationalError:
+        raise NotRationalError("floor needs rational support points") from None
+    # the points are x = v / D, so each floor(s*x) is one integer floor division
+    num, den = s.numerator, s.denominator * dist._lattice.denominator
     cells: dict[int, int] = {}
-    for key, w in dist._weights.items():
-        cell = key * num // den
+    for v, w in zip(numerators, dist._weights.values()):
+        cell = v * num // den
         cells[cell] = cells.get(cell, 0) + w
     reach = max(map(abs, cells))
     return _new(_Lattice([MONO_ONE], 1, 2 * reach + 1), cells, dist._denominator, reach)

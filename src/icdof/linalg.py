@@ -115,19 +115,9 @@ def first_kernel_vector(
 def primitive_integer_vector(vec: Sequence[Fraction]) -> list[int]:
     """Clear denominators and divide by the gcd; sign fixed so the first
     nonzero entry is positive."""
-    fracs = [Fraction(x) for x in vec]
-    denom = 1
-    for x in fracs:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    first = next((x for x in ints if x), 0)
-    if first == 0:
+    nonzero = {c: x for c, x in enumerate(map(Fraction, vec)) if x}
+    if not nonzero:
         raise ValidationError("zero vector has no primitive form")
-    if first < 0:
-        ints = [-x for x in ints]
-    return ints
+    row = _integer_row(nonzero)
+    sign = -1 if row[min(row)] < 0 else 1
+    return [sign * row.get(c, 0) for c in range(len(vec))]

@@ -58,7 +58,8 @@ class ExactScalar:
 
     Internally a flat tuple (m1, c1, m2, c2, ...) with monomials strictly
     increasing and coefficients nonzero ints or Fractions. Equality and
-    hashing are plain tuple operations on that canonical form.
+    hashing are plain tuple operations on that canonical form, except that a
+    rational scalar hashes as the int or Fraction it equals.
     """
 
     __slots__ = ("_flat", "_hash")
@@ -244,7 +245,9 @@ class ExactScalar:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = self._hash = hash(self._flat)
+            flat = self._flat
+            rational = len(flat) == 2 and not flat[0][1]
+            h = self._hash = hash(flat[1] if rational else flat) if flat else 0
         return h
 
     def __str__(self) -> str:
@@ -367,7 +370,7 @@ def _parse_term(tokens, idx, text):
         kind, value = tokens[idx]
         if expect_factor:
             if kind == "num":
-                factors.append(ExactScalar.rational(_parse_rational(value)))
+                factors.append(ExactScalar.rational(parse_rational(value)))
                 idx += 1
             elif kind == "ident":
                 base = ExactScalar.generator(value)
@@ -394,15 +397,6 @@ def _parse_term(tokens, idx, text):
     for factor in factors[1:]:
         product = product * factor
     return product, idx
-
-
-def _parse_rational(text: str) -> Fraction:
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise ParseError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
 
 
 def parse_rational(text: str) -> Fraction:

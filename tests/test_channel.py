@@ -3,16 +3,23 @@ rational-independence checker with its witnesses."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import icdof.channel
 from icdof import (
     BudgetExceededError,
     ChannelMatrix,
+    ConditionStarReport,
     ExactScalar,
     ValidationError,
+    Witness,
+    WitnessTerm,
     as_scalar,
     basis_values,
     build_wn,
@@ -22,6 +29,7 @@ from icdof import (
     enumerate_monomials,
     evaluate_monomial,
     is_fully_connected,
+    kernel_basis,
     off_diagonal_name,
     phi,
     verify_witness,
@@ -32,6 +40,78 @@ def rational_matrix(K: int, rng: random.Random) -> ChannelMatrix:
     return ChannelMatrix.from_rows(
         [[Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(K)] for _ in range(K)]
     )
+
+
+def reference_check(H: ChannelMatrix, d: int) -> ConditionStarReport:
+    """Slow twin of `check_condition_star`: both bases enumerated, every
+    family member evaluated on its own and tagged, the first kernel vector
+    taken densely, cleared to integers by hand, and re-substituted into the
+    values the kernel saw."""
+    base_hi = enumerate_monomials(H.K, d + 1)
+    base_lo = enumerate_monomials(H.K, d)
+    for i in range(H.K):
+        diag = H.entry(i, i)
+        family = [("monomial", m, evaluate_monomial(H, m)) for m in base_hi.monomials]
+        family += [
+            ("diag-multiple", m, diag * evaluate_monomial(H, m)) for m in base_lo.monomials
+        ]
+        coefficients = [dict(value.terms()) for _, _, value in family]
+        monos = sorted({mono for terms in coefficients for mono in terms})
+        kernel = kernel_basis([[Fraction(c.get(m, 0)) for c in coefficients] for m in monos])
+        if not kernel:
+            continue
+        denom = math.lcm(*(x.denominator for x in kernel[0]))
+        ints = [int(x * denom) for x in kernel[0]]
+        sign = 1 if next(x for x in ints if x) > 0 else -1
+        witness = [sign * x // math.gcd(*ints) for x in ints]
+        combo = ExactScalar.ZERO
+        for (_, _, value), coeff in zip(family, witness):
+            combo = combo + value * coeff
+        assert combo.is_zero()
+        terms = tuple(
+            WitnessTerm(tag, mono, coeff)
+            for (tag, mono, _), coeff in zip(family, witness)
+            if coeff
+        )
+        return ConditionStarReport("violated", d, Witness(user=i + 1, degree=d, terms=terms))
+    return ConditionStarReport("holds-up-to-bound", d)
+
+
+def _gen(i: int, j: int) -> ExactScalar:
+    return ExactScalar.generator(off_diagonal_name(i, j))
+
+
+@st.composite
+def channels(draw):
+    """A K x K channel, K in {2, 3}, of one of three kinds: all rational;
+    generic generators mixed with rationals; or generic and polynomial
+    entries such as h_1_2*h_2_1 + 1/2 off the diagonal, with rational ones
+    allowed on it (the kind whose witnesses use the diagonal multiples)."""
+    K = draw(st.sampled_from((2, 3)))
+    kind = draw(st.sampled_from(("rational", "mixed", "polynomial")))
+    gens = [_gen(i, j) for i in range(1, K + 1) for j in range(1, K + 1) if i != j]
+
+    def entry(i, j):
+        value = as_scalar(draw(st.fractions(min_value=-4, max_value=4, max_denominator=3)))
+        choices = {
+            "rational": ["rational"],
+            "mixed": ["rational", "generic"],
+            "polynomial": ["rational", "generic", "polynomial"] if i == j
+            else ["generic", "generic", "polynomial"],
+        }[kind]
+        choice = draw(st.sampled_from(choices))
+        if choice == "generic":
+            return _gen(i, j)
+        if choice == "polynomial":
+            for _ in range(draw(st.integers(1, 2))):
+                term = as_scalar(draw(st.integers(-2, 2)))
+                for _ in range(draw(st.integers(1, 2))):
+                    term = term * draw(st.sampled_from(gens))
+                value = value + term
+        return value
+
+    return ChannelMatrix.from_rows(
+        [[entry(i, j) for j in range(1, K + 1)] for i in range(1, K + 1)])
 
 
 class TestChannelMatrix:
@@ -83,6 +163,13 @@ class TestMonomialFamilies:
             assert degrees[0] == 0  # constant first
             assert degrees == sorted(degrees)
             assert len(set(basis.monomials)) == len(basis)
+
+    @pytest.mark.parametrize("K, d", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (4, 1)])
+    def test_lower_degrees_are_a_prefix(self, K, d):
+        assert (
+            enumerate_monomials(K, d).monomials
+            == enumerate_monomials(K, d + 1).monomials[: phi(K, d)]
+        )
 
     def test_evaluate_monomial_is_a_product(self):
         H = ChannelMatrix.generic(2)
@@ -191,3 +278,39 @@ class TestConditionStar:
         assert {"user", "degree", "combination"} <= obj["witness"].keys()
         for term in obj["witness"]["combination"]:
             assert {"family", "monomial", "coefficient"} <= term.keys()
+
+
+class TestConditionStarAgainstReference:
+    """`check_condition_star` evaluates one basis and slices its prefix; the
+    reference evaluates every family member on its own."""
+
+    def test_seeded_channels(self):
+        rng = random.Random(11)
+        g = _gen
+        cases = [
+            (ChannelMatrix.generic(4), 0),
+            (ChannelMatrix.generic(3), 1),
+            (ChannelMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]]), 1),
+            (ChannelMatrix.from_rows([[g(1, 1), Fraction(1, 2)], [3, g(2, 2)]]), 1),
+            (ChannelMatrix.from_rows(
+                [[g(1, 1), g(1, 2), g(1, 3)], [g(2, 1), g(2, 2), g(2, 3)],
+                 [g(3, 1), g(3, 2), g(1, 2) * g(2, 1) + Fraction(1, 2)]]), 1),
+            (ChannelMatrix.from_rows([[g(1, 2) * g(2, 1) + 1, g(1, 2)], [g(2, 1), 2]]), 1),
+        ]
+        cases += [(rational_matrix(rng.choice((2, 3)), rng), rng.choice((0, 1))) for _ in range(6)]
+        for H, d in cases:
+            assert check_condition_star(H, d).to_json() == reference_check(H, d).to_json()
+
+    @settings(max_examples=100)
+    @given(channels(), st.sampled_from((0, 1)))
+    def test_hypothesis_channels(self, H, d):
+        assert check_condition_star(H, d).to_json() == reference_check(H, d).to_json()
+
+
+def test_self_check_rejects_a_non_kernel_vector(monkeypatch):
+    def not_a_kernel_vector(rows, n_cols):
+        return [Fraction(1)] + [Fraction(0)] * (n_cols - 1)
+
+    monkeypatch.setattr(icdof.channel, "first_kernel_vector", not_a_kernel_vector)
+    with pytest.raises(RuntimeError, match="^kernel witness failed re-substitution; elimination bug$"):
+        check_condition_star(ChannelMatrix.generic(2), 0)

@@ -15,6 +15,7 @@ from icdof import (
     DiscreteDist,
     ExactScalar,
     IFSSpec,
+    NotRationalError,
     ParseError,
     ValidationError,
     as_scalar,
@@ -33,7 +34,7 @@ from icdof import (
     uniform_on,
 )
 from conftest import random_rational_dist
-from icdof.dist import _pack, _scaled_points, _share
+from icdof.dist import _pack, _scaled_points, _share, floor_dist
 
 G1 = ExactScalar.generator("g1")
 G2 = ExactScalar.generator("g2")
@@ -541,6 +542,34 @@ class TestScaleAndCombine:
             linear_combination([as_scalar(0), as_scalar(0)], [A, B])
         with pytest.raises(ValidationError):
             linear_combination([as_scalar(1)], [A, B])
+
+
+class TestFloor:
+    def test_rational_points_on_a_symbolic_lattice(self):
+        g1 = ExactScalar.generator("g1")
+        X = convolve(uniform_on([g1, g1 + 1]), uniform_on([-g1]))
+        assert len(X._lattice.basis) > 1  # the points are rational, the lattice is not
+        assert floor_dist(Fraction(1, 2), X) == point_mass(0)
+        assert floor_dist(Fraction(3, 2), X) == uniform_on([0, 1])
+        assert floor_dist(Fraction(-1, 3), X) == uniform_on([0, -1])
+
+    def test_matches_floor_of_each_point(self, rng):
+        for _ in range(20):
+            A = random_rational_dist(rng)
+            s = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            expected: dict = {}
+            for x, p in A.items():
+                cell = math.floor(s * x.as_fraction())
+                expected[cell] = expected.get(cell, 0) + p
+            assert floor_dist(s, A) == DiscreteDist(expected)
+
+    def test_symbolic_point_rejected(self):
+        g1 = ExactScalar.generator("g1")
+        with pytest.raises(NotRationalError, match="^floor needs rational support points$"):
+            floor_dist(Fraction(1, 2), uniform_on([0, g1]))
+        X = convolve(uniform_on([g1, g1 + 1]), uniform_on([-g1, 0]))
+        with pytest.raises(NotRationalError, match="^floor needs rational support points$"):
+            floor_dist(Fraction(1, 2), X)
 
 
 class TestEntropy:

@@ -4,13 +4,16 @@ the other free columns, so the bases must agree entry for entry."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
-from icdof import kernel_basis, primitive_integer_vector
+from icdof import ValidationError, kernel_basis, primitive_integer_vector
 
 
 def _check_in_kernel(rows, vec):
@@ -120,5 +123,16 @@ class TestPrimitiveVector:
         assert vec[0] > 0
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ValidationError, match="^zero vector has no primitive form$"):
             primitive_integer_vector([Fraction(0), Fraction(0)])
+
+    @given(st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12), min_size=1))
+    def test_primitive_multiple_of_the_input(self, vec):
+        if not any(vec):
+            return
+        ints = primitive_integer_vector(vec)
+        assert all(type(x) is int for x in ints) and len(ints) == len(vec)
+        assert math.gcd(*ints) == 1
+        assert next(x for x in ints if x) > 0
+        lead = next(c for c, x in enumerate(vec) if x)  # ints = (ints[lead] / vec[lead]) * vec
+        assert all(x * vec[lead] == ints[lead] * v for x, v in zip(ints, vec))

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from icdof.scalar import mono_from_pairs, mono_mul
 from icdof import (
@@ -69,6 +71,24 @@ class TestArithmetic:
             b = -(-a)
             assert a == b and hash(a) == hash(b)
         assert hash(ExactScalar.rational(3)) == hash(as_scalar(3))
+
+    def test_rational_scalar_hashes_as_its_number(self):
+        assert 3 in frozenset({as_scalar(3)})
+        assert as_scalar(3) in frozenset({3})
+        assert {as_scalar(Fraction(1, 2)): 1}.get(Fraction(1, 2)) == 1
+        assert hash(ExactScalar.ZERO) == hash(0) == 0
+        assert len({0, ExactScalar.ZERO, Fraction(-2, 4), as_scalar("-1/2"), G1}) == 3
+
+    @given(st.lists(st.one_of(
+        st.integers(-3, 3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        st.builds(as_scalar, st.fractions(min_value=-3, max_value=3, max_denominator=4)),
+        st.builds(lambda c, x: G1 * c + x, st.integers(-2, 2), st.integers(-2, 2)),
+    ), min_size=2, max_size=2))
+    def test_equal_values_hash_equal(self, pair):
+        a, b = pair
+        if a == b:
+            assert hash(a) == hash(b)
 
     def test_rational_fast_paths_match_general_route(self, rng):
         for _ in range(100):
@@ -144,6 +164,10 @@ class TestParsing:
     def test_malformed(self, bad):
         with pytest.raises(Exception):
             parse_scalar(bad)
+
+    def test_zero_denominator_names_the_literal(self):
+        with pytest.raises(ParseError, match=r"^zero denominator in '3/0'$"):
+            parse_scalar("2*g1 + 3/0")
 
     @pytest.mark.parametrize("flag", [True, False])
     def test_booleans_are_not_scalars(self, flag):
