@@ -32,6 +32,7 @@ from .dist import (
     partial_sums,
     point_mass,
     scale,
+    split_entropies,
     uniform_on,
 )
 from .errors import ConditionStarViolationError, ValidationError
@@ -63,17 +64,22 @@ class BoundReport:
         return out
 
 
+def _row_terms(H: ChannelMatrix, W: Sequence[DiscreteDist], i: int) -> tuple[list, list]:
+    """User i's output as terms (h_ij, W_j): the cross terms, a point mass at
+    0 when every cross coefficient is zero (as in triangular matrices), and
+    the signal term, none when h_ii is zero."""
+    row = H.row(i)
+    cross = [(c, dist) for j, (c, dist) in enumerate(zip(row, W)) if j != i and not c.is_zero()]
+    signal = [(row[i], W[i])] if not row[i].is_zero() else []
+    return cross or [(ONE, point_mass(0))], signal
+
+
 def _user_dists(
     H: ChannelMatrix, W: Sequence[DiscreteDist], i: int, budget: int
 ) -> tuple[DiscreteDist, DiscreteDist]:
-    """(interference, full) distributions for user i. The interference is a
-    point mass at 0 when every cross coefficient is zero, as in triangular
-    matrices. The row is one linear form, so the full output is one more
-    running sum after the interference."""
-    row = H.row(i)
-    cross = [(c, dist) for j, (c, dist) in enumerate(zip(row, W)) if j != i and not c.is_zero()]
-    cross = cross or [(ONE, point_mass(0))]
-    signal = [(row[i], W[i])] if not row[i].is_zero() else []
+    """(interference, full) distributions for user i. The row is one linear
+    form, so the full output is one more running sum after the interference."""
+    cross, signal = _row_terms(H, W, i)
     sums = list(partial_sums(cross + signal, budget))
     return sums[len(cross) - 1], sums[-1]
 
@@ -121,21 +127,11 @@ def prop1_bound(
     return BoundReport(bound, terms, r_log, params={"K": H.K, "r_log": r_log})
 
 
-def _verify_split(
-    signal: DiscreteDist, interference: DiscreteDist, full: DiscreteDist
-) -> tuple[float, float]:
-    """(H(full), H(interference)) once the split H(full) = H(signal) +
-    H(interference) is verified."""
-    # injectivity of (s, t) -> s + t on the joint support, checked by exact
-    # cardinality factorization, then the entropy identity it implies
-    if len(full) != len(signal) * len(interference):
-        raise RuntimeError(
-            "entropy split violated: joint support does not factor "
-            f"({len(full)} != {len(signal)} * {len(interference)})"
-        )
-    h_full = entropy_bits(full)
-    h_intf = entropy_bits(interference)
-    gap = abs(h_full - entropy_bits(signal) - h_intf)
+def _verify_split(h_full: float, h_signal: float, h_intf: float) -> tuple[float, float]:
+    """(H(full), H(interference)) once the entropy identity H(full) =
+    H(signal) + H(interference), which an injective sum implies, holds to
+    SPLIT_TOL."""
+    gap = abs(h_full - h_signal - h_intf)
     if gap > SPLIT_TOL:
         raise RuntimeError(f"entropy split off by {gap:.3e} despite support factorization")
     return h_full, h_intf
@@ -150,14 +146,17 @@ def _certified_report(
     closed_form: float,
 ) -> BoundReport:
     """Clamped bound for i.i.d. inputs W_dist, reported only after the
-    signal/interference split is verified for every user."""
+    signal/interference split is verified for every user: `split_entropies`
+    proves or counts the sum injective. Both callers have a nonzero diagonal."""
     dists = [W_dist] * H.K
+    # scaling by a nonzero h_ii is injective, so the signal h_ii*W has W's
+    # entropy
+    h_signal = entropy_bits(W_dist)
     entropies = []
     for i in range(H.K):
-        # scaling by a nonzero h_ii is injective, so the signal h_ii*W has
-        # W's atom count and entropy
-        signal = W_dist if not H.row(i)[i].is_zero() else point_mass(0)
-        entropies.append(_verify_split(signal, *_user_dists(H, dists, i, budget)))
+        cross, (signal,) = _row_terms(H, dists, i)
+        h_intf, h_full = split_entropies(cross, signal, budget)
+        entropies.append(_verify_split(h_full, h_signal, h_intf))
     terms, bound = _clamped_terms(entropies, r_log)
     return BoundReport(bound, terms, r_log, params=params, closed_form=closed_form)
 
@@ -193,7 +192,7 @@ def theorem1_certified_bound(
         raise ValidationError(f"need N >= 2, got {N} (the floor formula needs log N > 0)")
     if not is_fully_connected(H):
         raise ValidationError("matrix is not fully connected (some entry is zero)")
-    report = check_condition_star(H, d)
+    report = check_condition_star(H, d, budget=budget)
     if report.status != "holds-up-to-bound":
         raise ConditionStarViolationError(
             f"independence fails at degree {d} for user {report.witness.user}",

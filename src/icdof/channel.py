@@ -151,6 +151,15 @@ def evaluate_monomial(H: ChannelMatrix, mono: Monomial) -> ExactScalar:
     return value
 
 
+def _decimal(count: int, formula: str) -> str:
+    """`count` in decimal, or `formula` once it is too long for the
+    interpreter to convert (its limit on integer string conversion)."""
+    try:
+        return str(count)
+    except ValueError:
+        return formula
+
+
 def basis_values(H: ChannelMatrix, basis: MonomialBasis) -> list[ExactScalar]:
     return [evaluate_monomial(H, m) for m in basis.monomials]
 
@@ -166,10 +175,12 @@ def build_wn(
     """
     if N < 1:
         raise ValidationError(f"need N >= 1, got {N}")
-    size = N ** phi(H.K, d)
+    count = phi(H.K, d)
+    size = N ** count
     if size > budget:
         raise BudgetExceededError(
-            f"alphabet would hold {size} values, over the budget of {budget}"
+            f"alphabet would hold {_decimal(size, f'{N}^{count}')} values, "
+            f"over the budget of {budget}"
         )
     values = [ExactScalar.rational(0)]
     for f in basis_values(H, enumerate_monomials(H.K, d)):
@@ -222,7 +233,9 @@ class ConditionStarReport:
         return out
 
 
-def check_condition_star(H: ChannelMatrix, d: int) -> ConditionStarReport:
+def check_condition_star(
+    H: ChannelMatrix, d: int, budget: int = DEFAULT_ATOM_BUDGET
+) -> ConditionStarReport:
     """Decide, degree by degree up to d, whether the checked families are
     linearly independent over the rationals.
 
@@ -236,9 +249,18 @@ def check_condition_star(H: ChannelMatrix, d: int) -> ConditionStarReport:
     nonzero kernel yields an integer witness tagged by family, so a report
     shows whether the plain monomials or the diagonal multiples collapsed;
     `verify_witness` re-substitutes it from H before it is reported.
+
+    The phi(K, d+1) + phi(K, d) columns are counted against the budget before
+    the first monomial is enumerated.
     """
     if d < 0:
         raise ValidationError(f"need d >= 0, got {d}")
+    columns = phi(H.K, d + 1) + phi(H.K, d)
+    if columns > budget:
+        shown = _decimal(columns, f"phi({H.K}, {d + 1}) + phi({H.K}, {d})")
+        raise BudgetExceededError(
+            f"independence check needs {shown} family columns, over the budget of {budget}"
+        )
     basis = enumerate_monomials(H.K, d + 1)
     values = basis_values(H, basis)
     prefix = values[: phi(H.K, d)]

@@ -25,6 +25,7 @@ JSON. No other module knows the format.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
@@ -322,24 +323,33 @@ def weighted_on(support: Iterable, weights: Sequence[int]) -> DiscreteDist:
     """Distribution on the given support points with probabilities in the
     ratios of positive integer weights.
 
-    Errors on an empty support and on duplicates (exact canonical equality),
-    since silently merging would change the intended probabilities.
+    A `SupportSet` lends its lattice and keys, so nothing is packed again; its
+    points take the weights in iteration order, which is insertion order.
+    Other supports error when empty and on duplicates (exact canonical
+    equality), since silently merging would change the intended
+    probabilities.
     """
-    points = [as_scalar(x) for x in support]
-    if not points:
-        raise ValidationError("empty support")
-    if len(weights) != len(points):
-        raise ValidationError(f"{len(weights)} weights for {len(points)} support points")
+    if isinstance(support, SupportSet):  # distinct by construction
+        dist = support.dist
+        lattice, keys, reach = dist._lattice, list(dist._weights), dist._reach
+    else:
+        points = [as_scalar(x) for x in support]
+        if not points:
+            raise ValidationError("empty support")
+        lattice, keys, reach = _born(points)
+    if len(weights) != len(keys):
+        raise ValidationError(f"{len(weights)} weights for {len(keys)} support points")
     for w in weights:
         if type(w) is not int or w <= 0:
             raise ValidationError(f"weight {w!r} is not a positive integer")
-    lattice, keys, reach = _born(points)
     g = math.gcd(*weights)  # lowest terms, as `DiscreteDist(atoms)` stores them
-    packed: dict[int, int] = {}
-    for key, point, w in zip(keys, points, weights):
-        if key in packed:
-            raise ValidationError(f"support not distinct: '{point}' appears twice")
-        packed[key] = w // g
+    packed = dict(zip(keys, [w // g for w in weights]))
+    if len(packed) < len(keys):
+        seen = set()
+        for key, point in zip(keys, points):
+            if key in seen:
+                raise ValidationError(f"support not distinct: '{point}' appears twice")
+            seen.add(key)
     return _new(lattice, packed, sum(weights) // g, reach)
 
 
@@ -383,10 +393,13 @@ def check_pair_budget(pairs: int, budget: int) -> None:
         )
 
 
-def convolve(A: DiscreteDist, B: DiscreteDist, budget: int = DEFAULT_ATOM_BUDGET) -> DiscreteDist:
-    """Distribution of X+Y for independent X~A, Y~B, collisions merged exactly.
-    The budget counts atom pairs times the 64-bit words a key can need, so
-    wide keys are refused while their pair count still looks small."""
+def _align(
+    A: DiscreteDist, B: DiscreteDist, budget: int
+) -> tuple[DiscreteDist, DiscreteDist, _Lattice, int]:
+    """A and B on the lattice of A + B, and the sum's reach, once the step
+    A + B is within the budget. The budget counts atom pairs, then atom pairs
+    times the 64-bit words a key can need, so wide keys are refused while
+    their pair count still looks small."""
     pairs = len(A) * len(B)
     check_pair_budget(pairs, budget)
     lattice, other = A._lattice, B._lattice
@@ -406,6 +419,13 @@ def convolve(A: DiscreteDist, B: DiscreteDist, budget: int = DEFAULT_ATOM_BUDGET
             f"convolution needs {pairs} atom pairs of {words}-word keys, "
             f"over the budget of {budget}"
         )
+    return A, B, lattice, reach
+
+
+def convolve(A: DiscreteDist, B: DiscreteDist, budget: int = DEFAULT_ATOM_BUDGET) -> DiscreteDist:
+    """Distribution of X+Y for independent X~A, Y~B, collisions merged exactly,
+    refused as `_align` refuses."""
+    A, B, lattice, reach = _align(A, B, budget)
     if len(A) < len(B):
         A, B = B, A
     merged: dict[int, int] = {}
@@ -452,21 +472,84 @@ def linear_combination(
     return total
 
 
+def _monomials(terms: Sequence[tuple[ExactScalar, DiscreteDist]]) -> set:
+    """Every monomial a point of sum_j c_j X_j can have: m*t for m on X_j's
+    lattice basis and t a monomial of c_j."""
+    return {mono_mul(m, t) for c, dist in terms for m in dist._lattice.basis for t, _ in c.terms()}
+
+
+def split_entropies(
+    cross_terms: Sequence[tuple[ExactScalar, DiscreteDist]],
+    signal_term: tuple[ExactScalar, DiscreteDist],
+    budget: int = DEFAULT_ATOM_BUDGET,
+) -> tuple[float, float]:
+    """(H(I), H(I + S)) for the interference I = sum_j c_j X_j of at least
+    one cross term and the signal S = c X of one linear form (every c nonzero),
+    once the map (t, s) -> t + s on their supports is known to be injective.
+
+    It is proved so when no monomial S can reach is one that I can reach:
+    distinct monomials are linearly independent over Q, so t + s = t' + s'
+    forces t = t' and s = s'. Then the atoms of I + S are the atom pairs, and
+    H(I + S) is `entropy_bits` of the sum, read from the two weight multisets
+    without building it. Otherwise the sum is enumerated, and an atom count
+    below |I| * |S| raises RuntimeError. The terms are packed as one form, and
+    the step I + S is refused exactly as `convolve` would refuse it, built or
+    not.
+    """
+    *cross, signal = _pack([*cross_terms, signal_term])
+    interference = cross[0]
+    for term in cross[1:]:
+        interference = convolve(interference, term, budget=budget)
+    _align(interference, signal, budget)
+    if _monomials([signal_term]).isdisjoint(_monomials(cross_terms)):
+        h_full = _product_entropy(interference, signal)
+    else:
+        full = convolve(interference, signal, budget=budget)
+        if len(full) != len(signal) * len(interference):
+            raise RuntimeError(
+                "entropy split violated: joint support does not factor "
+                f"({len(full)} != {len(signal)} * {len(interference)})"
+            )
+        h_full = entropy_bits(full)
+    return entropy_bits(interference), h_full
+
+
 # -- entropy ------------------------------------------------------------------
+
+
+def _entropy_terms(weights: Iterable[int], total: int) -> dict[int, float]:
+    """p*log2(p) for each distinct weight w, p = w/total, evaluated with p =
+    n/d in lowest terms and log2 via integer logs, so huge denominators stay
+    finite; p = 1 gives 0.0."""
+    terms = {}
+    for w in weights:
+        g = math.gcd(w, total)
+        n, d = w // g, total // g
+        terms[w] = n / d * (math.log2(n) - math.log2(d))
+    return terms
 
 
 def entropy_bits(dist: DiscreteDist) -> float:
     """Shannon entropy -sum p*log2(p), evaluated in double precision."""
-    weights, total = dist._weights.values(), dist._denominator
-    # one term per distinct weight, with p = n/d in lowest terms and log2 via
-    # integer logs, so huge denominators stay finite; p = 1 gives 0.0
-    terms = {}
-    for w in set(weights):
-        g = math.gcd(w, total)
-        n, d = w // g, total // g
-        terms[w] = n / d * (math.log2(n) - math.log2(d))
+    weights = dist._weights.values()
+    terms = _entropy_terms(set(weights), dist._denominator)
     # fsum is correctly rounded, so the result does not depend on term order
     s = math.fsum(map(terms.__getitem__, weights))
+    return -s if s else 0.0
+
+
+def _product_entropy(A: DiscreteDist, B: DiscreteDist) -> float:
+    """`entropy_bits` of A + B when every atom pair is its own atom: weight
+    a*b over the product denominator, repeated (number of a in A) * (number of
+    b in B) times."""
+    counts = [(a, b, m * n) for a, m in Counter(A._weights.values()).items()
+              for b, n in Counter(B._weights.values()).items()]
+    terms = _entropy_terms({a * b for a, b, _ in counts}, A._denominator * B._denominator)
+    # the exact sum of the repeated terms, each a dyadic rational, over one
+    # power of two, divided once: int / int rounds correctly, as fsum does
+    ratios = [(terms[a * b].as_integer_ratio(), k) for a, b, k in counts]
+    unit = max(q for (_, q), _ in ratios)
+    s = sum(p * (unit // q) * k for (p, q), k in ratios) / unit
     return -s if s else 0.0
 
 

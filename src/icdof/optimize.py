@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 from .bounds import hlambda_bound, theorem3_ratio
 from .channel import ChannelMatrix
-from .dist import DiscreteDist, weighted_on
+from .dist import DiscreteDist, SupportSet, support_set, uniform_on, weighted_on
 from .errors import ValidationError
 from .scalar import ExactScalar
 
@@ -108,7 +108,7 @@ def rationalize_weights(weights: Sequence[float], max_denominator: int) -> list[
 
 
 def dist_from_logweights(
-    x: Sequence[float], support: Sequence[ExactScalar], max_denominator: int
+    x: Sequence[float], support: SupportSet | Sequence[ExactScalar], max_denominator: int
 ) -> DiscreteDist:
     shift = max(x)
     weights = [math.exp(v - shift) for v in x]
@@ -231,7 +231,7 @@ def optimize_hlambda(
         raise ValidationError("lambda must be nonzero")
     if n < 2:
         raise ValidationError(f"need a support of at least 2 points, got n={n}")
-    support = integer_grid(n)
+    support = support_set(uniform_on(integer_grid(n)))  # packed once per search
     max_den = config.rationalization_denominator
 
     def objective(x):
@@ -258,7 +258,7 @@ def optimize_theorem3(
     on {0..n-1}. Candidates that make every output deterministic are skipped."""
     if n < 2:
         raise ValidationError(f"need a support of at least 2 points, got n={n}")
-    support = integer_grid(n)
+    support = support_set(uniform_on(integer_grid(n)))  # packed once per search
     max_den = config.rationalization_denominator
     K = H.K
 

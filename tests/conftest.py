@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
+import icdof.dist
 from icdof import DiscreteDist, as_scalar
 
 # One profile for every property suite: the same examples on every run, no
@@ -45,6 +46,13 @@ def random_rational_dist(
     return DiscreteDist(
         {as_scalar(v): Fraction(w, total) for v, w in zip(support, weights)}
     )
+
+
+def counting_convolve(calls: list):
+    """`icdof.dist.convolve` as it is now, recording each step's atom pairs
+    in `calls`; patch it over `icdof.dist.convolve` to see every step."""
+    convolve = icdof.dist.convolve
+    return lambda A, B, budget: calls.append(len(A) * len(B)) or convolve(A, B, budget)
 
 
 @pytest.fixture

@@ -4,11 +4,14 @@ closed-form floors, and the two-user and K-user entropy ratios."""
 from __future__ import annotations
 
 import math
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
 import icdof.bounds
+import icdof.dist
 from icdof import (
     BudgetExceededError,
     ChannelMatrix,
@@ -30,8 +33,9 @@ from icdof import (
     theorem3_ratio,
     uniform_on,
 )
-from icdof.bounds import _certified_report, _user_dists
-from conftest import random_rational_dist
+from icdof.channel import build_wn
+from icdof.bounds import SPLIT_TOL, BoundReport, _certified_report, _clamped_terms, _user_dists
+from conftest import counting_convolve, random_rational_dist
 
 
 def hlambda_matrix(lam) -> ChannelMatrix:
@@ -129,12 +133,118 @@ class TestUserDists:
                 assert (len(signal), entropy_bits(signal)) == (len(W[i]), entropy_bits(W[i]))
 
 
+def reference_certified_report(H, W_dist, r_log, budget, params, closed_form) -> BoundReport:
+    """Slow twin of `_certified_report`: enumerate every user's full output
+    with `_user_dists`, then count its atoms and check the entropy gap."""
+    entropies = []
+    for i in range(H.K):
+        interference, full = _user_dists(H, [W_dist] * H.K, i, budget)
+        if len(full) != len(W_dist) * len(interference):
+            raise RuntimeError(
+                "entropy split violated: joint support does not factor "
+                f"({len(full)} != {len(W_dist)} * {len(interference)})"
+            )
+        h_full, h_intf = entropy_bits(full), entropy_bits(interference)
+        gap = abs(h_full - entropy_bits(W_dist) - h_intf)
+        if gap > SPLIT_TOL:
+            raise RuntimeError(f"entropy split off by {gap:.3e} despite support factorization")
+        entropies.append((h_full, h_intf))
+    terms, bound = _clamped_terms(entropies, r_log)
+    return BoundReport(bound, terms, r_log, params=params, closed_form=closed_form)
+
+
+def outcome(job) -> dict:
+    """A certified job's report, or its error type and message."""
+    try:
+        return {"report": job().to_json()}
+    except (BudgetExceededError, RuntimeError) as exc:
+        return {"error": type(exc).__name__, "message": str(exc)}
+
+
+def with_oracle(monkeypatch, job) -> dict:
+    """The outcome of `job` with `_certified_report` replaced by its twin."""
+    with monkeypatch.context() as patch:
+        patch.setattr(icdof.bounds, "_certified_report", reference_certified_report)
+        return outcome(job)
+
+
+def integer_tables(seed: int, count: int):
+    rng = random.Random(seed)
+    for t in range(count):
+        K = 3 + t % 3
+        table = [[0 if i == j else rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
+                  for j in range(K)] for i in range(K)]
+        yield K, table, rng.randint(2, 4)
+
+
 class TestCertifiedReport:
     def test_split_that_does_not_factor_is_refused(self):
         # {0,1} + {0,1} = {0,1,2}: three sums for 2 x 2 pairs
         H = ChannelMatrix.from_rows([[1, 1], [1, 1]])
         with pytest.raises(RuntimeError, match="does not factor"):
             _certified_report(H, uniform_on([0, 1]), 1.0, 100, params={}, closed_form=0.0)
+
+    @pytest.mark.parametrize("K, d, N", [
+        (2, 0, 2), (2, 0, 3), (2, 0, 4), (2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 2, 2), (2, 2, 3),
+        (2, 2, 4), (3, 0, 2), (3, 0, 3), (3, 0, 4), (3, 0, 5), (3, 0, 6), (3, 1, 2),
+        (4, 0, 2), (4, 0, 3), (4, 0, 4),
+    ])
+    def test_generic_matches_enumeration(self, monkeypatch, K, d, N):
+        # (2, 2, 4) is refused on both paths, by its 4096 * 4096 pairs
+        job = lambda: theorem1_certified_bound(ChannelMatrix.generic(K), d, N)
+        assert outcome(job) == with_oracle(monkeypatch, job)
+
+    def test_integer_tables_match_enumeration(self, monkeypatch):
+        for K, table, N in integer_tables(seed=5, count=9):
+            job = lambda: integer_example_bound(K, table, N)
+            assert outcome(job) == with_oracle(monkeypatch, job)
+
+    def test_overlapping_monomials_fall_back_to_enumeration(self, monkeypatch):
+        # user 1's signal (b + e) * W and its interference b * W share the
+        # monomial b, so the split is counted: the full step is built
+        b, c, e, f = map(ExactScalar.generator, "bcef")
+        H = ChannelMatrix.from_rows([[b + e, b], [c, f]])
+        calls: list = []
+        monkeypatch.setattr(icdof.dist, "convolve", counting_convolve(calls))
+        job = lambda: theorem1_certified_bound(H, 1, 2)
+        result = outcome(job)
+        assert calls == [64]  # user 1 only: |I| * |W| = 8 * 8
+        assert result == with_oracle(monkeypatch, job)
+        # a rational split that happens to be injective: {0,1} + {0,2}
+        report = _certified_report(ChannelMatrix.from_rows([[2, 1], [1, 2]]), uniform_on([0, 1]),
+                                   1.0, 100, params={}, closed_form=0.0)
+        assert report.per_user_terms == ((2.0, 1.0, 0.0),) * 2
+
+    def test_generic_theorem1_never_builds_the_full_sum(self, monkeypatch):
+        calls: list = []
+        monkeypatch.setattr(icdof.dist, "convolve", counting_convolve(calls))
+        for K, d, N in ((2, 1, 3), (3, 0, 3), (3, 1, 2), (4, 0, 2)):
+            calls.clear()
+            size = N ** phi(K, d)
+            theorem1_certified_bound(ChannelMatrix.generic(K), d, N)
+            # per user, the K - 2 cross steps (no merging yet in these
+            # cases) and no step of |I| * |W| pairs
+            assert calls == [size ** k * size for k in range(1, K - 1)] * K
+        for K, table, N in integer_tables(seed=5, count=3):
+            calls.clear()
+            integer_example_bound(K, table, N)
+            assert len(calls) == K * (K - 2)  # the cross steps only
+
+    @pytest.mark.parametrize("K, d, N", [(2, 1, 2), (3, 0, 3), (3, 1, 2)])
+    def test_full_step_refused_as_enumeration_refuses_it(self, monkeypatch, K, d, N):
+        H = ChannelMatrix.generic(K)
+        W = uniform_on(build_wn(H, d, N))
+        interference = linear_combination(H.row(0)[1:], [W] * (K - 1))
+        pairs = len(interference) * len(W)  # of user 1's full step
+        refused = outcome(lambda: theorem1_certified_bound(H, d, N, budget=pairs))
+        wide = re.search(r"of (\d+)-word keys", refused.get("message", ""))
+        words = int(wide.group(1)) if wide else 1
+        for budget in sorted({pairs - 1, pairs, pairs * words - 1} - {pairs * words}):
+            job = lambda: theorem1_certified_bound(H, d, N, budget=budget)
+            result = outcome(job)
+            assert "error" in result
+            assert result == with_oracle(monkeypatch, job)
+        assert "report" in outcome(lambda: theorem1_certified_bound(H, d, N, budget=pairs * words))
 
 
 class TestFloor:

@@ -32,6 +32,7 @@ from icdof import (
     kernel_basis,
     off_diagonal_name,
     phi,
+    theorem1_certified_bound,
     verify_witness,
 )
 
@@ -196,6 +197,16 @@ class TestBuildWn:
         with pytest.raises(BudgetExceededError):
             build_wn(ChannelMatrix.generic(3), 2, 2)  # 2^28 points
 
+    def test_refusal_too_long_to_print_names_the_power(self):
+        with pytest.raises(BudgetExceededError) as short:
+            build_wn(ChannelMatrix.generic(2), 5, 10)
+        assert str(short.value) == (
+            "alphabet would hold 1000000000000000000000 values, over the budget of 5000000")
+        # 10^4371 has more digits than the interpreter converts to a string
+        with pytest.raises(BudgetExceededError) as long:
+            build_wn(ChannelMatrix.generic(2), 92, 10)
+        assert str(long.value) == "alphabet would hold 10^4371 values, over the budget of 5000000"
+
     def test_rational_matrix_collapses(self):
         H = ChannelMatrix.from_rows([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
         alphabet = build_wn(H, 1, 2)
@@ -209,6 +220,30 @@ class TestConditionStar:
             report = check_condition_star(H, d)
             assert report.status == "holds-up-to-bound"
             assert report.witness is None
+
+    def test_columns_are_budgeted_before_enumeration(self, monkeypatch):
+        # generic(3) at d = 1 checks phi(3, 2) + phi(3, 1) = 28 + 7 columns
+        H = ChannelMatrix.generic(3)
+        assert check_condition_star(H, 1, budget=35).status == "holds-up-to-bound"
+
+        def fail(*args):
+            raise AssertionError("monomials enumerated for a refused check")
+
+        monkeypatch.setattr(icdof.channel, "enumerate_monomials", fail)
+        with pytest.raises(BudgetExceededError) as refused:
+            check_condition_star(H, 1, budget=34)
+        assert str(refused.value) == (
+            "independence check needs 35 family columns, over the budget of 34")
+        # a count too long to print is named by its formula
+        with pytest.raises(BudgetExceededError) as huge:
+            check_condition_star(ChannelMatrix.generic(60), 20000)
+        assert str(huge.value) == (
+            "independence check needs phi(60, 20001) + phi(60, 20000) family columns, "
+            "over the budget of 5000000")
+
+    def test_theorem1_passes_its_budget_to_the_check(self):
+        with pytest.raises(BudgetExceededError, match="needs 35 family columns"):
+            theorem1_certified_bound(ChannelMatrix.generic(3), 1, 2, budget=34)
 
     def test_generic_four_users_degree_two_holds(self):
         report = check_condition_star(ChannelMatrix.generic(4), 2)

@@ -51,6 +51,98 @@ def rational_matrix_file(files):
     )
 
 
+# stdout of the certified bounds, pinned byte for byte: the split is proved
+# from monomials and its entropy summed from weight multisets, and these
+# must print what enumerating every sum printed
+GOLDEN_THM1_K3_D1_N2 = """\
+{
+  "bound": 0.107142857143,
+  "per_user": [
+    [
+      20.5,
+      13.5,
+      0.0357142857143
+    ],
+    [
+      20.5,
+      13.5,
+      0.0357142857143
+    ],
+    [
+      20.5,
+      13.5,
+      0.0357142857143
+    ]
+  ],
+  "r_log": 14.0,
+  "caveat": "valid for non-exceptional r",
+  "params": {
+    "K": 3,
+    "d": 1,
+    "N": 2
+  },
+  "closed_form": -9.0
+}
+"""
+
+GOLDEN_THM1_K2_D1_N4 = """\
+{
+  "bound": 1.0,
+  "per_user": [
+    [
+      12.0,
+      6.0,
+      0.5
+    ],
+    [
+      12.0,
+      6.0,
+      0.5
+    ]
+  ],
+  "r_log": 12.0,
+  "caveat": "valid for non-exceptional r",
+  "params": {
+    "K": 2,
+    "d": 1,
+    "N": 4
+  },
+  "closed_form": 0.0
+}
+"""
+
+GOLDEN_INTEGER_K3_N3 = """\
+{
+  "bound": 0.385327820115,
+  "per_user": [
+    [
+      4.31044305772,
+      2.725480557,
+      0.128442606705
+    ],
+    [
+      4.75488750216,
+      3.16992500144,
+      0.128442606705
+    ],
+    [
+      4.31044305772,
+      2.725480557,
+      0.128442606705
+    ]
+  ],
+  "r_log": 12.3398500029,
+  "caveat": "valid for non-exceptional r",
+  "params": {
+    "K": 3,
+    "N": 3,
+    "h_max": 4
+  },
+  "closed_form": 0.385327820115
+}
+"""
+
+
 def run_json(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
@@ -483,6 +575,16 @@ class TestOutputContract:
             (["optimize", "--target", "thm3", "--matrix", matrix, "--n", "2"], GOLDEN_THM3),
         ):
             assert run(argv + common) == 0
+            assert capsys.readouterr().out == golden
+
+    def test_certified_bound_stdout_is_pinned(self, capsys, files):
+        matrix = files("int3.json", {"K": 3, "entries": [[0, 2, -1], [3, 0, 1], [-2, 4, 0]]})
+        for argv, golden in (
+            (["bound-thm1", "--k", "3", "--d", "1", "--n", "2"], GOLDEN_THM1_K3_D1_N2),
+            (["bound-thm1", "--k", "2", "--d", "1", "--n", "4"], GOLDEN_THM1_K2_D1_N4),
+            (["bound-integer", "--matrix", matrix, "--n", "3"], GOLDEN_INTEGER_K3_N3),
+        ):
+            assert run(argv) == 0
             assert capsys.readouterr().out == golden
 
     def test_sumset_stdout_is_pinned(self, capsys, files):

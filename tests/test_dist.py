@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -32,9 +33,11 @@ from icdof import (
     support_set,
     truncated_dist,
     uniform_on,
+    weighted_on,
 )
-from conftest import random_rational_dist
-from icdof.dist import _pack, _scaled_points, _share, floor_dist
+from conftest import counting_convolve, random_rational_dist
+import icdof.dist
+from icdof.dist import _pack, _scaled_points, _share, floor_dist, split_entropies
 
 G1 = ExactScalar.generator("g1")
 G2 = ExactScalar.generator("g2")
@@ -134,6 +137,26 @@ class TestConstruction:
         D = uniform_on([3, -1, 2])
         values = [v.as_fraction() for v, _ in sorted_items(D)]
         assert values == sorted(values)
+
+    @pytest.mark.parametrize("points", [[3, -1, 2, 0], [G1, 1, G1 + G2, Fraction(-1, 2)]])
+    def test_weighted_on_a_support_set(self, points):
+        grid = support_set(uniform_on(points))
+        weights = [6, 2, 10, 4]
+        D = weighted_on(grid, weights)
+        # the set's own lattice and keys, its points weighted in insertion order
+        assert D._lattice is grid.dist._lattice and list(D._weights) == list(grid.dist._weights)
+        assert D == weighted_on(points, weights)
+        assert dict(D.items()) == {as_scalar(x): Fraction(w, 22) for x, w in zip(points, weights)}
+        for bad, message in (([1, 2, 3], "3 weights for 4 support points"),
+                             ([1, 2, 0, 1], "weight 0 is not a positive integer"),
+                             ([1, 2, 1.0, 1], "weight 1.0 is not a positive integer")):
+            for support in (grid, points):
+                with pytest.raises(ValidationError, match=f"^{message}$"):
+                    weighted_on(support, bad)
+
+    def test_weighted_on_names_the_first_repeat(self):
+        with pytest.raises(ValidationError, match="^support not distinct: '2' appears twice$"):
+            weighted_on([1, 2, 3, 2, 1], [1] * 5)
 
 
 class TestConvolution:
@@ -601,6 +624,90 @@ class TestEntropy:
             hS = entropy_bits(convolve(A, B))
             assert hS >= max(hA, hB) - 1e-9
             assert hS <= hA + hB + 1e-9
+
+
+GS = ExactScalar.generator("gs")  # on no cross term, so a signal on it is split
+
+_weights = st.one_of(st.integers(1, 3), st.integers(1, 2**80))  # repeats and huge totals
+
+
+@st.composite
+def weighted_dists(draw, points, max_size=6):
+    support = draw(st.lists(points.map(as_scalar), min_size=1, max_size=max_size, unique=True))
+    return weighted_on(support, draw(st.lists(_weights, min_size=len(support),
+                                              max_size=len(support))))
+
+
+_nonzero = _rational_points.filter(bool).map(as_scalar)
+_cross_terms = st.lists(
+    st.tuples(st.one_of(_nonzero, st.sampled_from([G1, G2 - 1, G1 * G3, Fraction(1, 3) * G2])),
+              weighted_dists(st.one_of(_rational_points, _symbolic_points))),
+    min_size=1, max_size=3,
+)
+
+
+class TestSplitEntropies:
+    """`split_entropies` against the enumerated sums: the entropies must be
+    the same floats, bit for bit."""
+
+    @settings(max_examples=150)
+    @given(_cross_terms,
+           st.sampled_from([GS, Fraction(-2, 3) * GS, GS * G1, GS * G2 - GS]),
+           weighted_dists(st.one_of(_rational_points, _symbolic_points)))
+    def test_proved_split_matches_the_enumerated_sum(self, cross, c, X):
+        calls: list = []
+        with mock.patch.object(icdof.dist, "convolve", counting_convolve(calls)):
+            result = split_entropies(cross, (as_scalar(c), X))
+        assert len(calls) == len(cross) - 1  # the cross steps; I + S is never built
+        coeffs, dists = zip(*cross)
+        interference = linear_combination(coeffs, dists)
+        full = linear_combination([*coeffs, c], [*dists, X])
+        assert len(full) == len(interference) * len(X)
+        assert result == (entropy_bits(interference), entropy_bits(full))
+
+    @settings(max_examples=150)
+    @given(_cross_terms, _nonzero, weighted_dists(_rational_points),
+           weighted_dists(_rational_points))
+    def test_overlapping_terms_are_enumerated(self, cross, q, first, X):
+        # the signal q*c_0*X and the first cross term c_0*first, both on
+        # rational points, reach the same monomials, so the sum is counted
+        (c0, _), *rest = cross
+        cross = [(c0, first), *rest]
+        calls: list = []
+        with mock.patch.object(icdof.dist, "convolve", counting_convolve(calls)):
+            try:
+                result = split_entropies(cross, (q * c0, X))
+            except RuntimeError as exc:
+                result = str(exc)
+        coeffs, dists = zip(*cross)
+        interference = linear_combination(coeffs, dists)
+        full = linear_combination([*coeffs, q * c0], [*dists, X])
+        assert calls[-1] == len(interference) * len(X)
+        if len(full) == len(interference) * len(X):
+            assert result == (entropy_bits(interference), entropy_bits(full))
+        else:
+            assert result == ("entropy split violated: joint support does not factor "
+                              f"({len(full)} != {len(X)} * {len(interference)})")
+
+    def test_the_points_monomials_count_too(self):
+        # the coefficients g1 and gs share no monomial, but g1*{0, gs} and
+        # gs*{0, g1} both reach g1*gs, where 0 + g1*gs = g1*gs + 0
+        cross = [(G1, uniform_on([0, GS]))]
+        with pytest.raises(RuntimeError, match=r"does not factor \(3 != 2 \* 2\)$"):
+            split_entropies(cross, (GS, uniform_on([0, G1])))
+
+    def test_refused_as_the_enumerated_sum(self):
+        # two symbolic coordinates over 10^6 need 2-word keys
+        cross = [(as_scalar(1), uniform_on([G1 * 10**6 * k + G2 for k in range(4)]))]
+        signal = (GS, uniform_on(range(4)))
+        coeffs, dists = zip(cross[0], signal)
+        for budget in (15, 16, 31):
+            with pytest.raises(BudgetExceededError) as expected:
+                linear_combination(coeffs, dists, budget=budget)
+            with pytest.raises(BudgetExceededError) as refused:
+                split_entropies(cross, signal, budget=budget)
+            assert str(refused.value) == str(expected.value)
+        assert split_entropies(cross, signal, budget=32) == (2.0, 4.0)
 
 
 class TestJson:
