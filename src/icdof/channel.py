@@ -172,6 +172,8 @@ def build_wn(
     Returns all N^phi(K,d) combination values in a deterministic order. With
     generic entries these are pairwise distinct; with concrete entries the
     list may repeat values, and callers decide whether that is an error.
+    Both the N^phi(K,d) values and the phi(K,d) basis monomials are counted
+    against the budget before the basis is enumerated.
     """
     if N < 1:
         raise ValidationError(f"need N >= 1, got {N}")
@@ -180,6 +182,11 @@ def build_wn(
     if size > budget:
         raise BudgetExceededError(
             f"alphabet would hold {_decimal(size, f'{N}^{count}')} values, "
+            f"over the budget of {budget}"
+        )
+    if count > budget:  # only reachable at N = 1, where the alphabet has one value
+        raise BudgetExceededError(
+            f"alphabet basis would hold {_decimal(count, f'phi({H.K}, {d})')} monomials, "
             f"over the budget of {budget}"
         )
     values = [ExactScalar.rational(0)]
@@ -240,18 +247,21 @@ def check_condition_star(
     linearly independent over the rationals.
 
     For each user i the family is {f : deg f <= d+1} together with
-    {h_ii * f : deg f <= d}, both evaluated at H's entries. The degree-<=(d+1)
-    basis is evaluated once; it is graded with the constant first, so the
-    degree-<=d basis is its first phi(K, d) values. Their coefficient vectors
-    over the concrete generator monomials are stacked columnwise and the
-    exact kernel decides dependence with any rational coefficients, which is
-    what integer combinations reduce to after clearing denominators. A
-    nonzero kernel yields an integer witness tagged by family, so a report
-    shows whether the plain monomials or the diagonal multiples collapsed;
-    `verify_witness` re-substitutes it from H before it is reported.
+    {h_ii * f : deg f <= d}, both evaluated at H's entries. A user proved by
+    `_rank_certificate` is independent at every degree. For the others the
+    degree-<=(d+1) basis is evaluated once; it is graded with the constant
+    first, so the degree-<=d basis is its first phi(K, d) values. Their
+    coefficient vectors over the concrete generator monomials are stacked
+    columnwise and the exact kernel decides dependence with any rational
+    coefficients, which is what integer combinations reduce to after
+    clearing denominators. A nonzero kernel yields an integer witness tagged
+    by family, so a report shows whether the plain monomials or the diagonal
+    multiples collapsed; `verify_witness` re-substitutes it from H before it
+    is reported.
 
     The phi(K, d+1) + phi(K, d) columns are counted against the budget before
-    the first monomial is enumerated.
+    the certificate runs or the first monomial is enumerated, so a refusal
+    does not depend on which path would decide the check.
     """
     if d < 0:
         raise ValidationError(f"need d >= 0, got {d}")
@@ -261,11 +271,14 @@ def check_condition_star(
         raise BudgetExceededError(
             f"independence check needs {shown} family columns, over the budget of {budget}"
         )
+    users = [i for i, proved in enumerate(_rank_certificate(H)) if not proved]
+    if not users:
+        return ConditionStarReport("holds-up-to-bound", d)
     basis = enumerate_monomials(H.K, d + 1)
     values = basis_values(H, basis)
     prefix = values[: phi(H.K, d)]
     monos, n = basis.monomials, len(basis)
-    for i in range(H.K):
+    for i in users:
         diag = H.entry(i, i)
         vector = _kernel_witness(values + [diag * v for v in prefix])
         if vector is not None:
@@ -280,6 +293,41 @@ def check_condition_star(
                 raise RuntimeError("kernel witness failed re-substitution; elimination bug")
             return ConditionStarReport("violated", d, witness)
     return ConditionStarReport("holds-up-to-bound", d)
+
+
+def _rank_certificate(H: ChannelMatrix) -> list[bool]:
+    """Per user i, whether i's checked families are proved independent at
+    every degree without elimination.
+
+    Suppose each off-diagonal entry h_jk is one nonzero term c_jk x^e_jk and
+    so is h_ii. A family member f = prod h_jk^a_jk then evaluates to a nonzero
+    multiple of x^(E a), and h_ii f to one of x^(E a + e_ii), where E has the
+    columns e_jk. When the columns of [E | e_ii] are linearly independent over
+    Q, (a, t) -> E a + t e_ii is injective, so the members are multiples of
+    pairwise distinct monomials and hence independent. A zero entry, a
+    rational one (zero exponent vector), an entry of two or more terms, or
+    dependent exponents leave the user to the elimination.
+    """
+    exponents = [[_single_term_exponents(x) for x in row] for row in H.entries]
+    off = [e for j, row in enumerate(exponents) for k, e in enumerate(row) if j != k]
+    proved = []
+    for i in range(H.K):
+        columns = off + [exponents[i][i]]
+        if None in columns:
+            proved.append(False)
+            continue
+        rows: dict[str, dict[int, int]] = {}
+        for col, pairs in enumerate(columns):
+            for gen, exp in pairs:
+                rows.setdefault(gen, {})[col] = exp
+        proved.append(first_kernel_vector(rows.values(), len(columns)) is None)
+    return proved
+
+
+def _single_term_exponents(value: ExactScalar) -> Optional[tuple]:
+    """The (generator, exponent) pairs of a single nonzero term, or None."""
+    terms = list(value.terms())
+    return terms[0][0][1] if len(terms) == 1 else None
 
 
 def _kernel_witness(columns: list[ExactScalar]) -> Optional[list[int]]:

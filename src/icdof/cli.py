@@ -5,12 +5,15 @@ Exit codes: 0 on success, 2 on any input problem (the error object
 {code, message, ...} goes to stdout so pipelines can consume it) and on a
 result that is not finite (code "non-finite", since JSON has no NaN or
 infinity), 1 on an internal failure. Progress chatter goes to stderr only.
+A reader that closes stdout early, as `| head` does, cuts the report short
+without a traceback; the exit code is still the report's.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -345,7 +348,13 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         # refused rather than printed as the non-standard `NaN` or `Infinity`
         error = {"code": "non-finite", "message": "the result holds a value that is not finite"}
         text, status = json.dumps(error, indent=2), 2
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (`icdof ... | head`); point stdout at devnull so
+        # the flush at interpreter exit cannot raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return status
 
 

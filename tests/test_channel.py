@@ -115,6 +115,35 @@ def channels(draw):
         [[entry(i, j) for j in range(1, K + 1)] for i in range(1, K + 1)])
 
 
+def single_term_channel(choose, K: int) -> ChannelMatrix:
+    """A K x K channel whose entries are each one term: a nonzero rational,
+    or a rational times a power of the position's own generator and up to two
+    shared ones, or a rational times shared generators alone. `choose` picks
+    one element of a tuple. Shared generators and rational entries make the
+    rank certificate refuse some of these channels and accept the rest."""
+    shared = (ExactScalar.generator("g1"), ExactScalar.generator("g2"))
+
+    def entry(i, j):
+        kind = choose(("own",) * 6 + ("shared",) * 3 + ("rational",))
+        value = as_scalar(Fraction(choose((-3, -1, 1, 2, 3)), choose((1, 2, 3))))
+        if kind == "rational":
+            return value
+        if kind == "own":
+            value = value * _gen(i, j) ** choose((1, 2))
+        for _ in range(choose((0, 1, 1)) if kind == "own" else choose((1, 2))):
+            value = value * choose(shared)
+        return value
+
+    return ChannelMatrix.from_rows(
+        [[entry(i, j) for j in range(1, K + 1)] for i in range(1, K + 1)])
+
+
+@st.composite
+def single_term_channels(draw):
+    K = draw(st.sampled_from((2, 3)))
+    return single_term_channel(lambda options: draw(st.sampled_from(options)), K)
+
+
 class TestChannelMatrix:
     def test_generic_entries_are_distinct_generators(self):
         H = ChannelMatrix.generic(3)
@@ -206,6 +235,20 @@ class TestBuildWn:
         with pytest.raises(BudgetExceededError) as long:
             build_wn(ChannelMatrix.generic(2), 92, 10)
         assert str(long.value) == "alphabet would hold 10^4371 values, over the budget of 5000000"
+
+    def test_unit_range_counts_the_basis_against_the_budget(self, monkeypatch):
+        # at N = 1 the alphabet is one value, but the basis still has phi(3, 1) = 7
+        H = ChannelMatrix.generic(3)
+        assert len(build_wn(H, 1, 1, budget=7)) == 1
+
+        def fail(*args):
+            raise AssertionError("monomials enumerated for a refused alphabet")
+
+        monkeypatch.setattr(icdof.channel, "enumerate_monomials", fail)
+        with pytest.raises(BudgetExceededError) as refused:
+            build_wn(H, 1, 1, budget=6)
+        assert str(refused.value) == (
+            "alphabet basis would hold 7 monomials, over the budget of 6")
 
     def test_rational_matrix_collapses(self):
         H = ChannelMatrix.from_rows([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
@@ -347,5 +390,104 @@ def test_self_check_rejects_a_non_kernel_vector(monkeypatch):
         return [Fraction(1)] + [Fraction(0)] * (n_cols - 1)
 
     monkeypatch.setattr(icdof.channel, "first_kernel_vector", not_a_kernel_vector)
+    # a rational channel, which the rank certificate leaves to the elimination
+    H = ChannelMatrix.from_rows([[1, 2], [3, 4]])
     with pytest.raises(RuntimeError, match="^kernel witness failed re-substitution; elimination bug$"):
-        check_condition_star(ChannelMatrix.generic(2), 0)
+        check_condition_star(H, 0)
+
+
+class TestRankCertificate:
+    """Channels whose entries are single terms with independent exponent
+    vectors are proved without elimination; everything else is eliminated,
+    and both paths report what `reference_check` reports."""
+
+    @pytest.fixture
+    def eliminated(self, monkeypatch):
+        """The users handed to `_kernel_witness`, counted by a spy."""
+        calls = []
+        original = icdof.channel._kernel_witness
+
+        def spy(columns):
+            calls.append(len(columns))
+            return original(columns)
+
+        monkeypatch.setattr(icdof.channel, "_kernel_witness", spy)
+        return calls
+
+    def test_generic_degree_200_never_eliminates(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("elimination ran for a certified channel")
+
+        monkeypatch.setattr(icdof.channel, "_kernel_witness", fail)
+        monkeypatch.setattr(icdof.channel, "enumerate_monomials", fail)
+        report = check_condition_star(ChannelMatrix.generic(2), 200)
+        assert report.to_json() == {"status": "holds-up-to-bound", "degree": 200}
+        for K, d in ((3, 10), (4, 5)):
+            assert check_condition_star(ChannelMatrix.generic(K), d).status == "holds-up-to-bound"
+
+    @pytest.mark.parametrize("H, d", [
+        (ChannelMatrix.generic(2), 0),
+        (ChannelMatrix.generic(2), 2),
+        (ChannelMatrix.generic(3), 1),
+        (ChannelMatrix.generic(4), 0),
+        # single terms with rational coefficients
+        (ChannelMatrix.from_rows(
+            [[Fraction(5, 2) * _gen(1, 1), -3 * _gen(1, 2)],
+             [Fraction(1, 3) * _gen(2, 1), 7 * _gen(2, 2)]]), 2),
+        (ChannelMatrix.from_rows(
+            [[Fraction(-1, 2) * _gen(i, j) ** 2 if i == j else (i + j) * _gen(i, j)
+              for j in range(1, 4)] for i in range(1, 4)]), 1),
+        # mixed exponents over shared generators: columns (2,1,0), (1,3,0)
+        # and (1,0,1) for user 1, (0,1,2) for user 2
+        (ChannelMatrix.from_rows([
+            [as_scalar("3*g1*g3"), as_scalar("g1^2*g2")],
+            [as_scalar("-1/4*g1*g2^3"), as_scalar("g2*g3^2")]]), 2),
+        # one generator serves two users' diagonals
+        (ChannelMatrix.from_rows([
+            [as_scalar("g1"), _gen(1, 2), _gen(1, 3)],
+            [_gen(2, 1), as_scalar("g1^2*h_1_2"), _gen(2, 3)],
+            [_gen(3, 1), _gen(3, 2), as_scalar("2*g1*h_2_1")]]), 1),
+    ])
+    def test_accepted_channels_match_reference(self, eliminated, H, d):
+        assert icdof.channel._rank_certificate(H) == [True] * H.K
+        assert check_condition_star(H, d).to_json() == reference_check(H, d).to_json()
+        assert eliminated == []
+
+    @pytest.mark.parametrize("H, d, refused", [
+        # a rational entry is a zero exponent column
+        (ChannelMatrix.from_rows([[_gen(1, 1), 2], [_gen(2, 1), _gen(2, 2)]]), 1, [1, 2]),
+        # a rational diagonal refuses only its own user
+        (ChannelMatrix.from_rows([[3, _gen(1, 2)], [_gen(2, 1), _gen(2, 2)]]), 1, [1]),
+        # a zero entry has no term
+        (ChannelMatrix.from_rows([[_gen(1, 1), 0], [_gen(2, 1), _gen(2, 2)]]), 1, [1, 2]),
+        # an entry of two terms
+        (ChannelMatrix.from_rows(
+            [[_gen(1, 1), _gen(1, 2) + 1], [_gen(2, 1), _gen(2, 2)]]), 1, [1, 2]),
+        # dependent exponents: h_2_2 = h_1_2 * h_2_1 as monomials
+        (ChannelMatrix.from_rows(
+            [[_gen(1, 1), _gen(1, 2)], [_gen(2, 1), 5 * _gen(1, 2) * _gen(2, 1)]]), 1, [2]),
+        (ChannelMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]]), 1, [1, 2, 3]),
+    ])
+    def test_refused_users_are_eliminated(self, eliminated, H, d, refused):
+        proved = icdof.channel._rank_certificate(H)
+        assert [i + 1 for i, ok in enumerate(proved) if not ok] == refused
+        report = check_condition_star(H, d)
+        assert report.to_json() == reference_check(H, d).to_json()
+        # users are eliminated in order until one is violated
+        stop = refused.index(report.witness.user) + 1 if report.witness else len(refused)
+        assert len(eliminated) == stop
+
+    def test_seeded_single_term_channels(self):
+        rng = random.Random(3)
+        accepted = 0
+        for _ in range(60):
+            H = single_term_channel(rng.choice, rng.choice((2, 3)))
+            d = rng.choice((0, 1))
+            accepted += all(icdof.channel._rank_certificate(H))
+            assert check_condition_star(H, d).to_json() == reference_check(H, d).to_json()
+        assert 0 < accepted < 60  # both paths are exercised
+
+    @settings(max_examples=100)
+    @given(single_term_channels(), st.sampled_from((0, 1)))
+    def test_hypothesis_single_term_channels(self, H, d):
+        assert check_condition_star(H, d).to_json() == reference_check(H, d).to_json()

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import icdof
 from icdof import cli
 from icdof.cli import run
 
@@ -141,6 +146,14 @@ GOLDEN_INTEGER_K3_N3 = """\
   "closed_form": 0.385327820115
 }
 """
+
+
+def module_command(*argv: str) -> tuple[list[str], dict]:
+    """`python -m icdof <argv>` and an environment that imports this
+    checkout's package."""
+    src = str(Path(icdof.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return [sys.executable, "-m", "icdof", *argv], {**os.environ, "PYTHONPATH": path}
 
 
 def run_json(capsys, argv):
@@ -550,6 +563,23 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "usage" in capsys.readouterr().out.lower()
+
+
+class TestProcess:
+    def test_module_form_runs_the_cli(self):
+        argv, env = module_command("bound-floor", "--k", "3", "--d", "3", "--n", "4")
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {"floor": -2.625}
+
+    def test_closed_stdout_ends_without_a_traceback(self):
+        argv, env = module_command("bound-floor", "--k", "3", "--d", "3", "--n", "4")
+        proc = subprocess.Popen(
+            argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        proc.stdout.close()  # no reader is left before the report is printed
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0
+        assert err == ""
 
 
 class TestOutputContract:
