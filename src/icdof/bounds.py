@@ -1,12 +1,14 @@
 """Degrees-of-freedom bound formulas.
 
 Everything here reduces to exact distributions of linear forms sum_j h_ij W_j
-and their entropies. The clamped-sum bound takes a resolution parameter
-r_log = log2(1/r) > 0; certified constructions pick the alphabet, check
-independence first, and verify the signal/interference entropy split exactly
-before reporting. All reports carry the caveat that dimension formulas hold
-for contraction parameters outside an unobservable zero-dimensional
-exceptional set, which cannot be tested per instance.
+and their entropies: every bound reads each user's H(interference) and
+H(full) from `split_entropies`, which proves their sum injective or enumerates
+it. The clamped-sum bound takes a resolution parameter r_log = log2(1/r) > 0;
+certified constructions pick the alphabet, check independence first, and
+verify the signal/interference entropy split exactly before reporting. All
+reports carry the caveat that dimension formulas hold for contraction
+parameters outside an unobservable zero-dimensional exceptional set, which
+cannot be tested per instance.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .channel import (
     ChannelMatrix,
+    alphabet_size,
     build_wn,
     check_condition_star,
     is_fully_connected,
@@ -29,7 +32,6 @@ from .dist import (
     check_pair_budget,
     convolve,
     entropy_bits,
-    partial_sums,
     point_mass,
     scale,
     split_entropies,
@@ -64,44 +66,24 @@ class BoundReport:
         return out
 
 
-def _row_terms(H: ChannelMatrix, W: Sequence[DiscreteDist], i: int) -> tuple[list, list]:
-    """User i's output as terms (h_ij, W_j): the cross terms, a point mass at
-    0 when every cross coefficient is zero (as in triangular matrices), and
-    the signal term, none when h_ii is zero."""
-    row = H.row(i)
-    cross = [(c, dist) for j, (c, dist) in enumerate(zip(row, W)) if j != i and not c.is_zero()]
-    signal = [(row[i], W[i])] if not row[i].is_zero() else []
-    return cross or [(ONE, point_mass(0))], signal
-
-
-def _user_dists(
-    H: ChannelMatrix, W: Sequence[DiscreteDist], i: int, budget: int
-) -> tuple[DiscreteDist, DiscreteDist]:
-    """(interference, full) distributions for user i. The row is one linear
-    form, so the full output is one more running sum after the interference."""
-    cross, signal = _row_terms(H, W, i)
-    sums = list(partial_sums(cross + signal, budget))
-    return sums[len(cross) - 1], sums[-1]
-
-
-def _output_entropies(
-    H: ChannelMatrix, W: Sequence[DiscreteDist], budget: int
-) -> list[tuple[float, float]]:
-    """(H(full_i), H(interference_i)) for every user i."""
+def _user_entropies(H: ChannelMatrix, W: Sequence[DiscreteDist], budget: int) -> Iterator[tuple]:
+    """(H(interference_i), H(full_i), |interference_i|, |full_i|) for each
+    user i in turn, from `split_entropies` on the terms (h_ij, W_j) of row i:
+    the cross terms, a point mass at 0 when every cross coefficient is zero
+    (as in triangular matrices), and the signal term, none when h_ii is zero."""
     if len(W) != H.K:
         raise ValidationError(f"{len(W)} input distributions for K={H.K} users")
-    entropies = []
     for i in range(H.K):
-        interference, full = _user_dists(H, W, i, budget)
-        entropies.append((entropy_bits(full), entropy_bits(interference)))
-    return entropies
+        row = H.row(i)
+        cross = [(c, dist) for j, (c, dist) in enumerate(zip(row, W)) if j != i and not c.is_zero()]
+        signal = (row[i], W[i]) if not row[i].is_zero() else None
+        yield split_entropies(cross or [(ONE, point_mass(0))], signal, budget)
 
 
-def _clamped_terms(
-    entropies: Sequence[tuple[float, float]], r_log: float
-) -> tuple[tuple[tuple[float, float, float], ...], float]:
+def _clamped_terms(entropies: Iterable[tuple], r_log: float) -> tuple[tuple, float]:
+    """The clamped terms of (H(interference), H(full), ...) per user, and their sum."""
     terms = []
-    for h_full, h_intf in entropies:
+    for h_intf, h_full, *_ in entropies:
         clamped = min(h_full / r_log, 1.0) - min(h_intf / r_log, 1.0)
         # entropy never drops when an independent summand is added, so the
         # term is nonnegative up to float noise
@@ -119,22 +101,26 @@ def prop1_bound(
     """Clamped entropy-difference bound at resolution r_log = log2(1/r).
 
     For each user: min{H(full)/r_log, 1} - min{H(interference)/r_log, 1},
-    summed over users. Entropies are computed by exact enumeration.
+    summed over users. Each user's entropies come from `split_entropies`.
     """
     if not (r_log > 0):
         raise ValidationError(f"r_log must be positive, got {r_log}")
-    terms, bound = _clamped_terms(_output_entropies(H, W, budget), r_log)
+    terms, bound = _clamped_terms(_user_entropies(H, W, budget), r_log)
     return BoundReport(bound, terms, r_log, params={"K": H.K, "r_log": r_log})
 
 
-def _verify_split(h_full: float, h_signal: float, h_intf: float) -> tuple[float, float]:
-    """(H(full), H(interference)) once the entropy identity H(full) =
-    H(signal) + H(interference), which an injective sum implies, holds to
-    SPLIT_TOL."""
+def _verify_split(split: tuple, n_signal: int, h_signal: float) -> tuple:
+    """A user's `split_entropies`, once the full output has n_signal times
+    the interference's atoms and the entropy identity H(full) = H(signal) +
+    H(interference), which that injective sum implies, holds to SPLIT_TOL."""
+    h_intf, h_full, n_intf, n_full = split
+    if n_full != n_signal * n_intf:
+        raise RuntimeError("entropy split violated: joint support does not factor "
+                           f"({n_full} != {n_signal} * {n_intf})")
     gap = abs(h_full - h_signal - h_intf)
     if gap > SPLIT_TOL:
         raise RuntimeError(f"entropy split off by {gap:.3e} despite support factorization")
-    return h_full, h_intf
+    return split
 
 
 def _certified_report(
@@ -146,17 +132,12 @@ def _certified_report(
     closed_form: float,
 ) -> BoundReport:
     """Clamped bound for i.i.d. inputs W_dist, reported only after the
-    signal/interference split is verified for every user: `split_entropies`
-    proves or counts the sum injective. Both callers have a nonzero diagonal."""
-    dists = [W_dist] * H.K
-    # scaling by a nonzero h_ii is injective, so the signal h_ii*W has W's
-    # entropy
-    h_signal = entropy_bits(W_dist)
-    entropies = []
-    for i in range(H.K):
-        cross, (signal,) = _row_terms(H, dists, i)
-        h_intf, h_full = split_entropies(cross, signal, budget)
-        entropies.append(_verify_split(h_full, h_signal, h_intf))
+    signal/interference split is verified for every user. Both callers have a
+    nonzero diagonal, and scaling by it is injective, so the signal h_ii*W has
+    W's size and entropy."""
+    n_signal, h_signal = len(W_dist), entropy_bits(W_dist)
+    entropies = [_verify_split(split, n_signal, h_signal)
+                 for split in _user_entropies(H, [W_dist] * H.K, budget)]
     terms, bound = _clamped_terms(entropies, r_log)
     return BoundReport(bound, terms, r_log, params=params, closed_form=closed_form)
 
@@ -200,10 +181,9 @@ def theorem1_certified_bound(
         )
     # The check certifies the alphabet distinct and scale is injective, so
     # each user's first convolution pairs exactly size * size atoms; refuse it
-    # before the alphabet is built. A larger alphabet is refused by build_wn.
-    size = N ** phi(H.K, d)
-    if size <= budget:
-        check_pair_budget(size * size, budget)
+    # before the alphabet is built.
+    size = alphabet_size(phi(H.K, d), N, budget)
+    check_pair_budget(size * size, budget)
     alphabet = build_wn(H, d, N, budget=budget)
     W_dist = uniform_on(alphabet)  # distinctness is certified by the check above
     return _certified_report(
@@ -267,11 +247,11 @@ def theorem3_ratio(
     Scale-free: depends only on the distributions of the K linear forms.
     Errors when every full entropy is zero (deterministic inputs).
     """
-    entropies = _output_entropies(H, W, budget)
-    denom = max(h_full for h_full, _ in entropies)
+    entropies = list(_user_entropies(H, W, budget))
+    denom = max(h_full for _, h_full, _, _ in entropies)
     if denom <= 0:
         raise ValidationError("deterministic inputs: every output entropy is zero")
-    return math.fsum(h_full - h_intf for h_full, h_intf in entropies) / denom
+    return math.fsum(h_full - h_intf for h_intf, h_full, _, _ in entropies) / denom
 
 
 def hlambda_bound(

@@ -11,6 +11,7 @@ position actually holds (a generator, a rational, or a polynomial).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -160,6 +161,20 @@ def _decimal(count: int, formula: str) -> str:
         return formula
 
 
+def alphabet_size(count: int, N: int, budget: int) -> int:
+    """N^count, the number of alphabet values, once within the budget. Its
+    lower bound 2^(count * (bitlen N - 1)) refuses it before it is formed, and
+    names it N^count once it must have more digits than `str` converts."""
+    floor_bits = count * (N.bit_length() - 1)  # N^count >= 2^floor_bits
+    if floor_bits < budget.bit_length() and N**count <= budget:
+        return N**count
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    # 2^floor_bits has more than `limit` digits once floor_bits >= limit * 10/3
+    formula = f"{N}^{count}"
+    shown = formula if limit and 3 * floor_bits >= 10 * limit else _decimal(N**count, formula)
+    raise BudgetExceededError(f"alphabet would hold {shown} values, over the budget of {budget}")
+
+
 def basis_values(H: ChannelMatrix, basis: MonomialBasis) -> list[ExactScalar]:
     return [evaluate_monomial(H, m) for m in basis.monomials]
 
@@ -178,12 +193,7 @@ def build_wn(
     if N < 1:
         raise ValidationError(f"need N >= 1, got {N}")
     count = phi(H.K, d)
-    size = N ** count
-    if size > budget:
-        raise BudgetExceededError(
-            f"alphabet would hold {_decimal(size, f'{N}^{count}')} values, "
-            f"over the budget of {budget}"
-        )
+    alphabet_size(count, N, budget)
     if count > budget:  # only reachable at N = 1, where the alphabet has one value
         raise BudgetExceededError(
             f"alphabet basis would hold {_decimal(count, f'phi({H.K}, {d})')} monomials, "

@@ -66,7 +66,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bad UTF-8 and integers over the digit limit
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -13,6 +13,8 @@ budget before it allocates. Packing reads coordinates from keys, and `len` and
 entropy is evaluated in floating point. Rational points live on one coordinate,
 where a key is the point's numerator: `_pack` scales such keys by a rational
 coefficient with one integer multiply, and decoding one is one `Fraction`.
+`split_entropies` gives the entropies and sizes of interference and output,
+read off the weights alone wherever distinct monomials prove the sum injective.
 
 A finite set is the support of a packed distribution (`SupportSet`), so a
 sumset is the support of one `convolve` and a progression test sorts integer
@@ -438,17 +440,13 @@ def convolve(A: DiscreteDist, B: DiscreteDist, budget: int = DEFAULT_ATOM_BUDGET
     return _new(lattice, merged, A._denominator * B._denominator, reach)
 
 
-def partial_sums(
-    terms: Sequence[tuple[ExactScalar, DiscreteDist]], budget: int = DEFAULT_ATOM_BUDGET
-) -> Iterator[DiscreteDist]:
-    """The running sums c_0 X_0, c_0 X_0 + c_1 X_1, ... of a linear form with
-    nonzero coefficients c_j, on one lattice: each is one `convolve` step
-    from the one before."""
-    total, *rest = _pack(terms)
-    yield total
+def _sum(packed: Sequence[DiscreteDist], budget: int) -> DiscreteDist:
+    """The sum of the packed terms of one linear form: one `convolve` step
+    per term after the first."""
+    total, *rest = packed
     for term in rest:
         total = convolve(total, term, budget=budget)
-        yield total
+    return total
 
 
 def linear_combination(
@@ -467,9 +465,7 @@ def linear_combination(
     live = [(c, d) for c, d in live if not c.is_zero()]
     if not live:
         raise ValidationError("degenerate combination: all coefficients are zero")
-    for total in partial_sums(live, budget):
-        pass
-    return total
+    return _sum(_pack(live), budget)
 
 
 def _monomials(terms: Sequence[tuple[ExactScalar, DiscreteDist]]) -> set:
@@ -480,38 +476,32 @@ def _monomials(terms: Sequence[tuple[ExactScalar, DiscreteDist]]) -> set:
 
 def split_entropies(
     cross_terms: Sequence[tuple[ExactScalar, DiscreteDist]],
-    signal_term: tuple[ExactScalar, DiscreteDist],
+    signal_term: Optional[tuple[ExactScalar, DiscreteDist]],
     budget: int = DEFAULT_ATOM_BUDGET,
-) -> tuple[float, float]:
-    """(H(I), H(I + S)) for the interference I = sum_j c_j X_j of at least
-    one cross term and the signal S = c X of one linear form (every c nonzero),
-    once the map (t, s) -> t + s on their supports is known to be injective.
+) -> tuple[float, float, int, int]:
+    """(H(I), H(I + S), |I|, |I + S|) for the interference I = sum_j c_j X_j
+    of at least one cross term and the signal S = c X of one linear form
+    (every c nonzero); without a signal term, I + S is I.
 
-    It is proved so when no monomial S can reach is one that I can reach:
-    distinct monomials are linearly independent over Q, so t + s = t' + s'
-    forces t = t' and s = s'. Then the atoms of I + S are the atom pairs, and
-    H(I + S) is `entropy_bits` of the sum, read from the two weight multisets
-    without building it. Otherwise the sum is enumerated, and an atom count
-    below |I| * |S| raises RuntimeError. The terms are packed as one form, and
-    the step I + S is refused exactly as `convolve` would refuse it, built or
-    not.
+    When no monomial S can reach is one that I can reach, the map (t, s) ->
+    t + s on their supports is proved injective: distinct monomials are
+    linearly independent over Q, so t + s = t' + s' forces t = t' and s = s'.
+    Then |I + S| = |I| * |S|, and H(I + S) is `entropy_bits` of the sum, read
+    from the two weight multisets without building it. Otherwise the sum is
+    enumerated. Every step, built or not, is refused exactly as
+    `linear_combination` of the cross terms, then the signal, refuses it.
     """
-    *cross, signal = _pack([*cross_terms, signal_term])
-    interference = cross[0]
-    for term in cross[1:]:
-        interference = convolve(interference, term, budget=budget)
-    _align(interference, signal, budget)
-    if _monomials([signal_term]).isdisjoint(_monomials(cross_terms)):
-        h_full = _product_entropy(interference, signal)
-    else:
+    packed = _pack([*cross_terms, signal_term] if signal_term else cross_terms)
+    interference = _sum(packed[:len(cross_terms)], budget)
+    h_intf, n_intf = entropy_bits(interference), len(interference)
+    if signal_term is None:
+        return h_intf, h_intf, n_intf, n_intf
+    signal = packed[-1]
+    if not _monomials([signal_term]).isdisjoint(_monomials(cross_terms)):
         full = convolve(interference, signal, budget=budget)
-        if len(full) != len(signal) * len(interference):
-            raise RuntimeError(
-                "entropy split violated: joint support does not factor "
-                f"({len(full)} != {len(signal)} * {len(interference)})"
-            )
-        h_full = entropy_bits(full)
-    return entropy_bits(interference), h_full
+        return h_intf, entropy_bits(full), n_intf, len(full)
+    _align(interference, signal, budget)
+    return h_intf, _product_entropy(interference, signal), n_intf, n_intf * len(signal)
 
 
 # -- entropy ------------------------------------------------------------------

@@ -10,6 +10,7 @@ difference decides every collision question in the package.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Iterator, Mapping
 
@@ -179,10 +180,15 @@ class ExactScalar:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValidationError(f"exponent must be a nonnegative integer, got {exponent!r}")
-        result = ONE
-        for _ in range(exponent):
-            result = result * self
-        return result
+        if not exponent:
+            return ONE
+        flat = self._flat
+        if len(flat) == 2:  # one term c*m: c^e * m^e in one step
+            (degree, pairs), coeff = flat
+            mono = (degree * exponent, tuple((g, k * exponent) for g, k in pairs))
+            return ExactScalar((mono, coeff**exponent))
+        half = self ** (exponent // 2)  # square and multiply
+        return half * half * self if exponent % 2 else half * half
 
     # -- queries -------------------------------------------------------------
 
@@ -379,7 +385,7 @@ def _parse_term(tokens, idx, text):
                     idx += 1
                     if idx >= len(tokens) or tokens[idx][0] != "num" or "/" in tokens[idx][1]:
                         raise ParseError(f"'^' must be followed by an integer exponent in {text!r}")
-                    base = base ** int(tokens[idx][1])
+                    base = base ** _integer(tokens[idx][1])
                     idx += 1
                 factors.append(base)
             else:
@@ -405,8 +411,17 @@ def parse_rational(text: str) -> Fraction:
     match = re.fullmatch(r"(-?\d+)(?:\s*/\s*(-?\d+))?", cleaned)
     if match is None:
         raise ParseError(f"expected a rational 'p/q' or 'p', got {text!r}")
-    num = int(match.group(1))
-    den = int(match.group(2)) if match.group(2) else 1
+    num = _integer(match.group(1))
+    den = _integer(match.group(2)) if match.group(2) else 1
     if den == 0:
         raise ParseError(f"zero denominator in {text!r}")
     return Fraction(num, den)
+
+
+def _integer(digits: str) -> int:
+    """int(digits), refusing a literal longer than the interpreter converts."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(digits.lstrip('-'))} digits is over the "
+                         f"limit of {sys.get_int_max_str_digits()}") from None

@@ -34,7 +34,7 @@ from icdof import (
     uniform_on,
 )
 from icdof.channel import build_wn
-from icdof.bounds import SPLIT_TOL, BoundReport, _certified_report, _clamped_terms, _user_dists
+from icdof.bounds import SPLIT_TOL, BoundReport, _certified_report, _clamped_terms, _user_entropies
 from conftest import counting_convolve, random_rational_dist
 
 
@@ -109,6 +109,20 @@ class TestTheorem1Certified:
             theorem1_certified_bound(hlambda_matrix(-1), 0, 2)
 
 
+def user_dists(H, W, i, budget):
+    """Slow twin of a user's entropy routine: user i's (interference, full)
+    outputs enumerated with `linear_combination`, the full output first, its
+    terms in the order cross terms, then signal, so that its steps are
+    refused as the enumeration before `split_entropies` refused them. The
+    zero coefficients are dropped, and a row without cross terms has a point
+    mass at 0 for interference."""
+    row = H.row(i)
+    cross = [(c, d) for j, (c, d) in enumerate(zip(row, W)) if j != i and c != 0]
+    coeffs, dists = zip(*(cross or [(1, point_mass(0))]))
+    full = linear_combination([*coeffs, row[i]], [*dists, W[i]], budget=budget)
+    return linear_combination(coeffs, dists, budget=budget), full
+
+
 class TestUserDists:
     def test_matches_decoded_distributions(self, rng):
         # reference: the interference from the cross terms alone (a point
@@ -116,29 +130,37 @@ class TestUserDists:
         g = ExactScalar.generator("g")
         H = ChannelMatrix.from_rows([[g, 2, 0], [0, 0, 0], [1, g + 1, Fraction(-1, 3)]])
         W = [random_rational_dist(rng, min_support=2, max_support=5) for _ in range(3)]
+        splits = list(_user_entropies(H, W, 10**6))
         for i in range(3):
             row = H.row(i)
             cross = [(c, d) for j, (c, d) in enumerate(zip(row, W)) if j != i and c != 0]
             interference = linear_combination(*zip(*cross)) if cross else point_mass(0)
             full = linear_combination(row, W) if any(c != 0 for c in row) else point_mass(0)
-            result = _user_dists(H, W, i, 10**6)
-            # entropies and sizes first, from the packed weights
-            assert [(len(d), entropy_bits(d)) for d in result] == [
-                (len(d), entropy_bits(d)) for d in (interference, full)
-            ]
-            assert result == (interference, full)
+            assert user_dists(H, W, i, 10**6) == (interference, full)
+            # sizes and entropies from the packed weights
+            assert splits[i] == (
+                entropy_bits(interference), entropy_bits(full), len(interference), len(full))
             # the certified split reads the signal's size and entropy off W[i]
             if row[i] != 0:
                 signal = scale(row[i], W[i])
                 assert (len(signal), entropy_bits(signal)) == (len(W[i]), entropy_bits(W[i]))
 
 
+def reference_user_entropies(H, W, budget):
+    """Slow twin of `_user_entropies`, enumerated with `user_dists`."""
+    if len(W) != H.K:
+        raise ValidationError(f"{len(W)} input distributions for K={H.K} users")
+    for i in range(H.K):
+        interference, full = user_dists(H, W, i, budget)
+        yield entropy_bits(interference), entropy_bits(full), len(interference), len(full)
+
+
 def reference_certified_report(H, W_dist, r_log, budget, params, closed_form) -> BoundReport:
     """Slow twin of `_certified_report`: enumerate every user's full output
-    with `_user_dists`, then count its atoms and check the entropy gap."""
+    with `user_dists`, then count its atoms and check the entropy gap."""
     entropies = []
     for i in range(H.K):
-        interference, full = _user_dists(H, [W_dist] * H.K, i, budget)
+        interference, full = user_dists(H, [W_dist] * H.K, i, budget)
         if len(full) != len(W_dist) * len(interference):
             raise RuntimeError(
                 "entropy split violated: joint support does not factor "
@@ -148,24 +170,115 @@ def reference_certified_report(H, W_dist, r_log, budget, params, closed_form) ->
         gap = abs(h_full - entropy_bits(W_dist) - h_intf)
         if gap > SPLIT_TOL:
             raise RuntimeError(f"entropy split off by {gap:.3e} despite support factorization")
-        entropies.append((h_full, h_intf))
+        entropies.append((h_intf, h_full))
     terms, bound = _clamped_terms(entropies, r_log)
     return BoundReport(bound, terms, r_log, params=params, closed_form=closed_form)
 
 
 def outcome(job) -> dict:
-    """A certified job's report, or its error type and message."""
+    """A bound's report (or ratio), or its error type and message."""
     try:
-        return {"report": job().to_json()}
-    except (BudgetExceededError, RuntimeError) as exc:
+        result = job()
+    except (BudgetExceededError, RuntimeError, ValidationError) as exc:
         return {"error": type(exc).__name__, "message": str(exc)}
+    return {"report": result.to_json() if isinstance(result, BoundReport) else result}
 
 
 def with_oracle(monkeypatch, job) -> dict:
-    """The outcome of `job` with `_certified_report` replaced by its twin."""
+    """The outcome of `job` with the per-user entropies and the certified
+    driver replaced by their twins."""
     with monkeypatch.context() as patch:
+        patch.setattr(icdof.bounds, "_user_entropies", reference_user_entropies)
         patch.setattr(icdof.bounds, "_certified_report", reference_certified_report)
         return outcome(job)
+
+
+G = ExactScalar.generator("g")
+
+
+def random_entry(rng: random.Random, i: int, j: int) -> ExactScalar:
+    """Zero, rational, a fresh generator, or a polynomial in the shared
+    generator g, which the symbolic inputs also use."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return ExactScalar.rational(0)
+    if kind == 1:
+        return ExactScalar.rational(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2)))
+    if kind == 2:
+        return ExactScalar.generator(f"h_{i + 1}_{j + 1}")
+    return G + rng.randint(-1, 1)
+
+
+def random_input(rng: random.Random):
+    if rng.random() < 0.7:
+        return random_rational_dist(rng, min_support=1, max_support=4, value_span=4)
+    points = {G * rng.randint(-2, 2) + rng.randint(-2, 2) for _ in range(rng.randint(1, 4))}
+    return uniform_on(sorted(points, key=ExactScalar.sort_key))
+
+
+def random_channels(seed: int, count: int):
+    """K = 2 or 3 channels with zero, rational, generator and polynomial
+    entries (zero diagonals included), some with a zero row."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        K = rng.randint(2, 3)
+        rows = [[random_entry(rng, i, j) for j in range(K)] for i in range(K)]
+        if rng.random() < 0.15:
+            rows[rng.randrange(K)] = [0] * K
+        yield ChannelMatrix.from_rows(rows), [random_input(rng) for _ in range(K)]
+
+
+def bound_jobs(H, W, budget):
+    return (lambda: prop1_bound(H, W, 3.0, budget=budget),
+            lambda: theorem3_ratio(H, W, budget=budget))
+
+
+class TestEntropiesMatchEnumeration:
+    """`prop1_bound` and `theorem3_ratio` against the enumerating twin:
+    the same reports, ratios and refusals, compared by `==`."""
+
+    def test_generator_diagonals_never_build_the_full_sum(self, monkeypatch, rng):
+        for K in (2, 3):
+            H = ChannelMatrix.generic(K)
+            W = [random_rational_dist(rng, min_support=2, max_support=5) for _ in range(K)]
+            calls: list = []
+            with monkeypatch.context() as patch:
+                patch.setattr(icdof.dist, "convolve", counting_convolve(calls))
+                results = [outcome(job) for job in bound_jobs(H, W, 10**6)]
+            # per user, the cross step at K = 3 (none at K = 2), and no
+            # step of |I| * |W_i| pairs
+            sizes = [[len(W[j]) for j in range(K) if j != i] for i in range(K)]
+            cross_steps = [a * b for a, b in sizes] if K == 3 else []
+            assert calls == cross_steps * 2  # prop1_bound, then theorem3_ratio
+            assert results == [with_oracle(monkeypatch, job) for job in bound_jobs(H, W, 10**6)]
+
+    def test_random_channels_match_enumeration(self, monkeypatch):
+        for H, W in random_channels(seed=11, count=80):
+            for job in bound_jobs(H, W, 10**6):
+                assert outcome(job) == with_oracle(monkeypatch, job)
+
+    def test_refused_at_the_budgets_of_the_enumerated_steps(self, monkeypatch):
+        edge_cases = [
+            # h_11 = 0 and one cross term: user 1 takes no step at all
+            (ChannelMatrix.from_rows([[0, G], [1, 2]]), [uniform_on(range(3)), uniform_on(range(5))]),
+            # h_11 != 0 with W_1 = {0}: user 1 still takes its |I| * 1 step
+            (ChannelMatrix.from_rows([[3, G], [1, 0]]), [point_mass(0), uniform_on(range(5))]),
+            # a zero row, and a row whose only nonzero entry is its diagonal
+            (ChannelMatrix.from_rows([[0, 0, 0], [0, G, 0], [1, 2, 3]]),
+             [uniform_on(range(2)), uniform_on(range(3)), uniform_on(range(4))]),
+        ]
+        compared = 0
+        for H, W in [*edge_cases, *random_channels(seed=12, count=60)]:
+            steps: list = []
+            with monkeypatch.context() as patch:
+                patch.setattr(icdof.dist, "convolve", counting_convolve(steps))
+                with_oracle(patch, bound_jobs(H, W, 10**6)[0])
+            for budget in sorted({b for p in steps for b in (p - 1, p)} - {0}):
+                for job in bound_jobs(H, W, budget):
+                    expected = with_oracle(monkeypatch, job)
+                    compared += "error" in expected
+                    assert outcome(job) == expected
+        assert compared > 50  # the budgets do refuse
 
 
 def integer_tables(seed: int, count: int):

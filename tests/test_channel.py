@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,7 @@ from icdof import (
     theorem1_certified_bound,
     verify_witness,
 )
+from icdof.channel import alphabet_size
 
 
 def rational_matrix(K: int, rng: random.Random) -> ChannelMatrix:
@@ -235,6 +237,34 @@ class TestBuildWn:
         with pytest.raises(BudgetExceededError) as long:
             build_wn(ChannelMatrix.generic(2), 92, 10)
         assert str(long.value) == "alphabet would hold 10^4371 values, over the budget of 5000000"
+
+    def test_refusal_text_matches_the_formed_power(self):
+        # around the count where N^count outgrows the interpreter's digit
+        # limit, the refusal prints what forming the power would print
+        for N, counts in ((2, range(14270, 14345, 5)), (3, range(9000, 9030, 3)),
+                          (10**6 + 1, (700, 716, 717, 800))):
+            for count in counts:
+                try:
+                    shown = str(N**count)
+                except ValueError:
+                    shown = f"{N}^{count}"
+                with pytest.raises(BudgetExceededError) as refused:
+                    alphabet_size(count, N, 10)
+                assert str(refused.value) == f"alphabet would hold {shown} values, over the budget of 10"
+        assert [alphabet_size(c, N, 1000) for c, N in ((9, 2), (6, 3), (1000, 1))] == [512, 729, 1]
+        with pytest.raises(BudgetExceededError, match="hold 1000 values"):
+            alphabet_size(3, 10, 999)
+
+    def test_huge_alphabet_refused_without_forming_the_power(self):
+        # 10^(300 * 501501) would take minutes to form; its bit length refuses it
+        H = ChannelMatrix.generic(2)
+        for N, budget in ((10**6, 10), (10**300, 10), (10**300, 5_000_000)):
+            start = time.perf_counter()
+            with pytest.raises(BudgetExceededError) as refused:
+                build_wn(H, 1000, N, budget=budget)
+            assert time.perf_counter() - start < 0.5
+            assert str(refused.value) == (
+                f"alphabet would hold {N}^501501 values, over the budget of {budget}")
 
     def test_unit_range_counts_the_basis_against_the_budget(self, monkeypatch):
         # at N = 1 the alphabet is one value, but the basis still has phi(3, 1) = 7

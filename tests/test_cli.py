@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -529,6 +530,24 @@ class TestExitCodes:
         assert report["code"] == "parse-error"
         assert "fraction" in report["message"]
 
+    @pytest.mark.parametrize("text", [
+        '{"K": 2, "entries": [["h^%s", "1"], ["1", "g"]]}' % ("9" * 5000),  # exponent
+        '{"K": 2, "entries": [["%s", "1"], ["1", "g"]]}' % ("1" * 5000),  # scalar literal
+        '{"K": 2, "entries": [[%s, 1], [1, "g"]]}' % ("1" * 5000),  # bare JSON integer
+    ], ids=["exponent", "scalar", "json-integer"])
+    def test_integers_over_the_digit_limit_are_parse_errors(self, capsys, tmp_path, text):
+        path = tmp_path / "long.json"
+        path.write_text(text)
+        code, report = run_json(capsys, ["condition", "--matrix", str(path), "--degree", "1"])
+        assert (code, report["code"]) == (2, "parse-error")
+        assert "5000 digits" in report["message"]
+
+    def test_support_point_over_the_digit_limit_is_a_parse_error(self, capsys, files):
+        point = files("point.json", {"atoms": [{"value": "1" * 5000, "prob": "1"}]})
+        code, report = run_json(capsys, ["hlambda", "--lambda", "1", "--u", point, "--v", point])
+        assert (code, report["code"]) == (2, "parse-error")
+        assert "5000 digits" in report["message"]
+
     @pytest.mark.parametrize(
         "verb, obj, flags",
         [
@@ -571,6 +590,17 @@ class TestProcess:
         done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout) == {"floor": -2.625}
+
+    def test_huge_exponent_entry_returns_promptly(self, files):
+        # h^(10^11) was built as 10^11 products, which takes hours
+        matrix = files("power.json", {"K": 2, "entries": [["h^100000000000", "h_1_2"],
+                                                          ["h_2_1", "h_2_2"]]})
+        argv, env = module_command("condition", "--matrix", matrix, "--degree", "2")
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=30)
+        assert done.returncode in (0, 2), done.stderr
+        start = time.perf_counter()
+        assert run(["condition", "--matrix", matrix, "--degree", "2"]) in (0, 2)
+        assert time.perf_counter() - start < 1.0
 
     def test_closed_stdout_ends_without_a_traceback(self):
         argv, env = module_command("bound-floor", "--k", "3", "--d", "3", "--n", "4")

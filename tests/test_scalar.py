@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,24 @@ class TestArithmetic:
         assert a**3 == a * a * a
         with pytest.raises(Exception):
             a ** (-1)
+
+    def test_pow_matches_repeated_products(self, rng):
+        for _ in range(60):
+            a = random_scalar(rng, max_terms=2, max_degree=2)
+            for base in (a, Fraction(-2, 3) * G1**2 * G2, ExactScalar.ZERO):
+                product = ExactScalar.ONE
+                for e in range(6):
+                    assert base**e == product
+                    product = product * base
+
+    def test_pow_of_one_term_takes_one_step(self):
+        # a loop of 10^6 products took seconds
+        start = time.perf_counter()
+        assert parse_scalar("g^1000000") == ExactScalar.from_terms(
+            {mono_from_pairs([("g", 10**6)]): 1})
+        assert time.perf_counter() - start < 0.5
+        assert (Fraction(-1, 2) * G1 * G2**3) ** 10001 == ExactScalar.from_terms(
+            {mono_from_pairs([("g1", 10001), ("g2", 30003)]): Fraction(-1, 2**10001)})
 
     def test_ring_axioms_on_corpus(self, rng):
         for _ in range(150):
@@ -180,6 +199,12 @@ class TestParsing:
         assert parse_rational("−1/3") == Fraction(-1, 3)
         with pytest.raises(ParseError):
             parse_rational("0.25")
+
+    def test_literals_over_the_digit_limit_are_parse_errors(self):
+        # int() refuses more than 4300 digits with a ValueError
+        for text in ("1" * 5000, "1/" + "1" * 5000, "g^" + "9" * 5000, "2*" + "1" * 5000):
+            with pytest.raises(ParseError, match="integer literal of 5000 digits is over the limit"):
+                parse_scalar(text)
 
 
 class TestFormatting:
