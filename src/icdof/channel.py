@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .dist import DEFAULT_ATOM_BUDGET
 from .errors import BudgetExceededError, ParseError, ValidationError
-from .linalg import first_kernel_vector, primitive_integer_vector
+from .linalg import first_kernel_vector, independent_with_each, primitive_integer_vector
 from .scalar import ExactScalar, Monomial, MONO_ONE, as_scalar, mono_from_pairs, mono_str
 
 
@@ -317,21 +317,23 @@ def _rank_certificate(H: ChannelMatrix) -> list[bool]:
     pairwise distinct monomials and hence independent. A zero entry, a
     rational one (zero exponent vector), an entry of two or more terms, or
     dependent exponents leave the user to the elimination.
+
+    The exponent vectors e_jk of the K(K-1) off-diagonal entries are shared
+    by every user, so they are eliminated once; each e_ii is then reduced on
+    their pivots, and a nonzero remainder proves user i.
     """
     exponents = [[_single_term_exponents(x) for x in row] for row in H.entries]
     off = [e for j, row in enumerate(exponents) for k, e in enumerate(row) if j != k]
-    proved = []
-    for i in range(H.K):
-        columns = off + [exponents[i][i]]
-        if None in columns:
-            proved.append(False)
-            continue
-        rows: dict[str, dict[int, int]] = {}
-        for col, pairs in enumerate(columns):
-            for gen, exp in pairs:
-                rows.setdefault(gen, {})[col] = exp
-        proved.append(first_kernel_vector(rows.values(), len(columns)) is None)
-    return proved
+    if None in off:
+        return [False] * H.K
+    index: dict[str, int] = {}
+
+    def vector(pairs) -> dict[int, int]:
+        # a diagonal of no single term (None) is the zero row, never independent
+        return {index.setdefault(gen, len(index)): exp for gen, exp in pairs or ()}
+
+    return independent_with_each(
+        [vector(e) for e in off], [vector(exponents[i][i]) for i in range(H.K)])
 
 
 def _single_term_exponents(value: ExactScalar) -> Optional[tuple]:

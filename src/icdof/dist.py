@@ -132,7 +132,9 @@ def _born(points: Sequence[ExactScalar]) -> tuple[_Lattice, list[int], int]:
     return lattice, keys, reach
 
 
-def _pack(terms: Sequence[tuple[ExactScalar, "DiscreteDist"]]) -> list["DiscreteDist"]:
+def _pack(
+    terms: Sequence[tuple[ExactScalar, "DiscreteDist"]], budget: Optional[int] = None
+) -> list["DiscreteDist"]:
     """The distributions of c_j*X_j for the terms of one linear form (every
     c_j nonzero) on one shared lattice, so that `convolve` can add any of
     them. Each basis monomial m of X_j's lattice maps to the terms of c_j*m,
@@ -140,24 +142,39 @@ def _pack(terms: Sequence[tuple[ExactScalar, "DiscreteDist"]]) -> list["Discrete
     are read from its key.
 
     On one coordinate (rational points and coefficients) no point is read:
-    c*key/D is the numerator c.numerator*key over E = D*c.denominator, with E
-    reduced as `_share` reduces it, so each key takes one multiply (and an
-    exact division when E does not divide the common denominator)."""
+    c*key/D is (key*c.numerator/g) * (denom/E) with E = D*c.denominator/g
+    reduced as `_share` reduces it, so each key takes one small exact
+    division and one multiply. denom/E comes from how the running lcm of the
+    E's grew after each term, and each term's reach from its largest |key|,
+    so with a `budget` the first `convolve` step is refused, as `_align`
+    would refuse it, before any key is formed."""
     if all(c.is_rational() and dist._lattice.is_rational() for c, dist in terms):
-        coeffs = [c.as_fraction() for c, _ in terms]
-        denom = 1
-        for c, (_, dist) in zip(coeffs, terms):
+        steps, denom = [], 1
+        for c, dist in terms:
+            c = c.as_fraction()
             E = dist._lattice.denominator * c.denominator
-            denom = math.lcm(denom, E // math.gcd(E, c.numerator * math.gcd(*dist._weights)))
-        placed = []
-        for c, (_, dist) in zip(coeffs, terms):
-            num, den = c.numerator * denom, dist._lattice.denominator * c.denominator
-            g = math.gcd(num, den)
-            num, den = num // g, den // g
-            keys = [key * num // den for key in dist._weights]
-            placed.append((keys, max(map(abs, keys))))
-        total = sum(reach for _, reach in placed)
+            g = math.gcd(E, c.numerator * math.gcd(*dist._weights))
+            shared = math.gcd(denom, E // g)
+            growth = E // g // shared
+            steps.append((dist, c.numerator, g, denom // shared, growth))
+            denom *= growth
+        # denom/E of a term is its cofactor times how much denom grew after it
+        factors, later, total = [], 1, 0
+        for dist, num, g, cofactor, growth in reversed(steps):
+            factor = cofactor * later
+            factors.append(factor)
+            total += max(map(abs, dist._weights)) * abs(num) // g * factor
+            later *= growth
         lattice = _Lattice([MONO_ONE] if total else [], denom, 2 * total + 1)
+        if budget is not None and len(terms) > 1:
+            pairs = len(terms[0][1]) * len(terms[1][1])
+            check_pair_budget(pairs, budget)
+            _check_key_words(pairs, lattice, budget)
+        placed = []
+        for dist, num, g, _, _ in steps:
+            factor = factors.pop()  # the first term's was appended last
+            keys = [key * num // g * factor for key in dist._weights]
+            placed.append((keys, max(map(abs, keys))))
     else:
         lattice, placed = _share(_scaled_points(terms))
     return [
@@ -415,13 +432,19 @@ def _align(
         lattice, reach = A._lattice, A._reach + B._reach
     elif reach > lattice.radix // 2:
         lattice = _Lattice(lattice.basis, lattice.denominator, 2 * reach + 1)
+    _check_key_words(pairs, lattice, budget)
+    return A, B, lattice, reach
+
+
+def _check_key_words(pairs: int, lattice: _Lattice, budget: int) -> None:
+    """Refuse a step of `pairs` atom pairs whose keys on `lattice` need more
+    64-bit words than the budget leaves."""
     words = max(1, -(-len(lattice.basis) * lattice.radix.bit_length() // 64))
     if pairs * words > budget:
         raise BudgetExceededError(
             f"convolution needs {pairs} atom pairs of {words}-word keys, "
             f"over the budget of {budget}"
         )
-    return A, B, lattice, reach
 
 
 def convolve(A: DiscreteDist, B: DiscreteDist, budget: int = DEFAULT_ATOM_BUDGET) -> DiscreteDist:
@@ -465,7 +488,7 @@ def linear_combination(
     live = [(c, d) for c, d in live if not c.is_zero()]
     if not live:
         raise ValidationError("degenerate combination: all coefficients are zero")
-    return _sum(_pack(live), budget)
+    return _sum(_pack(live, budget), budget)
 
 
 def _monomials(terms: Sequence[tuple[ExactScalar, DiscreteDist]]) -> set:
@@ -491,7 +514,7 @@ def split_entropies(
     enumerated. Every step, built or not, is refused exactly as
     `linear_combination` of the cross terms, then the signal, refuses it.
     """
-    packed = _pack([*cross_terms, signal_term] if signal_term else cross_terms)
+    packed = _pack([*cross_terms, signal_term] if signal_term else cross_terms, budget)
     interference = _sum(packed[:len(cross_terms)], budget)
     h_intf, n_intf = entropy_bits(interference), len(interference)
     if signal_term is None:

@@ -100,7 +100,10 @@ def truncated_dist(ifs: IFSSpec, m: int, budget: int = DEFAULT_ATOM_BUDGET) -> D
     if m < 1:
         raise ValidationError(f"need m >= 1, got {m}")
     W = ifs.offset_dist()
-    coeffs = [ExactScalar.rational(ifs.r**k) for k in range(m)]
+    coeffs, power = [], Fraction(1)
+    for _ in range(m):  # r^k by one multiply each, not one power each
+        coeffs.append(ExactScalar.rational(power))
+        power *= ifs.r
     return linear_combination(coeffs, [W] * m, budget=budget)
 
 

@@ -112,6 +112,19 @@ def first_kernel_vector(
     return None if free is None else _kernel_vector(pivots, free, n_cols)
 
 
+def independent_with_each(
+    base: Sequence[Mapping[int, Fraction | int]], extras: Iterable[Mapping[int, Fraction | int]]
+) -> list[bool]:
+    """Per row r of `extras`, whether the rows of `base` and r together are
+    linearly independent (rows given sparsely as {column: nonzero value}).
+    `base` is eliminated once: if it is dependent no r is, and otherwise r
+    is independent exactly when it does not reduce to zero on its pivots."""
+    pivots = _pivots(base)
+    if len(pivots) < len(base):
+        return [False for _ in extras]
+    return [bool(_reduce(_integer_row(row), pivots)) for row in extras]
+
+
 def primitive_integer_vector(vec: Sequence[Fraction]) -> list[int]:
     """Clear denominators and divide by the gcd; sign fixed so the first
     nonzero entry is positive."""

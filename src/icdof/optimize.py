@@ -133,16 +133,112 @@ class _Tracker:
             self.dists = dists
 
 
+class _MaxEvaluations(Exception):
+    pass
+
+
+def _nelder_mead(
+    f: Callable[[list[float]], float], x0: Sequence[float], maxiter: int, maxfev: int
+) -> None:
+    """Minimize f by the non-adaptive Nelder-Mead simplex, step for step and
+    bit for bit as scipy 1.17.1's `minimize(method="Nelder-Mead")` with
+    options maxiter and maxfev; only the side effects of calling f matter.
+
+    The coefficients, the initial simplex (x0, then x0 with coordinate k
+    scaled by 1.05, or set to 0.00025 where it is 0), the row-by-row
+    centroid, every strict or non-strict comparison, the tolerances
+    xatol = fatol = 1e-4 and the rule that f is never called once maxfev
+    calls were made all follow scipy. A NaN in the convergence test means
+    "not converged", as it does under numpy's max. Ties among simplex values
+    are ordered by `numpy.argsort` (its default, host-dependent kind), as in
+    scipy; that sort is the one use of numpy in icdof, so numpy is imported
+    here and nowhere else.
+    """
+    import numpy
+
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    tol = 1e-4
+    N = len(x0)
+    calls = 0
+
+    def call(x: list[float]) -> float:
+        nonlocal calls
+        if calls >= maxfev:
+            raise _MaxEvaluations
+        calls += 1
+        return f(x)
+
+    def sort() -> None:
+        order = numpy.argsort(numpy.asarray(fsim, dtype=float)).tolist()
+        sim[:] = [sim[i] for i in order]
+        fsim[:] = [fsim[i] for i in order]
+
+    sim = [[float(v) for v in x0]]
+    for k in range(N):
+        y = list(sim[0])
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    fsim = [math.inf] * (N + 1)
+    try:
+        for k in range(N + 1):
+            fsim[k] = call(sim[k])
+    except _MaxEvaluations:
+        pass
+    sort()
+    sort()  # scipy sorts twice here, and an unstable sort may reorder ties again
+
+    iterations = 1
+    while calls < maxfev and iterations < maxiter:
+        try:
+            best, worst = sim[0], sim[-1]
+            if all(abs(a - b) <= tol for row in sim[1:] for a, b in zip(row, best)) and all(
+                abs(fsim[0] - v) <= tol for v in fsim[1:]
+            ):
+                break
+            xbar = list(best)
+            for row in sim[1:-1]:
+                xbar = [a + b for a, b in zip(xbar, row)]
+            xbar = [a / N for a in xbar]
+            xr = [(1 + rho) * a - rho * b for a, b in zip(xbar, worst)]
+            fxr = call(xr)
+            if fxr < fsim[0]:
+                xe = [(1 + rho * chi) * a - rho * chi * b for a, b in zip(xbar, worst)]
+                fxe = call(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # contract outside the simplex
+                    xc = [(1 + psi * rho) * a - psi * rho * b for a, b in zip(xbar, worst)]
+                    fxc = call(xc)
+                    shrink = not fxc <= fxr
+                    if not shrink:
+                        sim[-1], fsim[-1] = xc, fxc
+                else:  # contract inside it
+                    xcc = [(1 - psi) * a + psi * b for a, b in zip(xbar, worst)]
+                    fxcc = call(xcc)
+                    shrink = not fxcc < fsim[-1]
+                    if not shrink:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                if shrink:
+                    for j in range(1, N + 1):
+                        sim[j] = [a + sigma * (b - a) for a, b in zip(best, sim[j])]
+                        fsim[j] = call(sim[j])
+            iterations += 1
+        except _MaxEvaluations:
+            pass
+        sort()
+
+
 def _run_restart(
     objective: Callable[[Sequence[float]], tuple[float, tuple[DiscreteDist, ...]]],
     x0: Sequence[float],
     config: OptConfig,
     warm: Optional[tuple[float, tuple[DiscreteDist, ...]]] = None,
 ) -> _Tracker:
-    # Nelder-Mead is the only use of scipy; importing it here keeps every
-    # other entry point from paying for scipy.optimize at import time
-    from scipy.optimize import minimize
-
     tracker = _Tracker()
     if warm is not None:
         tracker.record(*warm)
@@ -153,12 +249,7 @@ def _run_restart(
         return -value
 
     tracker.start_value = -neg(x0)
-    minimize(
-        neg,
-        list(x0),
-        method="Nelder-Mead",
-        options={"maxiter": config.max_iters, "maxfev": 4 * config.max_iters},
-    )
+    _nelder_mead(neg, x0, maxiter=config.max_iters, maxfev=4 * config.max_iters)
     return tracker
 
 

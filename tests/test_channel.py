@@ -37,6 +37,7 @@ from icdof import (
     verify_witness,
 )
 from icdof.channel import alphabet_size
+from icdof.linalg import first_kernel_vector
 
 
 def rational_matrix(K: int, rng: random.Random) -> ChannelMatrix:
@@ -144,6 +145,25 @@ def single_term_channel(choose, K: int) -> ChannelMatrix:
 def single_term_channels(draw):
     K = draw(st.sampled_from((2, 3)))
     return single_term_channel(lambda options: draw(st.sampled_from(options)), K)
+
+
+def reference_rank_certificate(H: ChannelMatrix) -> list[bool]:
+    """Slow twin of `_rank_certificate`: per user, one elimination of the
+    whole generator-by-column exponent matrix [E | e_ii]."""
+    exponents = [[icdof.channel._single_term_exponents(x) for x in row] for row in H.entries]
+    off = [e for j, row in enumerate(exponents) for k, e in enumerate(row) if j != k]
+    proved = []
+    for i in range(H.K):
+        columns = off + [exponents[i][i]]
+        if None in columns:
+            proved.append(False)
+            continue
+        rows: dict[str, dict[int, int]] = {}
+        for col, pairs in enumerate(columns):
+            for gen, exp in pairs:
+                rows.setdefault(gen, {})[col] = exp
+        proved.append(first_kernel_vector(rows.values(), len(columns)) is None)
+    return proved
 
 
 class TestChannelMatrix:
@@ -516,6 +536,36 @@ class TestRankCertificate:
             accepted += all(icdof.channel._rank_certificate(H))
             assert check_condition_star(H, d).to_json() == reference_check(H, d).to_json()
         assert 0 < accepted < 60  # both paths are exercised
+
+    @pytest.mark.parametrize("K", range(2, 9))
+    def test_certificate_matches_reference_on_generic(self, K):
+        assert icdof.channel._rank_certificate(ChannelMatrix.generic(K)) == (
+            reference_rank_certificate(ChannelMatrix.generic(K))) == [True] * K
+
+    @pytest.mark.parametrize("rows", [
+        [[_gen(1, 1), 0], [_gen(2, 1), _gen(2, 2)]],  # zero off the diagonal
+        [[0, _gen(1, 2)], [_gen(2, 1), _gen(2, 2)]],  # zero on it
+        [[_gen(1, 1), 2], [_gen(2, 1), _gen(2, 2)]],  # rational off the diagonal
+        [[Fraction(1, 3), _gen(1, 2)], [_gen(2, 1), _gen(2, 2)]],  # and on it
+        [[_gen(1, 1), _gen(1, 2) + 1], [_gen(2, 1), _gen(2, 2)]],  # two terms off
+        [[_gen(1, 1), _gen(1, 2)], [_gen(2, 1), _gen(2, 2) - _gen(1, 1)]],  # and on
+        # dependent off-diagonal block: h_1_3 = h_1_2 * h_2_1 as monomials
+        [[_gen(1, 1), _gen(1, 2), _gen(1, 2) * _gen(2, 1)],
+         [_gen(2, 1), _gen(2, 2), _gen(2, 3)], [_gen(3, 1), _gen(3, 2), _gen(3, 3)]],
+        # independent block; one diagonal in its span, one sharing a generator
+        [[_gen(1, 2) ** 2 * _gen(2, 1), _gen(1, 2), _gen(1, 3)],
+         [_gen(2, 1), _gen(1, 3) * _gen(2, 2), _gen(2, 3)],
+         [_gen(3, 1), _gen(3, 2), 3 * _gen(3, 3) ** 2]],
+        [[as_scalar("g1"), as_scalar("g1*g2")], [as_scalar("g2^2"), as_scalar("g3")]],
+    ])
+    def test_certificate_matches_reference(self, rows):
+        H = ChannelMatrix.from_rows(rows)
+        assert icdof.channel._rank_certificate(H) == reference_rank_certificate(H)
+
+    @settings(max_examples=150)
+    @given(single_term_channels())
+    def test_certificate_matches_reference_on_single_terms(self, H):
+        assert icdof.channel._rank_certificate(H) == reference_rank_certificate(H)
 
     @settings(max_examples=100)
     @given(single_term_channels(), st.sampled_from((0, 1)))

@@ -212,6 +212,27 @@ class TestConvolution:
         assert support_set(S) == {ExactScalar.ZERO, G1, 2 * G1}
 
 
+_mixed_dists = exact_dists(st.one_of(_rational_points, _symbolic_points, _quadratic_points),
+                           max_size=5)
+
+
+class TestConvolutionLaws:
+    """Laws of `convolve` on operands built independently, each on a lattice
+    of its own: rational, symbolic and quadratic points, alone or mixed."""
+
+    @settings(max_examples=200)
+    @given(_mixed_dists, _mixed_dists)
+    def test_sum_is_no_less_uncertain_than_either_summand(self, X, Y):
+        assert entropy_bits(convolve(X, Y)) >= max(entropy_bits(X), entropy_bits(Y)) - 1e-12
+
+    @settings(max_examples=150)
+    @given(_mixed_dists, _mixed_dists, _mixed_dists)
+    def test_commutative_and_associative(self, X, Y, Z):
+        assert dist_to_json(convolve(X, Y)) == dist_to_json(convolve(Y, X))
+        assert dist_to_json(convolve(convolve(X, Y), Z)) == (
+            dist_to_json(convolve(X, convolve(Y, Z))))
+
+
 class TestLattice:
     """The packed-integer kernel against the per-pair `Fraction` twins:
     decoded atoms are equal, and entropies are equal bit for bit."""
@@ -510,6 +531,54 @@ class TestRationalPacking:
         packed = _pack(terms)
         assert [d._lattice for d in packed] == [lattice] * size
         assert [(list(d._weights), d._reach) for d in packed] == placed
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_refused_as_packing_every_term_first(self, data):
+        # the old order: pack every term, then let each `convolve` step refuse
+        size = data.draw(st.integers(2, 4))
+        dists = [data.draw(rational_dists()) for _ in range(size)]
+        coeffs = [as_scalar(data.draw(_rational_coefficients)) for _ in range(size)]
+        budget = data.draw(st.integers(1, 200))
+        try:
+            expected = icdof.dist._sum(_pack(list(zip(coeffs, dists))), budget)
+        except BudgetExceededError as exc:
+            with pytest.raises(BudgetExceededError) as info:
+                linear_combination(coeffs, dists, budget=budget)
+            assert str(info.value) == str(exc)
+        else:
+            assert list(linear_combination(coeffs, dists, budget=budget).items()) == (
+                list(expected.items()))
+
+    def test_first_step_is_refused_before_any_key_is_formed(self):
+        # the truncation sum_k 3^-k W_k of `infodim` at r = 1/3, w = {0, 1}:
+        # keys as wide as 3^m, so the first step's key words are over a
+        # small budget while its 4 atom pairs are not
+        formed = []
+
+        class SpyKey(int):
+            def __mul__(self, other):
+                formed.append(self)
+                return int(self) * other
+
+        W = uniform_on([0, 1])
+        spied = icdof.dist._new(
+            W._lattice, {SpyKey(k): w for k, w in W._weights.items()}, W._denominator, W._reach)
+        m = 200
+        coeffs = [Fraction(1, 3**k) for k in range(m)]
+        packed = _pack([(as_scalar(c), W) for c in coeffs])
+        budget = 16
+        with pytest.raises(BudgetExceededError) as old:
+            convolve(packed[0], packed[1], budget=budget)
+        assert str(old.value) == "convolution needs 4 atom pairs of 5-word keys, over the budget of 16"
+        with pytest.raises(BudgetExceededError) as new:
+            linear_combination(coeffs, [spied] * m, budget=budget)
+        assert str(new.value) == str(old.value)
+        assert formed == []
+        # over a budget that admits the step, the same spy sees every key formed
+        with pytest.raises(BudgetExceededError):
+            linear_combination(coeffs, [spied] * m, budget=20)
+        assert len(formed) == 2 * m
 
     def test_wide_chain_key_width_refusals(self):
         # keys over a denominator near 2^83 need 2 words, and 3 once a term

@@ -1,17 +1,20 @@
-"""Restarted derivative-free search: determinism, warm starts, and
-agreement between the two objective routes."""
+"""Restarted derivative-free search: determinism, warm starts, agreement
+between the two objective routes, the in-repo simplex against scipy's, and
+which verbs load numpy."""
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import icdof
@@ -24,8 +27,10 @@ from icdof import (
     optimize_theorem3,
     prop4_dist,
 )
+import icdof.optimize
 from icdof.optimize import (
     _limit_denominator,
+    _nelder_mead,
     dist_from_logweights,
     integer_grid,
     rationalize_weights,
@@ -169,28 +174,175 @@ class TestTheorem3Search:
         via_pair = optimize_hlambda(-1, 2, config)
         assert via_matrix.best_value == pytest.approx(via_pair.best_value, abs=1e-3)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_all_zero_matrix_is_degenerate(self):
         H = ChannelMatrix.from_rows([[0, 0], [0, 0]])
         with pytest.raises(ValidationError, match="degenerate"):
             optimize_theorem3(H, 2, FAST)
 
 
-def test_scipy_loads_only_for_the_optimizer():
-    # a fresh interpreter, since this test process has scipy loaded already
+def scipy_nelder_mead(f, x0, maxiter, maxfev):
+    """Slow twin of `_nelder_mead`: scipy's Nelder-Mead, called the way the
+    optimizer called it before the simplex was ported."""
+    from scipy.optimize import minimize
+
+    minimize(f, list(x0), method="Nelder-Mead", options={"maxiter": maxiter, "maxfev": maxfev})
+
+
+def visits(nelder_mead, f, x0, maxiter, maxfev) -> list[tuple[tuple[float, ...], float]]:
+    """Every point `nelder_mead` evaluates, in order, with its value."""
+    log = []
+
+    def logged(x):
+        value = f(x)
+        log.append((tuple(float(v) for v in x), value))
+        return value
+
+    nelder_mead(logged, x0, maxiter, maxfev)
+    return log
+
+
+def search_visits(nelder_mead, search, *args):
+    """Run one optimizer search with `nelder_mead` as its simplex; return its
+    result (or the error it raised) and every point the simplex visited."""
+    log = []
+
+    def recording(f, x0, maxiter, maxfev):
+        log.extend(visits(nelder_mead, f, x0, maxiter, maxfev))
+
+    with mock.patch.object(icdof.optimize, "_nelder_mead", recording):
+        try:
+            result = search(*args)
+        except ValidationError as exc:
+            result = str(exc)
+    return result, log
+
+
+def assert_same_search(search, *args):
+    port, port_log = search_visits(_nelder_mead, search, *args)
+    twin, twin_log = search_visits(scipy_nelder_mead, search, *args)
+    assert port_log == twin_log
+    if isinstance(twin, str):
+        assert port == twin
+    else:
+        assert (port.best_value, port.trace, port.dists) == (
+            twin.best_value, twin.trace, twin.dists)
+    return port, port_log
+
+
+_configs = st.builds(
+    OptConfig,
+    restarts=st.integers(1, 2),
+    max_iters=st.sampled_from([5, 20, 80]),
+    seed=st.integers(0, 2**16),
+    rationalization_denominator=st.sampled_from([10, 100, 10**6]),
+)
+
+
+class TestNelderMeadMatchesScipy:
+    """`_nelder_mead` against scipy's `minimize(method="Nelder-Mead")`: the
+    same points in the same order, so the same trace and distributions."""
+
+    @settings(max_examples=20)
+    @given(_configs, st.sampled_from([-1, 2, Fraction(-1, 2), Fraction(3, 2)]), st.integers(2, 4))
+    def test_hlambda(self, config, lam, n):
+        assert_same_search(optimize_hlambda, lam, n, config)
+
+    @settings(max_examples=15)
+    @given(_configs, st.lists(st.integers(-3, 3), min_size=9, max_size=9))
+    def test_theorem3(self, config, entries):
+        H = ChannelMatrix.from_rows([entries[0:3], entries[3:6], entries[6:9]])
+        assert_same_search(optimize_theorem3, H, 2, config)
+
+    def test_warm_start_with_tied_halves(self):
+        # the mirrored U and V halves of the warm start give tied values
+        assert_same_search(optimize_hlambda, -1, 4, OptConfig(restarts=2, max_iters=80))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_all_minus_inf_channel(self):
+        # every value is -inf, so the convergence test sees inf - inf = NaN
+        H = ChannelMatrix.from_rows([[0, 0], [0, 0]])
+        message, log = assert_same_search(optimize_theorem3, H, 2, FAST)
+        assert "degenerate" in message
+        assert len(log) == 2 * 4 * FAST.max_iters
+
+    @pytest.mark.parametrize("n, max_iters", [(6, 4), (6, 2), (3, 2)])
+    def test_max_evaluations_exhausted(self, n, max_iters):
+        # (6, 2) runs out while evaluating the initial simplex
+        config = OptConfig(restarts=1, max_iters=max_iters, seed=1)
+        _, log = assert_same_search(optimize_hlambda, 2, n, config)
+        assert len(log) == 4 * max_iters
+
+    @settings(max_examples=60)
+    @given(
+        st.lists(st.sampled_from([0.0, 1.0, -2.5, 0.3, 1e-3]), min_size=1, max_size=5),
+        st.integers(1, 30),
+        st.integers(1, 60),
+    )
+    def test_tied_quantized_objective(self, x0, maxiter, maxfev):
+        def f(x):
+            return round(sum((v - 0.7) ** 2 for v in x), 1)
+
+        assert visits(_nelder_mead, f, x0, maxiter, maxfev) == (
+            visits(scipy_nelder_mead, f, x0, maxiter, maxfev))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("x0", [[1.0, 0.0], [0.5, 1.0], [1.0, 1.0, 1.0], [0.5, 0.3]])
+    def test_nan_values_never_count_as_converged(self, x0):
+        # NaN sorts last, so the simplex shrinks onto the edge x[0] = c with
+        # a NaN vertex behind it; a NaN anywhere in the convergence test
+        # means "not converged", whatever the order of the differences
+        def f(x):
+            return math.nan if x[0] > x0[0] else -x[0]
+
+        assert visits(_nelder_mead, f, x0, 200, 800) == visits(scipy_nelder_mead, f, x0, 200, 800)
+
+
+def test_no_verb_loads_scipy_and_only_the_optimizer_loads_numpy(tmp_path):
+    # a fresh interpreter, since this test process has both loaded already
+    def files(name, obj):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    inputs = {
+        "coin": files("coin.json", {"atoms": [{"value": "0", "prob": "1/2"},
+                                              {"value": "1", "prob": "1/2"}]}),
+        "matrix": files("m.json", {"K": 2, "entries": [[1, 2], [3, -1]]}),
+        "ifs": files("ifs.json", {"r": "1/3", "w": ["0", "2"], "probs": ["1/2", "1/2"]}),
+        "set": files("set.json", {"elements": ["0", "1", "3"]}),
+    }
+    verbs = [
+        ["condition", "--matrix", inputs["matrix"], "--degree", "1"],
+        ["bound-thm1", "--k", "2", "--d", "0", "--n", "2"],
+        ["bound-floor", "--k", "3", "--d", "1", "--n", "4"],
+        ["bound-integer", "--matrix", inputs["matrix"], "--n", "2"],
+        ["ratio-thm3", "--k", "2", "--dist", inputs["coin"], "--dist", inputs["coin"]],
+        ["hlambda", "--lambda", "-1", "--u", inputs["coin"], "--v", inputs["coin"]],
+        ["infodim", "--ifs", inputs["ifs"], "--m", "4"],
+        ["sumset", "--a", inputs["set"], "--b", inputs["set"]],
+        ["ineq-suite", "--u", inputs["coin"], "--v", inputs["coin"]],
+    ]
+    optimizer_verbs = [
+        ["optimize", "--target", "hlambda", "--lambda", "-1", "--n", "4", "--max-iters", "5"],
+        ["optimize", "--target", "thm3", "--matrix", inputs["matrix"], "--n", "2",
+         "--restarts", "1", "--max-iters", "5"],
+    ]
     script = "\n".join(
         [
-            "import sys",
-            "import icdof",
-            "icdof.nonasymptotic_floor(3, 1, 4)",
-            "assert 'scipy' not in sys.modules, 'scipy loaded outside the optimizer'",
-            "result = icdof.optimize_hlambda(1, 2, icdof.OptConfig(restarts=1, max_iters=5))",
-            "print(result.best_value)",
+            "import json, sys",
+            "from icdof.cli import run",
+            "loaded = []",
+            "for argv in json.loads(sys.argv[1]):",
+            "    assert run(argv) == 0, argv",
+            "    loaded.append(sorted({'numpy', 'scipy'} & set(sys.modules)))",
+            "print(json.dumps(loaded), file=sys.stderr)",
         ]
     )
     env = dict(os.environ, PYTHONPATH=str(Path(icdof.__file__).resolve().parents[1]))
     child = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script, json.dumps(verbs + optimizer_verbs)],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert child.returncode == 0, child.stderr
-    assert float(child.stdout) == pytest.approx(1.0, abs=1e-12)
+    loaded = json.loads(child.stderr.splitlines()[-1])
+    assert loaded == [[]] * len(verbs) + [["numpy"]] * len(optimizer_verbs)
