@@ -2,19 +2,18 @@
 their supports.
 
 Every distribution has one representation: positive integer weights over one
-common denominator, on packed integer keys. A key packs a support point's
-integer coordinates over a lattice (a sorted monomial basis and one common
-denominator) into one Python int. The terms of one linear form sum_j c_j X_j
-share one lattice whose radix leaves room for every partial sum, so adding two
-keys is adding the points and equal keys are equal points: a `convolve` step
-is a loop of int additions and integer weight products, checked against its
-budget before it allocates. Packing reads coordinates from keys, and `len` and
-`entropy_bits` read only the weights, so probabilities stay exact and only the
-entropy is evaluated in floating point. Rational points live on one coordinate,
-where a key is the point's numerator: `_pack` scales such keys by a rational
-coefficient with one integer multiply, and decoding one is one `Fraction`.
-`split_entropies` gives the entropies and sizes of interference and output,
-read off the weights alone wherever distinct monomials prove the sum injective.
+common denominator, on packed integer keys. A key packs a point's integer
+coordinates over a lattice (a sorted monomial basis and one denominator) into
+one Python int. The terms of one linear form sum_j c_j X_j share one lattice
+whose radix leaves room for every partial sum, so adding keys adds points: a
+`convolve` step is a loop of int additions and integer weight products,
+checked against its budget before it allocates. `_pack` reads c_j*X_j as an
+integer linear map of X_j's digits: each input is decoded once, the lattice
+is fixed before any key exists, and a key is one dot product (one multiply on
+one coordinate, where a rational point's key is its numerator), formed just
+before its term's step. `len` and `entropy_bits` read only the weights, so
+only the entropy is a float, even where `split_entropies` proves a sum
+injective and does not build it.
 
 A finite set is the support of a packed distribution (`SupportSet`), so a
 sumset is the support of one `convolve` and a progression test sorts integer
@@ -31,6 +30,8 @@ from collections import Counter
 from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -95,28 +96,6 @@ class _Lattice:
         return sum(v * self.radix**i for i, v in enumerate(digits))
 
 
-def _share(terms: list[tuple[int, list]]) -> tuple[_Lattice, list[tuple[list[int], int]]]:
-    """Place several terms' points on one lattice. A term is (E, points), each
-    point a list of (monomial, v) with v/E its nonzero coordinates. Returns the
-    lattice and, per term, its keys and reach (largest |coordinate|); the radix
-    2 * sum(reach) + 1 fits every sum that takes each term at most once."""
-    denom = 1
-    for E, points in terms:  # reduced, so that keys are no wider than they need be
-        denom = math.lcm(denom, E // math.gcd(E, *(v for point in points for _, v in point)))
-    basis = sorted({mono for _, points in terms for point in points for mono, _ in point})
-    index = {mono: i for i, mono in enumerate(basis)}
-    placed = []
-    for E, points in terms:
-        coordinates = [[(index[mono], v * denom // E) for mono, v in point] for point in points]
-        placed.append((coordinates, max((abs(v) for p in coordinates for _, v in p), default=0)))
-    radix = 2 * sum(reach for _, reach in placed) + 1
-    powers = [radix**i for i in range(len(basis))]
-    return _Lattice(basis, denom, radix), [
-        ([sum(v * powers[i] for i, v in point) for point in coordinates], reach)
-        for coordinates, reach in placed
-    ]
-
-
 def _born(points: Sequence[ExactScalar]) -> tuple[_Lattice, list[int], int]:
     """Distinct points on a lattice of their own: (lattice, keys, reach)."""
     if all(x.is_rational() for x in points):  # one coordinate, read without terms
@@ -126,80 +105,101 @@ def _born(points: Sequence[ExactScalar]) -> tuple[_Lattice, list[int], int]:
         reach = max(map(abs, keys))
         return _Lattice([MONO_ONE], denom, 2 * reach + 1), keys, reach
     terms = [tuple(x.terms()) for x in points]
-    denom = math.lcm(*(c.denominator for point in terms for _, c in point))
+    denom = math.lcm(*(c.denominator for point in terms for _, c in point))  # in lowest terms
     coordinates = [[(m, c.numerator * (denom // c.denominator)) for m, c in p] for p in terms]
-    lattice, [(keys, reach)] = _share([(denom, coordinates)])
-    return lattice, keys, reach
+    reach = max(abs(v) for point in coordinates for _, v in point)
+    power = {m: (2 * reach + 1)**i for i, m in enumerate(sorted({m for p in terms for m, _ in p}))}
+    keys = [sum(v * power[m] for m, v in point) for point in coordinates]
+    return _Lattice(list(power), denom, 2 * reach + 1), keys, reach
 
 
 def _pack(
     terms: Sequence[tuple[ExactScalar, "DiscreteDist"]], budget: Optional[int] = None
-) -> list["DiscreteDist"]:
-    """The distributions of c_j*X_j for the terms of one linear form (every
-    c_j nonzero) on one shared lattice, so that `convolve` can add any of
-    them. Each basis monomial m of X_j's lattice maps to the terms of c_j*m,
-    with integer coefficients over one denominator, and each point's digits
-    are read from its key.
-
-    On one coordinate (rational points and coefficients) no point is read:
-    c*key/D is (key*c.numerator/g) * (denom/E) with E = D*c.denominator/g
-    reduced as `_share` reduces it, so each key takes one small exact
-    division and one multiply. denom/E comes from how the running lcm of the
-    E's grew after each term, and each term's reach from its largest |key|,
-    so with a `budget` the first `convolve` step is refused, as `_align`
+) -> Iterator["DiscreteDist"]:
+    """c_j*X_j for the terms of one linear form (every c_j nonzero) on one
+    lattice, each formed when the iterator reaches it. A placement yields the
+    lattice first, so with a `budget` the first step is refused, as `_align`
     would refuse it, before any key is formed."""
-    if all(c.is_rational() and dist._lattice.is_rational() for c, dist in terms):
-        steps, denom = [], 1
-        for c, dist in terms:
-            c = c.as_fraction()
-            E = dist._lattice.denominator * c.denominator
-            g = math.gcd(E, c.numerator * math.gcd(*dist._weights))
-            shared = math.gcd(denom, E // g)
-            growth = E // g // shared
-            steps.append((dist, c.numerator, g, denom // shared, growth))
-            denom *= growth
-        # denom/E of a term is its cofactor times how much denom grew after it
-        factors, later, total = [], 1, 0
-        for dist, num, g, cofactor, growth in reversed(steps):
-            factor = cofactor * later
-            factors.append(factor)
-            total += max(map(abs, dist._weights)) * abs(num) // g * factor
-            later *= growth
-        lattice = _Lattice([MONO_ONE] if total else [], denom, 2 * total + 1)
-        if budget is not None and len(terms) > 1:
-            pairs = len(terms[0][1]) * len(terms[1][1])
-            check_pair_budget(pairs, budget)
-            _check_key_words(pairs, lattice, budget)
-        placed = []
-        for dist, num, g, _, _ in steps:
-            factor = factors.pop()  # the first term's was appended last
-            keys = [key * num // g * factor for key in dist._weights]
-            placed.append((keys, max(map(abs, keys))))
-    else:
-        lattice, placed = _share(_scaled_points(terms))
-    return [
-        _new(lattice, dict(zip(keys, dist._weights.values())), dist._denominator, reach)
-        for (keys, reach), (_, dist) in zip(placed, terms)
-    ]
+    rational = all(c.is_rational() and dist._lattice.is_rational() for c, dist in terms)
+    placed = (_rescale if rational else _place)(terms)
+    lattice = next(placed)
+    if budget is not None and len(terms) > 1:
+        pairs = len(terms[0][1]) * len(terms[1][1])
+        check_pair_budget(pairs, budget)
+        _check_key_words(pairs, lattice, budget)
+    for (_, dist), (keys, reach) in zip(terms, placed):
+        yield _new(lattice, dict(zip(keys, dist._weights.values())), dist._denominator, reach)
 
 
-def _scaled_points(terms: Sequence[tuple[ExactScalar, "DiscreteDist"]]) -> list[tuple[int, list]]:
-    """The points c_j*x of every term as `_share` takes them: (E, points)."""
-    scaled = []
+def _rescale(terms: Sequence[tuple[ExactScalar, "DiscreteDist"]]) -> Iterator:
+    """The lattice of one-coordinate terms, then each term's (keys, reach)
+    once it is reached. c*key/D is (key*c.numerator/g) * (denom/E), with E =
+    D*c.denominator/g reduced as `_place` reduces it and denom/E the
+    cofactor times how much the running lcm of the E's grew after the term."""
+    steps, denom = [], 1
+    for c, dist in terms:
+        c = c.as_fraction()
+        E = dist._lattice.denominator * c.denominator
+        g = math.gcd(E, c.numerator * math.gcd(*dist._weights))
+        shared = math.gcd(denom, E // g)
+        growth = E // g // shared
+        steps.append((dist, c.numerator, g, denom // shared, growth))
+        denom *= growth
+    later, total = 1, 0
+    for dist, num, g, cofactor, growth in reversed(steps):
+        total += max(map(abs, dist._weights)) * abs(num) // g * cofactor * later
+        later *= growth
+    yield _Lattice([MONO_ONE] if total else [], denom, 2 * total + 1)
+    upto = 1
+    for dist, num, g, cofactor, growth in steps:
+        upto *= growth
+        keys = [key * num // g * (cofactor * (denom // upto)) for key in dist._weights]
+        yield keys, max(map(abs, keys))
+
+
+def _place(terms: Sequence[tuple[ExactScalar, "DiscreteDist"]]) -> Iterator:
+    """The lattice of the points c_j*x, radix 2*sum(reach) + 1, then each
+    term's (keys, reach) once it is reached. Over E = D*q, q the lcm of c_j's
+    denominators, X_j's digit for monomial m maps to a*m*t for each term a*t
+    of q*c_j. Each distinct X_j is decoded once, into the gcd, largest
+    |value| and live coordinates of its digits, which fix a one-term c_j's
+    image; several terms' images can collide and are summed point by point."""
+    sources, maps, denom = {}, [], 1
     for c, dist in terms:
         lattice = dist._lattice
-        denom = math.lcm(*(a.denominator for _, a in c.terms()))
-        images = [[(mono_mul(m, mc), a.numerator * (denom // a.denominator))
-                   for mc, a in c.terms()] for m in lattice.basis]
-        points = []
-        for key in dist._weights:
-            point: dict = {}
-            for image, v in zip(images, lattice.digits(key)):
-                for mono, a in image:
-                    point[mono] = point.get(mono, 0) + v * a
-            points.append([(m, v) for m, v in point.items() if v])
-        scaled.append((lattice.denominator * denom, points))
-    return scaled
+        if id(dist) not in sources:
+            keys = dist._weights  # a one-coordinate key is its digit
+            rows = [[k] for k in keys] if len(lattice.basis) < 2 else [*map(lattice.digits, keys)]
+            flat = [v for row in rows for v in row]
+            live = [i for i, column in enumerate(zip(*rows)) if any(column)]
+            sources[id(dist)] = rows, math.gcd(*flat), max(map(abs, flat)), live
+        rows, g, top, live = sources[id(dist)]
+        q = math.lcm(*(a.denominator for _, a in c.terms()))
+        images = [[(mono_mul(m, t), a.numerator * (q // a.denominator)) for t, a in c.terms()]
+                  for m in lattice.basis or [MONO_ONE]]
+        if len(images[0]) == 1:
+            a = abs(images[0][0][1])
+            monos, g, top = {images[i][0][0] for i in live}, g * a, top * a
+        else:
+            monos, g, top = set(), 0, 0
+            for row in rows:
+                point = Counter()
+                for image, v in zip(images, row):  # an image's monomials are distinct
+                    point.update({mono: v * a for mono, a in image})
+                monos.update(mono for mono, v in point.items() if v)
+                g, top = math.gcd(g, *point.values()), max(top, *map(abs, point.values()))
+        E = lattice.denominator * q  # reduced, so that keys are no wider than they need be
+        denom = math.lcm(denom, E // math.gcd(E, g))
+        maps.append((rows, images, E, top, monos))
+    basis = sorted(set().union(*(monos for *_, monos in maps)))
+    radix = 2 * sum(top * denom // E for _, _, E, top, _ in maps) + 1
+    power = {mono: radix**i for i, mono in enumerate(basis)}  # a dead image packs as 0
+    yield _Lattice(basis, denom, radix)
+    for rows, images, E, top, _ in maps:  # a key is one dot product, times denom/E
+        n, d = denom // math.gcd(denom, E), E // math.gcd(denom, E)
+        M = [n * sum(a * power.get(mono, 0) for mono, a in image) for image in images]
+        keys = [v * M[0] for v, in rows] if len(M) == 1 else [sum(map(mul, r, M)) for r in rows]
+        yield (keys if d == 1 else [key // d for key in keys]), top * denom // E
 
 
 class DiscreteDist:
@@ -385,7 +385,7 @@ def scale(c, dist: DiscreteDist) -> DiscreteDist:
         raise ValidationError("degenerate scaling: coefficient is zero")
     if c == ONE:
         return dist
-    return _pack([(c, dist)])[0]
+    return next(_pack([(c, dist)]))
 
 
 def floor_dist(s: Fraction, dist: DiscreteDist) -> DiscreteDist:
@@ -463,11 +463,11 @@ def convolve(A: DiscreteDist, B: DiscreteDist, budget: int = DEFAULT_ATOM_BUDGET
     return _new(lattice, merged, A._denominator * B._denominator, reach)
 
 
-def _sum(packed: Sequence[DiscreteDist], budget: int) -> DiscreteDist:
+def _sum(packed: Iterator[DiscreteDist], budget: int) -> DiscreteDist:
     """The sum of the packed terms of one linear form: one `convolve` step
-    per term after the first."""
-    total, *rest = packed
-    for term in rest:
+    per term after the first, each taken (its keys formed) just before it."""
+    total = next(packed)
+    for term in packed:
         total = convolve(total, term, budget=budget)
     return total
 
@@ -515,11 +515,11 @@ def split_entropies(
     `linear_combination` of the cross terms, then the signal, refuses it.
     """
     packed = _pack([*cross_terms, signal_term] if signal_term else cross_terms, budget)
-    interference = _sum(packed[:len(cross_terms)], budget)
+    interference = _sum(islice(packed, len(cross_terms)), budget)
     h_intf, n_intf = entropy_bits(interference), len(interference)
     if signal_term is None:
         return h_intf, h_intf, n_intf, n_intf
-    signal = packed[-1]
+    signal = next(packed)
     if not _monomials([signal_term]).isdisjoint(_monomials(cross_terms)):
         full = convolve(interference, signal, budget=budget)
         return h_intf, entropy_bits(full), n_intf, len(full)

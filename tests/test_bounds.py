@@ -328,6 +328,19 @@ class TestCertifiedReport:
                                    1.0, 100, params={}, closed_form=0.0)
         assert report.per_user_terms == ((2.0, 1.0, 0.0),) * 2
 
+    @pytest.mark.parametrize("d, N", [(0, 2), (0, 3), (1, 2), (1, 3)])
+    def test_two_term_entries_match_enumeration(self, monkeypatch, d, N):
+        # (g12 + 1) * W maps each digit to two monomials, and g12 * 1 = 1 * g12
+        # collide, so the inputs are placed point by point
+        g11, g12, g21, g22 = map(ExactScalar.generator, ["h_1_1", "h_1_2", "h_2_1", "h_2_2"])
+        H = ChannelMatrix.from_rows([[g11, g12 + 1], [g21 + 1, g22]])
+        W = uniform_on(build_wn(H, d, N))
+        jobs = [lambda: theorem1_certified_bound(H, d, N),
+                lambda: prop1_bound(H, [W, W], 3.0),
+                lambda: theorem1_certified_bound(H, d, N, budget=len(W) ** 2 - 1)]
+        for job in jobs:
+            assert outcome(job) == with_oracle(monkeypatch, job)
+
     def test_generic_theorem1_never_builds_the_full_sum(self, monkeypatch):
         calls: list = []
         monkeypatch.setattr(icdof.dist, "convolve", counting_convolve(calls))

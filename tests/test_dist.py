@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from icdof import (
     BudgetExceededError,
+    ChannelMatrix,
     DiscreteDist,
     ExactScalar,
     IFSSpec,
@@ -37,10 +38,47 @@ from icdof import (
 )
 from conftest import counting_convolve, random_rational_dist
 import icdof.dist
-from icdof.dist import _pack, _scaled_points, _share, floor_dist, split_entropies
+from icdof.channel import build_wn
+from icdof.dist import _Lattice, _pack, floor_dist, split_entropies
+from icdof.scalar import mono_mul
 
 G1 = ExactScalar.generator("g1")
 G2 = ExactScalar.generator("g2")
+
+
+def reference_place(terms) -> tuple[_Lattice, list[tuple[list[int], int]]]:
+    """Slow twin of `_pack`'s placement: every term's points c_j*x decoded
+    point by point, then placed on one lattice. Returns the lattice and, per
+    term, its keys and reach (largest |coordinate|)."""
+    scaled = []  # per term (E, points), each point's nonzero coordinates v/E
+    for c, dist in terms:
+        lattice = dist._lattice
+        denom = math.lcm(*(a.denominator for _, a in c.terms()))
+        images = [[(mono_mul(m, mc), a.numerator * (denom // a.denominator))
+                   for mc, a in c.terms()] for m in lattice.basis]
+        points = []
+        for key in dist._weights:
+            point: dict = {}
+            for image, v in zip(images, lattice.digits(key)):
+                for mono, a in image:
+                    point[mono] = point.get(mono, 0) + v * a
+            points.append([(m, v) for m, v in point.items() if v])
+        scaled.append((lattice.denominator * denom, points))
+    denom = 1
+    for E, points in scaled:
+        denom = math.lcm(denom, E // math.gcd(E, *(v for point in points for _, v in point)))
+    basis = sorted({mono for _, points in scaled for point in points for mono, _ in point})
+    index = {mono: i for i, mono in enumerate(basis)}
+    placed = []
+    for E, points in scaled:
+        coordinates = [[(index[mono], v * denom // E) for mono, v in point] for point in points]
+        placed.append((coordinates, max((abs(v) for p in coordinates for _, v in p), default=0)))
+    radix = 2 * sum(reach for _, reach in placed) + 1
+    powers = [radix**i for i in range(len(basis))]
+    return _Lattice(basis, denom, radix), [
+        ([sum(v * powers[i] for i, v in point) for point in coordinates], reach)
+        for coordinates, reach in placed
+    ]
 
 
 def reference_convolve(A: DiscreteDist, B: DiscreteDist) -> dict:
@@ -501,7 +539,7 @@ def rational_dists(draw):
 
 class TestRationalPacking:
     """The one-coordinate branch of `_pack` against the decoded slow twins,
-    and against the general branch it bypasses: the same lattice, keys and
+    and against `reference_place`, which it bypasses: the same lattice, keys and
     reach, so budgets and every later step are unchanged."""
 
     @settings(max_examples=150)
@@ -525,10 +563,10 @@ class TestRationalPacking:
         result = linear_combination(coeffs, dists)
         assert entropy_bits(result) == entropy_bits(expected)
         assert list(result.items()) == list(expected.items())
-        # the general branch on the same terms gives the same packing
+        # the point-by-point placement of the same terms gives the same packing
         terms = list(zip(coeffs, dists))
-        lattice, placed = _share(_scaled_points(terms))
-        packed = _pack(terms)
+        lattice, placed = reference_place(terms)
+        packed = list(_pack(terms))
         assert [d._lattice for d in packed] == [lattice] * size
         assert [(list(d._weights), d._reach) for d in packed] == placed
 
@@ -566,7 +604,7 @@ class TestRationalPacking:
             W._lattice, {SpyKey(k): w for k, w in W._weights.items()}, W._denominator, W._reach)
         m = 200
         coeffs = [Fraction(1, 3**k) for k in range(m)]
-        packed = _pack([(as_scalar(c), W) for c in coeffs])
+        packed = list(_pack([(as_scalar(c), W) for c in coeffs]))
         budget = 16
         with pytest.raises(BudgetExceededError) as old:
             convolve(packed[0], packed[1], budget=budget)
@@ -575,10 +613,11 @@ class TestRationalPacking:
             linear_combination(coeffs, [spied] * m, budget=budget)
         assert str(new.value) == str(old.value)
         assert formed == []
-        # over a budget that admits the step, the same spy sees every key formed
-        with pytest.raises(BudgetExceededError):
+        # over a budget that admits the first step, the same spy sees the keys
+        # of the three terms the second step's refusal needs, and no others
+        with pytest.raises(BudgetExceededError, match="8 atom pairs of 5-word keys"):
             linear_combination(coeffs, [spied] * m, budget=20)
-        assert len(formed) == 2 * m
+        assert len(formed) == 2 * 3
 
     def test_wide_chain_key_width_refusals(self):
         # keys over a denominator near 2^83 need 2 words, and 3 once a term
@@ -604,6 +643,146 @@ class TestRationalPacking:
             "convolution needs 576 atom pairs of 3-word keys, over the budget of 1152")
         assert convolve(total, shrunk, budget=576 * 3) == DiscreteDist(
             reference_convolve(total, shrunk))
+
+
+def reference_packed(terms) -> list[DiscreteDist]:
+    """The terms of `reference_place` as distributions, every key formed."""
+    lattice, placed = reference_place(terms)
+    return [icdof.dist._new(lattice, dict(zip(keys, dist._weights.values())),
+                            dist._denominator, reach)
+            for (keys, reach), (_, dist) in zip(placed, terms)]
+
+
+# the g1 digit is 0 at every point of {g1, g1 + 1} + {-g1}
+DEAD = convolve(uniform_on([G1, G1 + 1]), uniform_on([-G1]))
+
+
+@st.composite
+def placement_sources(draw):
+    kind = draw(st.sampled_from(["symbolic", "quadratic", "sum", "rational", "zero", "dead"]))
+    if kind == "zero":
+        return point_mass(0)
+    if kind == "dead":
+        return DEAD
+    if kind == "rational":
+        return draw(rational_dists())
+    A = draw(exact_dists(_quadratic_points if kind == "quadratic" else _symbolic_points,
+                         max_size=5))
+    if kind == "sum":  # a shared lattice, with a radix wider than its own points need
+        A = convolve(A, draw(exact_dists(_symbolic_points, max_size=3)))
+    return A
+
+
+_one_term = st.sampled_from([G1, G1 * G3, Fraction(1, 3) * G2, Fraction(-5, 2**80) * G1 * G1])
+# images collide (g1 * 1 = 1 * g1) and can cancel: (1 + g1) * (1 - g1) = 1 - g1^2
+_several_terms = st.sampled_from([
+    G2 - 1, G1 + 1, 1 - G1, G1 * G1 - 2 * G1 + Fraction(1, 2),
+    Fraction(1, 3) * G1 + Fraction(3, 2) * G2, 2 * G1 * G3 + 6 * G1,
+])
+_placement_coefficients = st.one_of(
+    _rational_coefficients.map(as_scalar), _one_term, _several_terms)
+
+
+@st.composite
+def symbolic_forms(draw, min_size=1):
+    """Terms (c_j, X_j) of one linear form, inputs drawn from a small pool so
+    that one distribution can stand in several terms."""
+    pool = draw(st.lists(placement_sources(), min_size=1, max_size=3))
+    size = draw(st.integers(min_size, 4))
+    return [(draw(_placement_coefficients), draw(st.sampled_from(pool))) for _ in range(size)]
+
+
+class TestSymbolicPlacement:
+    """The linear-map placement of `_pack` against the point-by-point twin:
+    the same lattice, keys and reach, compared by `==`, so budgets, refusal
+    texts and every later step are unchanged."""
+
+    @staticmethod
+    def assert_placed_as_reference(terms):
+        lattice, placed = reference_place(terms)
+        packed = list(_pack(terms))
+        assert [(d._lattice.basis, d._lattice.denominator, d._lattice.radix) for d in packed] == (
+            [(lattice.basis, lattice.denominator, lattice.radix)] * len(terms))
+        assert [(list(d._weights), d._reach) for d in packed] == placed
+
+    @settings(max_examples=300)
+    @given(symbolic_forms())
+    def test_matches_reference_place(self, terms):
+        self.assert_placed_as_reference(terms)
+
+    def test_edge_cases_match_reference_place(self):
+        assert len(DEAD._lattice.basis) == 2 and len(DEAD) == 2
+        zero = scale(G1, point_mass(0))  # a lattice with no coordinate at all
+        assert zero._lattice.basis == []
+        W = uniform_on([G1 + G2, 2 * G1 - 1, G2 * G3])
+        rational = uniform_on([0, Fraction(1, 3), 5])
+        cancelling = uniform_on([1 + G1, 2 + 2 * G1])  # times 1 - g1, g1 is never live
+        cases = [
+            [(G1, DEAD)], [(G1 + 1, DEAD), (G2, DEAD)],
+            [(G1, point_mass(0))], [(G2 - 1, point_mass(0)), (G1, W)],
+            [(G2, zero)], [(G1 + 1, zero), (as_scalar(3), zero)],
+            [(G1, rational), (G2 - 1, rational), (as_scalar(Fraction(1, 2)), rational)],
+            [(G1, W), (G2, W), (G1 + G2, W), (as_scalar(-2), W)],
+            [(1 - G1, cancelling), (G1 * G1, cancelling)],
+            # 3 * (g1/3 + 2/3) = g1 + 2: the shared denominator shrinks below E
+            [(as_scalar(3), uniform_on([Fraction(1, 3) * G1, Fraction(2, 3)])), (3 * G1 + 3, W)],
+        ]
+        for terms in cases:
+            self.assert_placed_as_reference([(as_scalar(c), d) for c, d in terms])
+        # the cancelled g1 is no coordinate of the lattice
+        lattice, _ = reference_place([(1 - G1, cancelling)])
+        assert lattice.basis == [mono for mono, _ in (1 - G1 * G1).terms()]
+
+    def test_each_input_is_decoded_once(self, monkeypatch):
+        decoded = []
+        digits = _Lattice.digits
+        monkeypatch.setattr(_Lattice, "digits", lambda lattice, key: (
+            decoded.append(key) or digits(lattice, key)))
+        W = uniform_on(build_wn(ChannelMatrix.generic(2), 1, 2))
+        V = uniform_on([G1 + G2, 2 * G1 - 1, G2 * G3])
+        terms = [(G1, W), (G2 + 1, W), (G3, V), (as_scalar(Fraction(1, 2)), W), (G1, V),
+                 (G2, uniform_on(range(3)))]  # one coordinate: read from its keys
+        list(_pack(terms))
+        assert len(decoded) == len(W) + len(V)
+
+    @settings(max_examples=150)
+    @given(symbolic_forms(min_size=2), st.integers(1, 200))
+    def test_refused_as_packing_every_term_first(self, terms, budget):
+        # the old order: form every term's keys, then let each `convolve` step refuse
+        coeffs, dists = zip(*terms)
+        try:
+            expected = icdof.dist._sum(iter(reference_packed(terms)), budget)
+        except BudgetExceededError as exc:
+            with pytest.raises(BudgetExceededError) as info:
+                linear_combination(coeffs, dists, budget=budget)
+            assert str(info.value) == str(exc)
+        else:
+            assert list(linear_combination(coeffs, dists, budget=budget).items()) == (
+                list(expected.items()))
+
+    def test_first_step_is_refused_before_any_key_is_formed(self, monkeypatch):
+        H = ChannelMatrix.generic(2)
+        W = uniform_on(build_wn(H, 1, 2))  # 8 points on 3 coordinates
+        g11, g12 = H.row(0)
+        formed = []
+        monkeypatch.setattr(icdof.dist, "mul", lambda a, b: formed.append(a) or a * b)
+        pairs = len(W) ** 2
+        # a one-term and a two-term coefficient; then keys over 2^100 wide
+        for coeffs, budget, message in [
+            ([g12, g11 + 1], pairs - 1, f"{pairs} atom pairs, over the budget of {pairs - 1}"),
+            ([2**100 * g12, g11 + 1], pairs, f"{pairs} atom pairs of 13-word keys"),
+        ]:
+            terms = [(as_scalar(c), W) for c in coeffs]
+            with pytest.raises(BudgetExceededError) as old:
+                icdof.dist._sum(iter(reference_packed(terms)), budget)
+            with pytest.raises(BudgetExceededError, match=message) as new:
+                linear_combination(coeffs, [W, W], budget=budget)
+            assert str(new.value) == str(old.value)
+            assert formed == []
+        # over a budget that admits the step, the spy sees every key formed,
+        # one product per digit
+        linear_combination([g12, g11 + 1], [W, W], budget=pairs)
+        assert len(formed) == 2 * len(W) * len(W._lattice.basis)
 
 
 class TestScaleAndCombine:

@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import pytest
 
+import icdof.dist
 from icdof import (
+    BudgetExceededError,
     ExactScalar,
     IFSSpec,
     NotRationalError,
@@ -82,6 +84,32 @@ class TestTruncation:
         values = {v.as_fraction() for v in support_set(X)}
         assert values == {Fraction(0), Fraction(2, 3), Fraction(2), Fraction(8, 3)}
         assert all(p == Fraction(1, 4) for _, p in X.items())
+
+    def test_refusal_forms_only_the_keys_it_needs(self, monkeypatch):
+        # `infodim --m 16000` at r = 1/3, w = {0, 1} in small: keys of 317
+        # bits need 5 words, and the step of 256 pairs is the first refused
+        formed = []
+
+        class SpyKey(int):
+            def __mul__(self, other):
+                formed.append(self)
+                return int(self) * other
+
+        ifs = IFSSpec.create(Fraction(1, 3), [0, 1], [Fraction(1, 2)] * 2)
+        W = ifs.offset_dist()
+        spied = icdof.dist._new(
+            W._lattice, {SpyKey(k): w for k, w in W._weights.items()}, W._denominator, W._reach)
+        monkeypatch.setattr(IFSSpec, "offset_dist", lambda self: spied)
+        m, budget = 200, 1000
+        with pytest.raises(BudgetExceededError) as new:
+            truncated_dist(ifs, m, budget=budget)
+        # the text of forming every term's keys first
+        every_key = list(icdof.dist._pack([(ExactScalar.rational(ifs.r**k), W) for k in range(m)]))
+        with pytest.raises(BudgetExceededError) as old:
+            icdof.dist._sum(iter(every_key), budget)
+        assert str(new.value) == str(old.value) == (
+            "convolution needs 256 atom pairs of 5-word keys, over the budget of 1000")
+        assert len(formed) == 2 * 8  # terms 0 to 7: the sum so far and the refused step's
 
 
 class TestEmpirical:
