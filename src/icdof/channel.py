@@ -13,13 +13,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
 from .dist import DEFAULT_ATOM_BUDGET
 from .errors import BudgetExceededError, ParseError, ValidationError
-from .linalg import first_kernel_vector, independent_with_each, primitive_integer_vector
+from .linalg import first_relations
 from .scalar import ExactScalar, Monomial, MONO_ONE, as_scalar, mono_from_pairs, mono_str
 
 
@@ -258,16 +257,20 @@ def check_condition_star(
 
     For each user i the family is {f : deg f <= d+1} together with
     {h_ii * f : deg f <= d}, both evaluated at H's entries. A user proved by
-    `_rank_certificate` is independent at every degree. For the others the
-    degree-<=(d+1) basis is evaluated once; it is graded with the constant
-    first, so the degree-<=d basis is its first phi(K, d) values. Their
-    coefficient vectors over the concrete generator monomials are stacked
-    columnwise and the exact kernel decides dependence with any rational
-    coefficients, which is what integer combinations reduce to after
-    clearing denominators. A nonzero kernel yields an integer witness tagged
-    by family, so a report shows whether the plain monomials or the diagonal
-    multiples collapsed; `verify_witness` re-substitutes it from H before it
-    is reported.
+    `_rank_certificate` is independent at every degree. For the others each
+    member is a column, its coefficients over the concrete generator
+    monomials, and `linalg.first_relations` finds the first column that
+    depends on the ones before it, which decides dependence with any
+    rational coefficients, what integer combinations reduce to after
+    clearing denominators. The degree-<=(d+1) basis is shared by every user:
+    its columns are evaluated and reduced once per call, and each user's
+    diagonal multiples are then reduced on their pivots. It is graded with
+    the constant first, so the degree-<=d basis is its first phi(K, d)
+    values, kept for those multiples. Columns are built as they are reduced,
+    and none after the first dependent one. That column's relation is the
+    integer witness, tagged by family, so a report shows whether the plain
+    monomials or the diagonal multiples collapsed; `verify_witness`
+    re-substitutes it from H before it is reported.
 
     The phi(K, d+1) + phi(K, d) columns are counted against the budget before
     the certificate runs or the first monomial is enumerated, so a refusal
@@ -284,13 +287,20 @@ def check_condition_star(
     users = [i for i, proved in enumerate(_rank_certificate(H)) if not proved]
     if not users:
         return ConditionStarReport("holds-up-to-bound", d)
-    basis = enumerate_monomials(H.K, d + 1)
-    values = basis_values(H, basis)
-    prefix = values[: phi(H.K, d)]
-    monos, n = basis.monomials, len(basis)
-    for i in users:
-        diag = H.entry(i, i)
-        vector = _kernel_witness(values + [diag * v for v in prefix])
+    monos = enumerate_monomials(H.K, d + 1).monomials
+    n, lo, prefix = len(monos), phi(H.K, d), []
+
+    def values():
+        # the degree-<=d values are kept for the diagonal multiples, which are
+        # read only once every value has been reduced
+        for c, mono in enumerate(monos):
+            value = evaluate_monomial(H, mono)
+            if c < lo:
+                prefix.append(value)
+            yield dict(value.terms())
+
+    extras = ((dict((H.entry(i, i) * v).terms()) for v in prefix) for i in users)
+    for i, vector in zip(users, first_relations(values(), extras)):
         if vector is not None:
             terms = tuple(
                 WitnessTerm("monomial", monos[c], coeff) if c < n
@@ -319,40 +329,22 @@ def _rank_certificate(H: ChannelMatrix) -> list[bool]:
     dependent exponents leave the user to the elimination.
 
     The exponent vectors e_jk of the K(K-1) off-diagonal entries are shared
-    by every user, so they are eliminated once; each e_ii is then reduced on
-    their pivots, and a nonzero remainder proves user i.
+    by every user, so they are reduced once; each e_ii is then reduced on
+    their pivots, and user i is proved when no relation turns up.
     """
     exponents = [[_single_term_exponents(x) for x in row] for row in H.entries]
     off = [e for j, row in enumerate(exponents) for k, e in enumerate(row) if j != k]
     if None in off:
         return [False] * H.K
-    index: dict[str, int] = {}
-
-    def vector(pairs) -> dict[int, int]:
-        # a diagonal of no single term (None) is the zero row, never independent
-        return {index.setdefault(gen, len(index)): exp for gen, exp in pairs or ()}
-
-    return independent_with_each(
-        [vector(e) for e in off], [vector(exponents[i][i]) for i in range(H.K)])
+    # a diagonal of no single term (None) is the zero vector, never independent
+    return [relation is None for relation in first_relations(
+        (dict(e) for e in off), ([dict(exponents[i][i] or ())] for i in range(H.K)))]
 
 
 def _single_term_exponents(value: ExactScalar) -> Optional[tuple]:
     """The (generator, exponent) pairs of a single nonzero term, or None."""
     terms = list(value.terms())
     return terms[0][0][1] if len(terms) == 1 else None
-
-
-def _kernel_witness(columns: list[ExactScalar]) -> Optional[list[int]]:
-    """First primitive integer kernel vector of the columns' coefficient
-    matrix, or None when the columns are independent. The matrix has one
-    sparse row {column: coefficient} per concrete monomial; with no row at
-    all, every value is the zero scalar and the first unit vector vanishes."""
-    rows: dict[Monomial, dict[int, Fraction | int]] = {}
-    for col, value in enumerate(columns):
-        for mono, coeff in value.terms():
-            rows.setdefault(mono, {})[col] = coeff
-    vector = first_kernel_vector(rows.values(), len(columns))
-    return None if vector is None else primitive_integer_vector(vector)
 
 
 def verify_witness(H: ChannelMatrix, witness: Witness) -> bool:

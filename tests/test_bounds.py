@@ -356,6 +356,18 @@ class TestCertifiedReport:
             integer_example_bound(K, table, N)
             assert len(calls) == K * (K - 2)  # the cross steps only
 
+    def test_generic_theorem1_forms_no_signal_key(self, monkeypatch):
+        # a proved split reads the signal's weights, never its keys: each of
+        # the K users forms the keys of its K - 1 cross terms, one product
+        # per alphabet point and coordinate, and none of its signal term
+        formed = []
+        monkeypatch.setattr(icdof.dist, "mul", lambda a, b: formed.append(a) or a * b)
+        for K, d, N in ((2, 1, 3), (3, 1, 2)):
+            formed.clear()
+            W = uniform_on(build_wn(ChannelMatrix.generic(K), d, N))
+            theorem1_certified_bound(ChannelMatrix.generic(K), d, N)
+            assert len(formed) == K * (K - 1) * len(W) * len(W._lattice.basis)
+
     @pytest.mark.parametrize("K, d, N", [(2, 1, 2), (3, 0, 3), (3, 1, 2)])
     def test_full_step_refused_as_enumeration_refuses_it(self, monkeypatch, K, d, N):
         H = ChannelMatrix.generic(K)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import icdof.channel
+import icdof.linalg
 from icdof import (
     BudgetExceededError,
     ChannelMatrix,
@@ -30,14 +32,13 @@ from icdof import (
     enumerate_monomials,
     evaluate_monomial,
     is_fully_connected,
-    kernel_basis,
     off_diagonal_name,
     phi,
     theorem1_certified_bound,
     verify_witness,
 )
 from icdof.channel import alphabet_size
-from icdof.linalg import first_kernel_vector
+from test_linalg import reference_first_kernel_vector
 
 
 def rational_matrix(K: int, rng: random.Random) -> ChannelMatrix:
@@ -48,9 +49,9 @@ def rational_matrix(K: int, rng: random.Random) -> ChannelMatrix:
 
 def reference_check(H: ChannelMatrix, d: int) -> ConditionStarReport:
     """Slow twin of `check_condition_star`: both bases enumerated, every
-    family member evaluated on its own and tagged, the first kernel vector
-    taken densely, cleared to integers by hand, and re-substituted into the
-    values the kernel saw."""
+    family member evaluated on its own and tagged, each user's family
+    eliminated on its own by rows, the first kernel vector cleared to
+    integers by hand, and re-substituted into the values the kernel saw."""
     base_hi = enumerate_monomials(H.K, d + 1)
     base_lo = enumerate_monomials(H.K, d)
     for i in range(H.K):
@@ -59,13 +60,15 @@ def reference_check(H: ChannelMatrix, d: int) -> ConditionStarReport:
         family += [
             ("diag-multiple", m, diag * evaluate_monomial(H, m)) for m in base_lo.monomials
         ]
-        coefficients = [dict(value.terms()) for _, _, value in family]
-        monos = sorted({mono for terms in coefficients for mono in terms})
-        kernel = kernel_basis([[Fraction(c.get(m, 0)) for c in coefficients] for m in monos])
-        if not kernel:
+        rows: dict = {}
+        for col, (_, _, value) in enumerate(family):
+            for mono, coeff in value.terms():
+                rows.setdefault(mono, {})[col] = coeff
+        kernel = reference_first_kernel_vector(rows.values(), len(family))
+        if kernel is None:
             continue
-        denom = math.lcm(*(x.denominator for x in kernel[0]))
-        ints = [int(x * denom) for x in kernel[0]]
+        denom = math.lcm(*(x.denominator for x in kernel))
+        ints = [int(x * denom) for x in kernel]
         sign = 1 if next(x for x in ints if x) > 0 else -1
         witness = [sign * x // math.gcd(*ints) for x in ints]
         combo = ExactScalar.ZERO
@@ -86,12 +89,12 @@ def _gen(i: int, j: int) -> ExactScalar:
 
 
 @st.composite
-def channels(draw):
-    """A K x K channel, K in {2, 3}, of one of three kinds: all rational;
+def channels(draw, sizes=(2, 3)):
+    """A K x K channel, K in `sizes`, of one of three kinds: all rational;
     generic generators mixed with rationals; or generic and polynomial
     entries such as h_1_2*h_2_1 + 1/2 off the diagonal, with rational ones
     allowed on it (the kind whose witnesses use the diagonal multiples)."""
-    K = draw(st.sampled_from((2, 3)))
+    K = draw(st.sampled_from(sizes))
     kind = draw(st.sampled_from(("rational", "mixed", "polynomial")))
     gens = [_gen(i, j) for i in range(1, K + 1) for j in range(1, K + 1) if i != j]
 
@@ -162,7 +165,7 @@ def reference_rank_certificate(H: ChannelMatrix) -> list[bool]:
         for col, pairs in enumerate(columns):
             for gen, exp in pairs:
                 rows.setdefault(gen, {})[col] = exp
-        proved.append(first_kernel_vector(rows.values(), len(columns)) is None)
+        proved.append(reference_first_kernel_vector(rows.values(), len(columns)) is None)
     return proved
 
 
@@ -434,12 +437,77 @@ class TestConditionStarAgainstReference:
     def test_hypothesis_channels(self, H, d):
         assert check_condition_star(H, d).to_json() == reference_check(H, d).to_json()
 
+    @settings(max_examples=60)
+    @given(channels(sizes=(2,)), st.sampled_from((2, 3)))
+    def test_hypothesis_two_user_channels_at_higher_degree(self, H, d):
+        assert check_condition_star(H, d).to_json() == reference_check(H, d).to_json()
+
+
+class TestOneElimination:
+    """The family columns every user shares are built and reduced once per
+    call, each user's diagonal multiples on their pivots, and nothing is
+    built or reduced after the first dependent column."""
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        """The monomials evaluated and the indices of the columns reduced."""
+        built, reduced = [], []
+        evaluate, reduce = icdof.channel.evaluate_monomial, icdof.linalg._reduce
+
+        def evaluate_spy(H, mono):
+            built.append(mono)
+            return evaluate(H, mono)
+
+        def reduce_spy(row, relation, pivots):
+            reduced.append(max(relation))  # a column enters as its own relation
+            return reduce(row, relation, pivots)
+
+        monkeypatch.setattr(icdof.channel, "evaluate_monomial", evaluate_spy)
+        monkeypatch.setattr(icdof.linalg, "_reduce", reduce_spy)
+        return built, reduced
+
+    @pytest.mark.parametrize("H, d", [
+        (ChannelMatrix.from_rows([[_gen(1, 1), _gen(1, 2) + 1], [_gen(2, 1) + 1, _gen(2, 2)]]), 2),
+        (ChannelMatrix.from_rows(
+            [[_gen(i, j) + (i == 1 and j == 2) for j in range(1, 4)] for i in range(1, 4)]), 1),
+    ])
+    def test_shared_block_is_reduced_once(self, spies, H, d):
+        built, reduced = spies
+        assert not any(icdof.channel._rank_certificate(H))
+        reduced.clear()
+        report = check_condition_star(H, d)
+        assert report.to_json() == reference_check(H, d).to_json()
+        assert report.status == "holds-up-to-bound"
+        n, m = phi(H.K, d + 1), phi(H.K, d)
+        assert built == list(enumerate_monomials(H.K, d + 1).monomials)
+        assert reduced[len(reduced) - H.K * m:] == list(range(n, n + m)) * H.K
+        assert sorted(reduced[: len(reduced) - H.K * m]) == list(range(n))
+
+    @pytest.mark.parametrize("rows, last", [
+        # h_1_2 = 2 is the constant's multiple: column 1 of the shared block
+        ([[_gen(1, 1), 2], [_gen(2, 1) + 1, _gen(2, 2)]], 1),
+        # user 1's first diagonal multiple, 3 * 1, is the constant's multiple
+        ([[3, _gen(1, 2) + 1], [_gen(2, 1) + 1, _gen(2, 2)]], phi(2, 3)),
+    ])
+    def test_nothing_after_the_first_dependent_column(self, spies, rows, last):
+        built, reduced = spies
+        H, d = ChannelMatrix.from_rows(rows), 2
+        report = check_condition_star(H, d)
+        assert report.to_json() == reference_check(H, d).to_json()
+        assert report.witness.user == 1
+        monos = enumerate_monomials(H.K, d + 1).monomials
+        witness = [term.monomial for term in report.witness.terms]
+        # the columns up to the dependent one (diagonal multiples reuse the
+        # values of the shared block), then `verify_witness`
+        assert built == list(monos[: last + 1]) + witness
+        assert reduced[-1] == last and sorted(set(reduced)) == list(range(last + 1))
+
 
 def test_self_check_rejects_a_non_kernel_vector(monkeypatch):
-    def not_a_kernel_vector(rows, n_cols):
-        return [Fraction(1)] + [Fraction(0)] * (n_cols - 1)
+    def not_a_kernel_vector(base, extras):
+        return ([1] for _ in extras)  # the constant alone, which never vanishes
 
-    monkeypatch.setattr(icdof.channel, "first_kernel_vector", not_a_kernel_vector)
+    monkeypatch.setattr(icdof.channel, "first_relations", not_a_kernel_vector)
     # a rational channel, which the rank certificate leaves to the elimination
     H = ChannelMatrix.from_rows([[1, 2], [3, 4]])
     with pytest.raises(RuntimeError, match="^kernel witness failed re-substitution; elimination bug$"):
@@ -453,22 +521,25 @@ class TestRankCertificate:
 
     @pytest.fixture
     def eliminated(self, monkeypatch):
-        """The users handed to `_kernel_witness`, counted by a spy."""
+        """The users whose families `first_relations` reduced for the
+        elimination, counted by a spy; the rank certificate's own call reduces
+        exponent vectors, not families, and is not counted."""
         calls = []
-        original = icdof.channel._kernel_witness
+        original = icdof.channel.first_relations
 
-        def spy(columns):
-            calls.append(len(columns))
-            return original(columns)
+        def spy(base, extras):
+            if sys._getframe(1).f_code.co_name == "check_condition_star":
+                extras = (calls.append(len(calls)) or group for group in extras)
+            return original(base, extras)
 
-        monkeypatch.setattr(icdof.channel, "_kernel_witness", spy)
+        monkeypatch.setattr(icdof.channel, "first_relations", spy)
         return calls
 
     def test_generic_degree_200_never_eliminates(self, monkeypatch):
         def fail(*args):
             raise AssertionError("elimination ran for a certified channel")
 
-        monkeypatch.setattr(icdof.channel, "_kernel_witness", fail)
+        monkeypatch.setattr(icdof.channel, "evaluate_monomial", fail)
         monkeypatch.setattr(icdof.channel, "enumerate_monomials", fail)
         report = check_condition_star(ChannelMatrix.generic(2), 200)
         assert report.to_json() == {"status": "holds-up-to-bound", "degree": 200}
