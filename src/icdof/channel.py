@@ -256,21 +256,23 @@ def check_condition_star(
     linearly independent over the rationals.
 
     For each user i the family is {f : deg f <= d+1} together with
-    {h_ii * f : deg f <= d}, both evaluated at H's entries. A user proved by
-    `_rank_certificate` is independent at every degree. For the others each
-    member is a column, its coefficients over the concrete generator
-    monomials, and `linalg.first_relations` finds the first column that
-    depends on the ones before it, which decides dependence with any
-    rational coefficients, what integer combinations reduce to after
-    clearing denominators. The degree-<=(d+1) basis is shared by every user:
-    its columns are evaluated and reduced once per call, and each user's
-    diagonal multiples are then reduced on their pivots. It is graded with
-    the constant first, so the degree-<=d basis is its first phi(K, d)
-    values, kept for those multiples. Columns are built as they are reduced,
-    and none after the first dependent one. That column's relation is the
-    integer witness, tagged by family, so a report shows whether the plain
-    monomials or the diagonal multiples collapsed; `verify_witness`
-    re-substitutes it from H before it is reported.
+    {h_ii * f : deg f <= d}: distinct monomials in the off-diagonal entries
+    and h_ii, evaluated at H. `_jacobian_certificate` proves a user at every
+    degree when the Jacobian of those entries has full rank at one point. A
+    rank drop proves nothing, and the user is eliminated: each member is a
+    column, its coefficients over the concrete generator monomials, and
+    `linalg.first_relations` finds the first column that depends on the ones
+    before it, which decides dependence with any rational coefficients, what
+    integer combinations reduce to after clearing denominators. The
+    degree-<=(d+1) basis is shared by every user: its columns are evaluated
+    and reduced once per call, and each user's diagonal multiples are then
+    reduced on their pivots. It is graded with the constant first, so the
+    degree-<=d basis is its first phi(K, d) values, kept for those multiples.
+    Columns are built as they are reduced, and none after the first dependent
+    one. That column's relation is the integer witness, tagged by family, so a
+    report shows whether the plain monomials or the diagonal multiples
+    collapsed; `verify_witness` re-substitutes it from H before it is
+    reported.
 
     The phi(K, d+1) + phi(K, d) columns are counted against the budget before
     the certificate runs or the first monomial is enumerated, so a refusal
@@ -284,7 +286,7 @@ def check_condition_star(
         raise BudgetExceededError(
             f"independence check needs {shown} family columns, over the budget of {budget}"
         )
-    users = [i for i, proved in enumerate(_rank_certificate(H)) if not proved]
+    users = [i for i, proved in enumerate(_jacobian_certificate(H)) if not proved]
     if not users:
         return ConditionStarReport("holds-up-to-bound", d)
     monos = enumerate_monomials(H.K, d + 1).monomials
@@ -315,36 +317,31 @@ def check_condition_star(
     return ConditionStarReport("holds-up-to-bound", d)
 
 
-def _rank_certificate(H: ChannelMatrix) -> list[bool]:
-    """Per user i, whether i's checked families are proved independent at
-    every degree without elimination.
+def _jacobian_certificate(H: ChannelMatrix) -> list[bool]:
+    """Per user i, whether the Jacobian of the K(K-1) off-diagonal entries
+    and h_ii has full rank at the all-ones point.
 
-    Suppose each off-diagonal entry h_jk is one nonzero term c_jk x^e_jk and
-    so is h_ii. A family member f = prod h_jk^a_jk then evaluates to a nonzero
-    multiple of x^(E a), and h_ii f to one of x^(E a + e_ii), where E has the
-    columns e_jk. When the columns of [E | e_ii] are linearly independent over
-    Q, (a, t) -> E a + t e_ii is injective, so the members are multiples of
-    pairwise distinct monomials and hence independent. A zero entry, a
-    rational one (zero exponent vector), an entry of two or more terms, or
-    dependent exponents leave the user to the elimination.
-
-    The exponent vectors e_jk of the K(K-1) off-diagonal entries are shared
-    by every user, so they are reduced once; each e_ii is then reduced on
-    their pivots, and user i is proved when no relation turns up.
+    Full rank at one rational point makes those polynomials algebraically
+    independent over Q (the Jacobian criterion; Beecken, Mittmann and
+    Saxena, Inf. Comput. 2013), so distinct monomials in them, i's family
+    members, are linearly independent at every degree. At that point the
+    gradient of c x^e is c e, so single terms reduce their exponent vectors.
+    The off-diagonal gradients are shared by every user, so they are reduced
+    once, and each gradient of h_ii on their pivots.
     """
-    exponents = [[_single_term_exponents(x) for x in row] for row in H.entries]
-    off = [e for j, row in enumerate(exponents) for k, e in enumerate(row) if j != k]
-    if None in off:
-        return [False] * H.K
-    # a diagonal of no single term (None) is the zero vector, never independent
+    gradients = [[_gradient_at_ones(x) for x in row] for row in H.entries]
+    off = (g for j, row in enumerate(gradients) for k, g in enumerate(row) if j != k)
     return [relation is None for relation in first_relations(
-        (dict(e) for e in off), ([dict(exponents[i][i] or ())] for i in range(H.K)))]
+        off, ([gradients[i][i]] for i in range(H.K)))]
 
 
-def _single_term_exponents(value: ExactScalar) -> Optional[tuple]:
-    """The (generator, exponent) pairs of a single nonzero term, or None."""
-    terms = list(value.terms())
-    return terms[0][0][1] if len(terms) == 1 else None
+def _gradient_at_ones(value: ExactScalar) -> dict:
+    """The gradient where every generator is 1: c e summed over terms c x^e."""
+    gradient: dict = {}
+    for (_, pairs), coeff in value.terms():
+        for gen, exp in pairs:
+            gradient[gen] = gradient.get(gen, 0) + coeff * exp
+    return {gen: v for gen, v in gradient.items() if v}
 
 
 def verify_witness(H: ChannelMatrix, witness: Witness) -> bool:

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,24 +48,28 @@ def rational_matrix(K: int, rng: random.Random) -> ChannelMatrix:
     )
 
 
+def reference_family_kernel(H: ChannelMatrix, i: int, d: int):
+    """User i's family, each member tagged and evaluated on its own, and the
+    first kernel vector of its elimination by rows, or None."""
+    diag = H.entry(i, i)
+    family = [("monomial", m, evaluate_monomial(H, m))
+              for m in enumerate_monomials(H.K, d + 1).monomials]
+    family += [("diag-multiple", m, diag * evaluate_monomial(H, m))
+               for m in enumerate_monomials(H.K, d).monomials]
+    rows: dict = {}
+    for col, (_, _, value) in enumerate(family):
+        for mono, coeff in value.terms():
+            rows.setdefault(mono, {})[col] = coeff
+    return family, reference_first_kernel_vector(rows.values(), len(family))
+
+
 def reference_check(H: ChannelMatrix, d: int) -> ConditionStarReport:
     """Slow twin of `check_condition_star`: both bases enumerated, every
     family member evaluated on its own and tagged, each user's family
     eliminated on its own by rows, the first kernel vector cleared to
     integers by hand, and re-substituted into the values the kernel saw."""
-    base_hi = enumerate_monomials(H.K, d + 1)
-    base_lo = enumerate_monomials(H.K, d)
     for i in range(H.K):
-        diag = H.entry(i, i)
-        family = [("monomial", m, evaluate_monomial(H, m)) for m in base_hi.monomials]
-        family += [
-            ("diag-multiple", m, diag * evaluate_monomial(H, m)) for m in base_lo.monomials
-        ]
-        rows: dict = {}
-        for col, (_, _, value) in enumerate(family):
-            for mono, coeff in value.terms():
-                rows.setdefault(mono, {})[col] = coeff
-        kernel = reference_first_kernel_vector(rows.values(), len(family))
+        family, kernel = reference_family_kernel(H, i, d)
         if kernel is None:
             continue
         denom = math.lcm(*(x.denominator for x in kernel))
@@ -150,22 +155,68 @@ def single_term_channels(draw):
     return single_term_channel(lambda options: draw(st.sampled_from(options)), K)
 
 
+def _single_term_exponents(value: ExactScalar):
+    """The (generator, exponent) pairs of a single nonzero term, or None."""
+    terms = list(value.terms())
+    return terms[0][0][1] if len(terms) == 1 else None
+
+
+def _sympy_gradient_at_ones(value: ExactScalar) -> dict:
+    """{generator: nonzero derivative at the all-ones point}, by sympy."""
+    gens = {name: sympy.Symbol(name) for name in value.generators()}
+    expr = sum((sympy.Rational(coeff.numerator, coeff.denominator)
+                * sympy.Mul(*(gens[g] ** e for g, e in mono[1]))
+                for mono, coeff in value.terms()), sympy.Integer(0))
+    ones = {symbol: 1 for symbol in gens.values()}
+    gradient = {name: sympy.diff(expr, symbol).subs(ones) for name, symbol in gens.items()}
+    return {name: Fraction(int(v.p), int(v.q)) for name, v in gradient.items() if v}
+
+
+@st.composite
+def polynomial_channels(draw):
+    """A K x K channel, K in {2, 3}, whose entries are sums of 0 to 3 terms
+    c x^e, c a nonzero rational, over a pool of K(K-1) + 1 to K(K-1) + 3
+    generators that every entry draws from: zero, rational, single-term and
+    multi-term entries, with and without a Jacobian of full rank. Zero
+    entries and constant terms are drawn less often than the others, so
+    that some K = 3 channels have none; every draw comes from one seeded
+    generator."""
+    rng = draw(st.randoms(use_true_random=False))
+    K = rng.choice((2, 3))
+    pool = [ExactScalar.generator(f"g{n}") for n in range(K * (K - 1) + rng.randint(1, 3))]
+
+    def term():
+        value = as_scalar(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)))
+        for _ in range(rng.choice((0, 1, 1, 2, 2))):
+            value = value * rng.choice(pool) ** rng.randint(1, 2)
+        return value
+
+    def entry():
+        return sum((term() for _ in range(rng.choice((0, 1, 1, 2, 2, 3, 3)))), ExactScalar.ZERO)
+
+    return ChannelMatrix.from_rows([[entry() for _ in range(K)] for _ in range(K)])
+
+
 def reference_rank_certificate(H: ChannelMatrix) -> list[bool]:
-    """Slow twin of `_rank_certificate`: per user, one elimination of the
-    whole generator-by-column exponent matrix [E | e_ii]."""
-    exponents = [[icdof.channel._single_term_exponents(x) for x in row] for row in H.entries]
-    off = [e for j, row in enumerate(exponents) for k, e in enumerate(row) if j != k]
+    """Slow twin of `_jacobian_certificate`: per user, one elimination by
+    rows of the whole generator-by-column matrix for the K(K-1) off-diagonal
+    entries and h_ii. On a channel of nonzero single terms c x^e the columns
+    are the exponent vectors e, which the gradients at the all-ones point
+    only scale by c != 0; on any other channel they are sympy's gradients at
+    that point."""
+    exponents = [[_single_term_exponents(x) for x in row] for row in H.entries]
+    if any(e is None for row in exponents for e in row):
+        columns = [[_sympy_gradient_at_ones(x) for x in row] for row in H.entries]
+    else:
+        columns = [[dict(e) for e in row] for row in exponents]
+    off = [c for j, row in enumerate(columns) for k, c in enumerate(row) if j != k]
     proved = []
     for i in range(H.K):
-        columns = off + [exponents[i][i]]
-        if None in columns:
-            proved.append(False)
-            continue
-        rows: dict[str, dict[int, int]] = {}
-        for col, pairs in enumerate(columns):
-            for gen, exp in pairs:
-                rows.setdefault(gen, {})[col] = exp
-        proved.append(reference_first_kernel_vector(rows.values(), len(columns)) is None)
+        rows: dict[str, dict[int, Fraction | int]] = {}
+        for col, column in enumerate(off + [columns[i][i]]):
+            for gen, value in column.items():
+                rows.setdefault(gen, {})[col] = value
+        proved.append(reference_first_kernel_vector(rows.values(), len(off) + 1) is None)
     return proved
 
 
@@ -467,15 +518,21 @@ class TestOneElimination:
         return built, reduced
 
     @pytest.mark.parametrize("H, d", [
-        (ChannelMatrix.from_rows([[_gen(1, 1), _gen(1, 2) + 1], [_gen(2, 1) + 1, _gen(2, 2)]]), 2),
+        # independent entries, but the gradient of x^2 - 2x vanishes at x = 1
         (ChannelMatrix.from_rows(
-            [[_gen(i, j) + (i == 1 and j == 2) for j in range(1, 4)] for i in range(1, 4)]), 1),
+            [[_gen(1, 1), _gen(1, 2) ** 2 - 2 * _gen(1, 2)], [_gen(2, 1) + 1, _gen(2, 2)]]), 2),
+        # h_3_2 is a polynomial in h_1_2, h_2_1 and h_1_3; (*) still holds at d = 1
+        (ChannelMatrix.from_rows(
+            [[_gen(1, 2) * _gen(2, 1) * _gen(1, 3) + 1 if (i, j) == (3, 2) else _gen(i, j)
+              for j in range(1, 4)] for i in range(1, 4)]), 1),
     ])
     def test_shared_block_is_reduced_once(self, spies, H, d):
         built, reduced = spies
-        assert not any(icdof.channel._rank_certificate(H))
+        assert not any(icdof.channel._jacobian_certificate(H))
+        certificate = len(reduced)  # the certificate's reductions come first in each call
         reduced.clear()
         report = check_condition_star(H, d)
+        del reduced[:certificate]
         assert report.to_json() == reference_check(H, d).to_json()
         assert report.status == "holds-up-to-bound"
         n, m = phi(H.K, d + 1), phi(H.K, d)
@@ -515,15 +572,15 @@ def test_self_check_rejects_a_non_kernel_vector(monkeypatch):
 
 
 class TestRankCertificate:
-    """Channels whose entries are single terms with independent exponent
-    vectors are proved without elimination; everything else is eliminated,
-    and both paths report what `reference_check` reports."""
+    """Users whose entries have a Jacobian of full rank at the all-ones point
+    are proved without elimination; every other user is eliminated, and both
+    paths report what `reference_check` reports."""
 
     @pytest.fixture
     def eliminated(self, monkeypatch):
         """The users whose families `first_relations` reduced for the
         elimination, counted by a spy; the rank certificate's own call reduces
-        exponent vectors, not families, and is not counted."""
+        gradients, not families, and is not counted."""
         calls = []
         original = icdof.channel.first_relations
 
@@ -545,6 +602,17 @@ class TestRankCertificate:
         assert report.to_json() == {"status": "holds-up-to-bound", "degree": 200}
         for K, d in ((3, 10), (4, 5)):
             assert check_condition_star(ChannelMatrix.generic(K), d).status == "holds-up-to-bound"
+        # channels with entries of several terms, which the elimination
+        # decides only in seconds at these degrees
+        a, b, c = (ExactScalar.generator(name) for name in ("a", "b", "c"))
+        for H, d in (
+            (ChannelMatrix.from_rows([[_gen(1, 1), _gen(1, 2) + 1], [_gen(2, 1) + 1, _gen(2, 2)]]), 40),
+            (ChannelMatrix.from_rows(
+                [[_gen(i, j) + (i != j) for j in range(1, 4)] for i in range(1, 4)]), 10),
+            (ChannelMatrix.from_rows([[a, b ** 2 + c], [c ** 3 - b, a + b]]), 30),
+        ):
+            report = check_condition_star(H, d)
+            assert report.to_json() == {"status": "holds-up-to-bound", "degree": d}
 
     @pytest.mark.parametrize("H, d", [
         (ChannelMatrix.generic(2), 0),
@@ -568,29 +636,33 @@ class TestRankCertificate:
             [as_scalar("g1"), _gen(1, 2), _gen(1, 3)],
             [_gen(2, 1), as_scalar("g1^2*h_1_2"), _gen(2, 3)],
             [_gen(3, 1), _gen(3, 2), as_scalar("2*g1*h_2_1")]]), 1),
+        # an entry of two terms off the diagonal, and one on it
+        (ChannelMatrix.from_rows([[_gen(1, 1), _gen(1, 2) + 1], [_gen(2, 1), _gen(2, 2)]]), 1),
+        (ChannelMatrix.from_rows(
+            [[_gen(1, 1), _gen(1, 2)], [_gen(2, 1), _gen(2, 2) - _gen(1, 1)]]), 1),
     ])
     def test_accepted_channels_match_reference(self, eliminated, H, d):
-        assert icdof.channel._rank_certificate(H) == [True] * H.K
+        assert icdof.channel._jacobian_certificate(H) == [True] * H.K
         assert check_condition_star(H, d).to_json() == reference_check(H, d).to_json()
         assert eliminated == []
 
     @pytest.mark.parametrize("H, d, refused", [
-        # a rational entry is a zero exponent column
+        # a rational entry has a zero gradient
         (ChannelMatrix.from_rows([[_gen(1, 1), 2], [_gen(2, 1), _gen(2, 2)]]), 1, [1, 2]),
         # a rational diagonal refuses only its own user
         (ChannelMatrix.from_rows([[3, _gen(1, 2)], [_gen(2, 1), _gen(2, 2)]]), 1, [1]),
-        # a zero entry has no term
+        # and so has a zero entry
         (ChannelMatrix.from_rows([[_gen(1, 1), 0], [_gen(2, 1), _gen(2, 2)]]), 1, [1, 2]),
-        # an entry of two terms
+        # h_2_1 = h_1_2^2 + 1 has a gradient parallel to h_1_2's
         (ChannelMatrix.from_rows(
-            [[_gen(1, 1), _gen(1, 2) + 1], [_gen(2, 1), _gen(2, 2)]]), 1, [1, 2]),
+            [[_gen(1, 1), _gen(1, 2)], [_gen(1, 2) ** 2 + 1, _gen(2, 2)]]), 1, [1, 2]),
         # dependent exponents: h_2_2 = h_1_2 * h_2_1 as monomials
         (ChannelMatrix.from_rows(
             [[_gen(1, 1), _gen(1, 2)], [_gen(2, 1), 5 * _gen(1, 2) * _gen(2, 1)]]), 1, [2]),
         (ChannelMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]]), 1, [1, 2, 3]),
     ])
     def test_refused_users_are_eliminated(self, eliminated, H, d, refused):
-        proved = icdof.channel._rank_certificate(H)
+        proved = icdof.channel._jacobian_certificate(H)
         assert [i + 1 for i, ok in enumerate(proved) if not ok] == refused
         report = check_condition_star(H, d)
         assert report.to_json() == reference_check(H, d).to_json()
@@ -604,13 +676,13 @@ class TestRankCertificate:
         for _ in range(60):
             H = single_term_channel(rng.choice, rng.choice((2, 3)))
             d = rng.choice((0, 1))
-            accepted += all(icdof.channel._rank_certificate(H))
+            accepted += all(icdof.channel._jacobian_certificate(H))
             assert check_condition_star(H, d).to_json() == reference_check(H, d).to_json()
         assert 0 < accepted < 60  # both paths are exercised
 
     @pytest.mark.parametrize("K", range(2, 9))
     def test_certificate_matches_reference_on_generic(self, K):
-        assert icdof.channel._rank_certificate(ChannelMatrix.generic(K)) == (
+        assert icdof.channel._jacobian_certificate(ChannelMatrix.generic(K)) == (
             reference_rank_certificate(ChannelMatrix.generic(K))) == [True] * K
 
     @pytest.mark.parametrize("rows", [
@@ -628,15 +700,34 @@ class TestRankCertificate:
          [_gen(2, 1), _gen(1, 3) * _gen(2, 2), _gen(2, 3)],
          [_gen(3, 1), _gen(3, 2), 3 * _gen(3, 3) ** 2]],
         [[as_scalar("g1"), as_scalar("g1*g2")], [as_scalar("g2^2"), as_scalar("g3")]],
+        # several terms: independent entries whose gradient vanishes at ones,
+        # and a diagonal whose gradient there is in the off-diagonal span
+        [[_gen(1, 1), _gen(1, 2) ** 2 - 2 * _gen(1, 2)], [_gen(2, 1), _gen(2, 2)]],
+        [[_gen(1, 2) ** 2 + _gen(2, 1), _gen(1, 2)], [_gen(2, 1) ** 3, 3 * _gen(2, 2) + 1]],
     ])
     def test_certificate_matches_reference(self, rows):
         H = ChannelMatrix.from_rows(rows)
-        assert icdof.channel._rank_certificate(H) == reference_rank_certificate(H)
+        assert icdof.channel._jacobian_certificate(H) == reference_rank_certificate(H)
 
     @settings(max_examples=150)
     @given(single_term_channels())
     def test_certificate_matches_reference_on_single_terms(self, H):
-        assert icdof.channel._rank_certificate(H) == reference_rank_certificate(H)
+        assert icdof.channel._jacobian_certificate(H) == reference_rank_certificate(H)
+
+    @settings(max_examples=60)
+    @given(polynomial_channels())
+    def test_certificate_matches_reference_on_polynomials(self, H):
+        assert icdof.channel._jacobian_certificate(H) == reference_rank_certificate(H)
+
+    @settings(max_examples=100)
+    @given(polynomial_channels())
+    def test_proved_users_have_no_kernel_vector(self, H):
+        # a user's family at degree d holds its families at every lower
+        # degree, so no kernel vector at the top degree covers them all
+        d = 2 if H.K == 2 else 1
+        for i, proved in enumerate(icdof.channel._jacobian_certificate(H)):
+            if proved:
+                assert reference_family_kernel(H, i, d)[1] is None
 
     @settings(max_examples=100)
     @given(single_term_channels(), st.sampled_from((0, 1)))
