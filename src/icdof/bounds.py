@@ -4,11 +4,11 @@ Everything here reduces to exact distributions of linear forms sum_j h_ij W_j
 and their entropies: every bound reads each user's H(interference) and
 H(full) from `split_entropies`, which proves their sum injective or enumerates
 it. The clamped-sum bound takes a resolution parameter r_log = log2(1/r) > 0;
-certified constructions pick the alphabet, check independence first, and
-verify the signal/interference entropy split exactly before reporting. All
-reports carry the caveat that dimension formulas hold for contraction
-parameters outside an unobservable zero-dimensional exceptional set, which
-cannot be tested per instance.
+certified constructions pick the inputs (Theorem 1's W_N from `build_wn`),
+check independence first, and verify the signal/interference entropy split
+exactly before reporting. All reports carry the caveat that dimension
+formulas hold for contraction parameters outside an unobservable
+zero-dimensional exceptional set, which cannot be tested per instance.
 """
 
 from __future__ import annotations
@@ -161,10 +161,10 @@ def nonasymptotic_floor(K: int, d: int, N: int) -> float:
 def theorem1_certified_bound(
     H: ChannelMatrix, d: int, N: int, budget: int = DEFAULT_ATOM_BUDGET
 ) -> BoundReport:
-    """Certified construction: check independence at degree d, build the
-    alphabet of degree-<=d monomial combinations with coefficients {1..N},
-    feed i.i.d. uniform inputs to the clamped bound, and verify the exact
-    signal/interference entropy split for every user.
+    """Certified construction: check independence at degree d, which makes
+    `build_wn`'s W_N uniform on N^phi(K,d) distinct values, feed W_N i.i.d.
+    to the clamped bound, and verify the exact signal/interference entropy
+    split for every user.
 
     The closed-form floor for the same (K, d, N) is reported alongside for
     comparison; it is often loose at small parameters.
@@ -179,16 +179,14 @@ def theorem1_certified_bound(
             f"independence fails at degree {d} for user {report.witness.user}",
             witness=report.witness.to_json(),
         )
-    # The check certifies the alphabet distinct and scale is injective, so
+    # The check makes W_N's N^phi values distinct and scale is injective, so
     # each user's first convolution pairs exactly size * size atoms; refuse it
-    # before the alphabet is built.
+    # before W_N is built.
     size = alphabet_size(phi(H.K, d), N, budget)
     check_pair_budget(size * size, budget)
-    alphabet = build_wn(H, d, N, budget=budget)
-    W_dist = uniform_on(alphabet)  # distinctness is certified by the check above
     return _certified_report(
         H,
-        W_dist,
+        build_wn(H, d, N, budget=budget),
         2 * phi(H.K, d) * math.log2(N),
         budget,
         params={"K": H.K, "d": d, "N": N},

@@ -1,11 +1,11 @@
-"""Channel matrices, monomial enumeration, alphabet construction, and the
-finite independence checker.
+"""Channel matrices, monomial enumeration, Theorem 1's input distribution
+W_N, and the finite independence checker.
 
 A channel is a K x K matrix of exact scalars. "Generic" entries are fresh
 generators (algebraically independent stand-ins), named h_<i>_<j> with
-1-based indices. The alphabet construction and the certified bounds build on
-monomials in the K(K-1) off-diagonal positions, substituting whatever each
-position actually holds (a generator, a rational, or a polynomial).
+1-based indices. W_N and the certified bounds build on monomials in the
+K(K-1) off-diagonal positions, substituting whatever each position actually
+holds (a generator, a rational, or a polynomial).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
-from .dist import DEFAULT_ATOM_BUDGET
+from .dist import DEFAULT_ATOM_BUDGET, DiscreteDist, linear_combination, uniform_on
 from .errors import BudgetExceededError, ParseError, ValidationError
 from .linalg import first_relations
 from .scalar import ExactScalar, Monomial, MONO_ONE, as_scalar, mono_from_pairs, mono_str
@@ -180,14 +180,14 @@ def basis_values(H: ChannelMatrix, basis: MonomialBasis) -> list[ExactScalar]:
 
 def build_wn(
     H: ChannelMatrix, d: int, N: int, budget: int = DEFAULT_ATOM_BUDGET
-) -> list[ExactScalar]:
-    """The alphabet {sum_j a_j f_j : a_j in {1..N}} over the degree-<=d basis.
-
-    Returns all N^phi(K,d) combination values in a deterministic order. With
-    generic entries these are pairwise distinct; with concrete entries the
-    list may repeat values, and callers decide whether that is an error.
-    Both the N^phi(K,d) values and the phi(K,d) basis monomials are counted
-    against the budget before the basis is enumerated.
+) -> DiscreteDist:
+    """Theorem 1's input W_N = sum_f a_f f(H) over the degree-<=d basis, the
+    a_f i.i.d. uniform on {1..N}: a `linear_combination`, so a value that k of
+    the N^phi(K,d) coefficient vectors reach has probability k / N^phi(K,d).
+    Generic entries reach each value once; callers decide whether a collapse
+    is an error. The N^phi(K,d) values and the phi(K,d) basis monomials are
+    counted against the budget before the basis is enumerated, and each
+    convolution step is then refused as `convolve` refuses it.
     """
     if N < 1:
         raise ValidationError(f"need N >= 1, got {N}")
@@ -198,11 +198,9 @@ def build_wn(
             f"alphabet basis would hold {_decimal(count, f'phi({H.K}, {d})')} monomials, "
             f"over the budget of {budget}"
         )
-    values = [ExactScalar.rational(0)]
-    for f in basis_values(H, enumerate_monomials(H.K, d)):
-        scaled = [f * a for a in range(1, N + 1)]
-        values = [w + fa for w in values for fa in scaled]
-    return values
+    coefficient = uniform_on(range(1, N + 1))
+    return linear_combination(
+        basis_values(H, enumerate_monomials(H.K, d)), [coefficient] * count, budget=budget)
 
 
 # -- independence checker --------------------------------------------------------

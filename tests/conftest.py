@@ -13,7 +13,14 @@ import pytest
 from hypothesis import settings
 
 import icdof.dist
-from icdof import DiscreteDist, as_scalar
+from icdof import (
+    ChannelMatrix,
+    DiscreteDist,
+    ExactScalar,
+    as_scalar,
+    basis_values,
+    enumerate_monomials,
+)
 
 # One profile for every property suite: the same examples on every run, no
 # example database, and no per-example deadline on a loaded shared host.
@@ -53,6 +60,17 @@ def counting_convolve(calls: list):
     in `calls`; patch it over `icdof.dist.convolve` to see every step."""
     convolve = icdof.dist.convolve
     return lambda A, B, budget: calls.append(len(A) * len(B)) or convolve(A, B, budget)
+
+
+def reference_build_wn(H: ChannelMatrix, d: int, N: int) -> list[ExactScalar]:
+    """Slow twin of `build_wn`: every one of the N^phi(K,d) values sum_f a_f
+    f(H), a_f in {1..N}, formed as an `ExactScalar` sum, repeats kept, in the
+    order of the coefficient vectors."""
+    values = [ExactScalar.rational(0)]
+    for f in basis_values(H, enumerate_monomials(H.K, d)):
+        scaled = [f * a for a in range(1, N + 1)]
+        values = [w + fa for w in values for fa in scaled]
+    return values
 
 
 @pytest.fixture

@@ -321,7 +321,8 @@ class TestCertifiedReport:
         monkeypatch.setattr(icdof.dist, "convolve", counting_convolve(calls))
         job = lambda: theorem1_certified_bound(H, 1, 2)
         result = outcome(job)
-        assert calls == [64]  # user 1 only: |I| * |W| = 8 * 8
+        # W's two alphabet steps (2 * 2, 4 * 2), then user 1 only: |I| * |W| = 8 * 8
+        assert calls == [4, 8, 64]
         assert result == with_oracle(monkeypatch, job)
         # a rational split that happens to be injective: {0,1} + {0,2}
         report = _certified_report(ChannelMatrix.from_rows([[2, 1], [1, 2]]), uniform_on([0, 1]),
@@ -334,7 +335,7 @@ class TestCertifiedReport:
         # collide, so the inputs are placed point by point
         g11, g12, g21, g22 = map(ExactScalar.generator, ["h_1_1", "h_1_2", "h_2_1", "h_2_2"])
         H = ChannelMatrix.from_rows([[g11, g12 + 1], [g21 + 1, g22]])
-        W = uniform_on(build_wn(H, d, N))
+        W = build_wn(H, d, N)
         jobs = [lambda: theorem1_certified_bound(H, d, N),
                 lambda: prop1_bound(H, [W, W], 3.0),
                 lambda: theorem1_certified_bound(H, d, N, budget=len(W) ** 2 - 1)]
@@ -348,9 +349,10 @@ class TestCertifiedReport:
             calls.clear()
             size = N ** phi(K, d)
             theorem1_certified_bound(ChannelMatrix.generic(K), d, N)
-            # per user, the K - 2 cross steps (no merging yet in these
-            # cases) and no step of |I| * |W| pairs
-            assert calls == [size ** k * size for k in range(1, K - 1)] * K
+            # W's phi - 1 alphabet steps, then per user the K - 2 cross steps
+            # (no merging yet in these cases) and no step of |I| * |W| pairs
+            alphabet = [N ** k * N for k in range(1, phi(K, d))]
+            assert calls == alphabet + [size ** k * size for k in range(1, K - 1)] * K
         for K, table, N in integer_tables(seed=5, count=3):
             calls.clear()
             integer_example_bound(K, table, N)
@@ -364,14 +366,14 @@ class TestCertifiedReport:
         monkeypatch.setattr(icdof.dist, "mul", lambda a, b: formed.append(a) or a * b)
         for K, d, N in ((2, 1, 3), (3, 1, 2)):
             formed.clear()
-            W = uniform_on(build_wn(ChannelMatrix.generic(K), d, N))
+            W = build_wn(ChannelMatrix.generic(K), d, N)
             theorem1_certified_bound(ChannelMatrix.generic(K), d, N)
             assert len(formed) == K * (K - 1) * len(W) * len(W._lattice.basis)
 
     @pytest.mark.parametrize("K, d, N", [(2, 1, 2), (3, 0, 3), (3, 1, 2)])
     def test_full_step_refused_as_enumeration_refuses_it(self, monkeypatch, K, d, N):
         H = ChannelMatrix.generic(K)
-        W = uniform_on(build_wn(H, d, N))
+        W = build_wn(H, d, N)
         interference = linear_combination(H.row(0)[1:], [W] * (K - 1))
         pairs = len(interference) * len(W)  # of user 1's full step
         refused = outcome(lambda: theorem1_certified_bound(H, d, N, budget=pairs))

@@ -7,6 +7,7 @@ import math
 import random
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -35,10 +36,12 @@ from icdof import (
     is_fully_connected,
     off_diagonal_name,
     phi,
+    support_set,
     theorem1_certified_bound,
     verify_witness,
 )
 from icdof.channel import alphabet_size
+from conftest import reference_build_wn
 from test_linalg import reference_first_kernel_vector
 
 
@@ -288,19 +291,58 @@ class TestMonomialFamilies:
         assert all(evaluate_monomial(H, m) == v for m, v in zip(basis.monomials, values))
 
 
+# (channel, degrees) pairs for the slow twin of `build_wn`
+REFERENCE_CHANNELS = {
+    "generic2": (ChannelMatrix.generic(2), (0, 1, 2)),
+    "generic3": (ChannelMatrix.generic(3), (0, 1)),
+    "ones3": (ChannelMatrix.from_rows([[1, 1, 1], [1, 1, 1], [1, 1, 1]]), (0, 1)),
+    "zero-entry": (ChannelMatrix.from_rows([["h_1_1", 0], ["h_2_1", "h_2_2"]]), (0, 1, 2)),
+    "affine2": (ChannelMatrix.from_rows([["h_1_1", "h_1_2 + 1"], ["h_2_1 + 1", "h_2_2"]]),
+                (0, 1, 2)),
+    "mixed3": (ChannelMatrix.from_rows([["h_1_1", 2, "h_1_3"], ["h_2_1", "h_2_2", Fraction(1, 2)],
+                                        [-3, "h_3_2 + 1", "h_3_3"]]), (0, 1)),
+}
+
+
 class TestBuildWn:
     def test_desk_scale_size(self):
         alphabet = build_wn(ChannelMatrix.generic(3), 1, 2)
         assert len(alphabet) == 2 ** phi(3, 1) == 128
-        assert len(set(alphabet)) == 128
+        assert all(p == Fraction(1, 128) for _, p in alphabet.items())
 
     def test_degree_zero_gives_coefficient_range(self):
         alphabet = build_wn(ChannelMatrix.generic(3), 0, 3)
-        assert set(alphabet) == {as_scalar(v) for v in (1, 2, 3)}
+        assert support_set(alphabet) == {as_scalar(v) for v in (1, 2, 3)}
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("H, degrees", REFERENCE_CHANNELS.values(), ids=REFERENCE_CHANNELS)
+    def test_matches_reference_enumeration(self, H, degrees, N):
+        # each value's probability times N^phi is the number of coefficient
+        # vectors that reach it, repeats included
+        for d in degrees:
+            counts = Counter(reference_build_wn(H, d, N))
+            W = build_wn(H, d, N)
+            assert support_set(W) == set(counts)
+            assert {x: p * N ** phi(H.K, d) for x, p in W.items()} == counts
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             build_wn(ChannelMatrix.generic(3), 2, 2)  # 2^28 points
+
+    def test_steps_are_refused_as_convolve_refuses_them(self):
+        # 2^15 = 32768 values pass the count; the last step's 2^14 * 2 pairs
+        # of 2-word keys do not
+        with pytest.raises(BudgetExceededError) as refused:
+            build_wn(ChannelMatrix.generic(2), 4, 2, budget=40000)
+        assert str(refused.value) == (
+            "convolution needs 32768 atom pairs of 2-word keys, over the budget of 40000")
+
+    def test_no_scalar_sum_forms_the_alphabet(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("an ExactScalar sum formed an alphabet value")
+
+        monkeypatch.setattr(ExactScalar, "__add__", fail)
+        assert len(build_wn(ChannelMatrix.generic(3), 1, 2)) == 128
 
     def test_refusal_too_long_to_print_names_the_power(self):
         with pytest.raises(BudgetExceededError) as short:
@@ -357,7 +399,7 @@ class TestBuildWn:
     def test_rational_matrix_collapses(self):
         H = ChannelMatrix.from_rows([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
         alphabet = build_wn(H, 1, 2)
-        assert len(set(alphabet)) < 2 ** phi(3, 1)
+        assert len(alphabet) < 2 ** phi(3, 1)
 
 
 class TestConditionStar:

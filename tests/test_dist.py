@@ -36,9 +36,8 @@ from icdof import (
     uniform_on,
     weighted_on,
 )
-from conftest import counting_convolve, random_rational_dist
+from conftest import counting_convolve, random_rational_dist, reference_build_wn
 import icdof.dist
-from icdof.channel import build_wn
 from icdof.dist import _Lattice, _pack, floor_dist, split_entropies
 from icdof.scalar import mono_mul
 
@@ -738,7 +737,7 @@ class TestSymbolicPlacement:
         digits = _Lattice.digits
         monkeypatch.setattr(_Lattice, "digits", lambda lattice, key: (
             decoded.append(key) or digits(lattice, key)))
-        W = uniform_on(build_wn(ChannelMatrix.generic(2), 1, 2))
+        W = uniform_on(reference_build_wn(ChannelMatrix.generic(2), 1, 2))
         V = uniform_on([G1 + G2, 2 * G1 - 1, G2 * G3])
         terms = [(G1, W), (G2 + 1, W), (G3, V), (as_scalar(Fraction(1, 2)), W), (G1, V),
                  (G2, uniform_on(range(3)))]  # one coordinate: read from its keys
@@ -762,7 +761,7 @@ class TestSymbolicPlacement:
 
     def test_first_step_is_refused_before_any_key_is_formed(self, monkeypatch):
         H = ChannelMatrix.generic(2)
-        W = uniform_on(build_wn(H, 1, 2))  # 8 points on 3 coordinates
+        W = uniform_on(reference_build_wn(H, 1, 2))  # 8 points on 3 coordinates
         g11, g12 = H.row(0)
         formed = []
         monkeypatch.setattr(icdof.dist, "mul", lambda a, b: formed.append(a) or a * b)
