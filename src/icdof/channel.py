@@ -14,12 +14,12 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .dist import DEFAULT_ATOM_BUDGET, DiscreteDist, linear_combination, uniform_on
 from .errors import BudgetExceededError, ParseError, ValidationError
 from .linalg import first_relations
-from .scalar import ExactScalar, Monomial, MONO_ONE, as_scalar, mono_from_pairs, mono_str
+from .scalar import ONE, ExactScalar, Monomial, MONO_ONE, as_scalar, mono_from_pairs, mono_str
 
 
 def off_diagonal_name(i: int, j: int) -> str:
@@ -174,8 +174,32 @@ def alphabet_size(count: int, N: int, budget: int) -> int:
     raise BudgetExceededError(f"alphabet would hold {shown} values, over the budget of {budget}")
 
 
+def _monomial_values(H: ChannelMatrix, monos: Sequence[Monomial]) -> Iterator[ExactScalar]:
+    """The values at H of `monos`, graded and holding every monomial of each
+    degree up to the last (as a basis does), formed one by one as they are
+    read: a degree-k value is the kept degree-(k-1) value of the monomial
+    less one factor of its last generator, times that generator's entry.
+    Only two degrees are kept. `evaluate_monomial`, which forms a value from
+    the entries alone, is its oracle and re-substitutes witnesses."""
+    entries, kept, layer, degree = {}, {}, {}, 0
+    for mono in monos:
+        if mono[0] > degree:
+            kept, layer, degree = layer, {}, mono[0]
+        if mono[1]:
+            *rest, (name, exp) = mono[1]
+            if name not in entries:
+                i, j = _position_of(name)
+                entries[name] = H.entry(i - 1, j - 1)
+            prefix = (degree - 1, (*rest, (name, exp - 1)) if exp > 1 else tuple(rest))
+            value = kept[prefix] * entries[name]
+        else:
+            value = ONE
+        layer[mono] = value
+        yield value
+
+
 def basis_values(H: ChannelMatrix, basis: MonomialBasis) -> list[ExactScalar]:
-    return [evaluate_monomial(H, m) for m in basis.monomials]
+    return list(_monomial_values(H, basis.monomials))
 
 
 def build_wn(
@@ -293,8 +317,7 @@ def check_condition_star(
     def values():
         # the degree-<=d values are kept for the diagonal multiples, which are
         # read only once every value has been reduced
-        for c, mono in enumerate(monos):
-            value = evaluate_monomial(H, mono)
+        for c, value in enumerate(_monomial_values(H, monos)):
             if c < lo:
                 prefix.append(value)
             yield dict(value.terms())

@@ -13,7 +13,12 @@ is fixed before any key exists, and a key is one dot product (one multiply on
 one coordinate, where a rational point's key is its numerator), formed just
 before its term's step. `len` and `entropy_bits` read only the weights, so
 only the entropy is a float, even where `split_entropies` proves a sum
-injective and does not build it.
+injective and does not build it. The steps `split_entropies` does build need
+only weights and counts, so where the atom pairs far outnumber the slots of
+the key range, `_kronecker` takes such a step as one product of two integers
+whose fixed-width slots hold the operands' weights (Kronecker substitution);
+the pair loop of `convolve` is its oracle, and every other sum keeps the
+loop's atom order.
 
 A finite set is the support of a packed distribution (`SupportSet`), so a
 sumset is the support of one `convolve` and a progression test sorts integer
@@ -26,11 +31,12 @@ JSON. No other module knows the format.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import compress, islice
 from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -467,12 +473,70 @@ def convolve(A: DiscreteDist, B: DiscreteDist, budget: int = DEFAULT_ATOM_BUDGET
     return _new(lattice, merged, A._denominator * B._denominator, reach)
 
 
-def _sum(packed: Iterator[DiscreteDist], budget: int) -> DiscreteDist:
-    """The sum of the packed terms of one linear form: one `convolve` step
-    per term after the first, each taken (its keys formed) just before it."""
+def _dense_convolve(A: DiscreteDist, B: DiscreteDist, budget: int) -> DiscreteDist:
+    """`convolve`'s sum, refused as it refuses, from one big-integer product
+    where `_kronecker` takes the step; its atoms come in key order, so only
+    `split_entropies`, which reads weights and counts alone, takes it."""
+    m, n = len(A), len(B)
+    if m * n < 4 * (m + n) - 2:  # slots >= m + n - 1, so `_kronecker` would decline
+        return convolve(A, B, budget)
+    A, B, lattice, reach = _align(A, B, budget)
+    merged = _kronecker(A._weights, B._weights)
+    if merged is None:
+        return convolve(A, B, budget)
+    return _new(lattice, merged, A._denominator * B._denominator, reach)
+
+
+_SLOT_CODES = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))  # native memoryview formats
+
+
+def _kronecker(a: dict, b: dict) -> Optional[dict]:
+    """The merged weights of the key sums of `a` and `b` (keys to weights),
+    or None where the pair loop is cheaper or a slot would need more than 8
+    bytes.
+
+    Every key sum is lo + g*i for i below `slots`, g the gcd of both
+    operands' key differences. Each operand's weights are set in slots of one
+    width at (key - min)/g and read as one integer. The product of the two
+    integers holds the merged weight of lo + g*i in slot i, and no slot
+    carries into the next: no merged weight exceeds min(sum(wa)*max(wb),
+    sum(wb)*max(wa)). The product pays once the atom pairs are at least
+    twice the slots packed and read, |A| + |B| + slots. The factor 2 puts
+    the certify integer tables' 12x12 steps near break-even (1.15x the
+    loop's speed on a shared 2-vCPU host), where 24x24 steps ran 1.8-2.2x,
+    48x48 4.5x and 156x24 5.9x."""
+    pairs = len(a) * len(b)
+    low = min(a), min(b)
+    g = math.gcd(*(k - low[0] for k in a), *(k - low[1] for k in b)) or 1
+    spans = [(max(keys) - lo) // g + 1 for keys, lo in zip((a, b), low)]
+    slots = sum(spans) - 1
+    if pairs < 2 * (len(a) + len(b) + slots):
+        return None
+    top = min(sum(a.values()) * max(b.values()), sum(b.values()) * max(a.values()))
+    for width, code in _SLOT_CODES:
+        if top >> 8 * width == 0:
+            break
+    else:
+        return None
+    product = 1
+    for weights, lo, span in zip((a, b), low, spans):
+        view = memoryview(bytearray(width * span)).cast(code)
+        for k, w in weights.items():
+            view[(k - lo) // g] = w
+        product *= int.from_bytes(view, sys.byteorder)
+    out = memoryview(product.to_bytes(width * slots, sys.byteorder)).cast(code)
+    lo = sum(low)
+    return dict(zip(compress(range(lo, lo + g * slots, g), out), filter(None, out)))
+
+
+def _sum(packed: Iterator[DiscreteDist], budget: int, step=None) -> DiscreteDist:
+    """The sum of the packed terms of one linear form: one `step` (by
+    default `convolve`) per term after the first, each taken (its keys
+    formed) just before it."""
+    step = step or convolve
     total = next(packed)
     for term in packed:
-        total = convolve(total, term, budget=budget)
+        total = step(total, term, budget=budget)
     return total
 
 
@@ -514,17 +578,20 @@ def split_entropies(
     t + s on their supports is proved injective: distinct monomials are
     linearly independent over Q, so t + s = t' + s' forces t = t' and s = s'.
     Then |I + S| = |I| * |S|, and H(I + S) is `entropy_bits` of the sum, read
-    from the two weight multisets without building it or forming S's keys. Otherwise the sum is
-    enumerated. Every step, built or not, is refused exactly as
-    `linear_combination` of the cross terms, then the signal, refuses it.
+    from the two weight multisets without building it or forming S's keys.
+    Otherwise the sum is enumerated. The steps that are built go through
+    `_dense_convolve`, a big-integer product where it pays and the pair loop
+    elsewhere, with the same merged weights either way. Every step, built or
+    not, is refused exactly as `linear_combination` of the cross terms, then
+    the signal, refuses it.
     """
     packed = _pack([*cross_terms, signal_term] if signal_term else cross_terms, budget)
-    interference = _sum(islice(packed, len(cross_terms)), budget)
+    interference = _sum(islice(packed, len(cross_terms)), budget, _dense_convolve)
     h_intf, n_intf = entropy_bits(interference), len(interference)
     if signal_term is None:
         return h_intf, h_intf, n_intf, n_intf
     if not _monomials([signal_term]).isdisjoint(_monomials(cross_terms)):
-        full = convolve(interference, next(packed), budget=budget)
+        full = _dense_convolve(interference, next(packed), budget)
         return h_intf, entropy_bits(full), n_intf, len(full)
     # the signal's keys are never read: |S|, its weights and its denominator
     # are those of the unscaled X, and the step's lattice is the interference's
@@ -563,8 +630,8 @@ def _product_entropy(A: DiscreteDist, B: DiscreteDist) -> float:
     """`entropy_bits` of A + B when every atom pair is its own atom: weight
     a*b over the product denominator, repeated (number of a in A) * (number of
     b in B) times."""
-    counts = [(a, b, m * n) for a, m in Counter(A._weights.values()).items()
-              for b, n in Counter(B._weights.values()).items()]
+    counted = Counter(B._weights.values()).items()
+    counts = [(a, b, m * n) for a, m in Counter(A._weights.values()).items() for b, n in counted]
     terms = _entropy_terms({a * b for a, b, _ in counts}, A._denominator * B._denominator)
     # the exact sum of the repeated terms, each a dyadic rational, over one
     # power of two, divided once: int / int rounds correctly, as fsum does

@@ -3,6 +3,7 @@ rational-independence checker with its witnesses."""
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import sys
@@ -543,19 +544,27 @@ class TestOneElimination:
 
     @pytest.fixture
     def spies(self, monkeypatch):
-        """The monomials evaluated and the indices of the columns reduced."""
+        """The monomials evaluated (as family columns, then by
+        `verify_witness`) and the indices of the columns reduced."""
         built, reduced = [], []
         evaluate, reduce = icdof.channel.evaluate_monomial, icdof.linalg._reduce
+        columns = icdof.channel._monomial_values
 
         def evaluate_spy(H, mono):
             built.append(mono)
             return evaluate(H, mono)
+
+        def columns_spy(H, monos):
+            for mono, value in zip(monos, columns(H, monos)):
+                built.append(mono)
+                yield value
 
         def reduce_spy(row, relation, pivots):
             reduced.append(max(relation))  # a column enters as its own relation
             return reduce(row, relation, pivots)
 
         monkeypatch.setattr(icdof.channel, "evaluate_monomial", evaluate_spy)
+        monkeypatch.setattr(icdof.channel, "_monomial_values", columns_spy)
         monkeypatch.setattr(icdof.linalg, "_reduce", reduce_spy)
         return built, reduced
 
@@ -600,6 +609,41 @@ class TestOneElimination:
         # values of the shared block), then `verify_witness`
         assert built == list(monos[: last + 1]) + witness
         assert reduced[-1] == last and sorted(set(reduced)) == list(range(last + 1))
+
+
+# channels the rank certificate leaves to the elimination, at degrees where
+# it decides them: rank drops of polynomial entries, and rational violations
+KEPT_VALUE_CHANNELS = [
+    (ChannelMatrix.from_rows(
+        [[_gen(1, 1), _gen(1, 2) ** 2 - 2 * _gen(1, 2) + _gen(2, 1)],
+         [_gen(2, 1) + 1, _gen(2, 2)]]), 8),
+    (ChannelMatrix.from_rows(
+        [[_gen(1, 1), _gen(1, 2) ** 2 - 2 * _gen(1, 2)], [_gen(2, 1) + 1, _gen(2, 2)]]), 3),
+    (ChannelMatrix.from_rows([[_gen(1, 1), 2], [_gen(2, 1) + 1, _gen(2, 2)]]), 2),
+    (ChannelMatrix.from_rows([[3, _gen(1, 2) + 1], [_gen(2, 1) + 1, _gen(2, 2)]]), 2),
+    (ChannelMatrix.from_rows([[1, Fraction(2, 3), 3], [4, 5, 7], [2, -1, Fraction(1, 2)]]), 1),
+    (ChannelMatrix.from_rows(
+        [[_gen(1, 1), _gen(1, 2) * _gen(1, 3), 0], [_gen(2, 1), _gen(2, 2), _gen(2, 3) - 1],
+         [Fraction(1, 2), _gen(3, 2) ** 2, _gen(3, 3)]]), 2),
+]
+
+
+class TestKeptValues:
+    """Each family value is a kept value of degree one less times one entry;
+    `evaluate_monomial`, which forms it from the entries alone, is the
+    oracle, and the elimination reports the same bytes from either."""
+
+    @pytest.mark.parametrize("H, d", KEPT_VALUE_CHANNELS)
+    def test_values_match_evaluate_monomial(self, H, d):
+        basis = enumerate_monomials(H.K, d + 1)
+        assert basis_values(H, basis) == [evaluate_monomial(H, m) for m in basis.monomials]
+
+    @pytest.mark.parametrize("H, d", KEPT_VALUE_CHANNELS)
+    def test_witnesses_are_byte_identical(self, monkeypatch, H, d):
+        report = json.dumps(check_condition_star(H, d).to_json())
+        monkeypatch.setattr(icdof.channel, "_monomial_values",
+                            lambda H, monos: (evaluate_monomial(H, m) for m in monos))
+        assert json.dumps(check_condition_star(H, d).to_json()) == report
 
 
 def test_self_check_rejects_a_non_kernel_vector(monkeypatch):

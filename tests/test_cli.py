@@ -148,6 +148,40 @@ GOLDEN_INTEGER_K3_N3 = """\
 }
 """
 
+# the same table at N = 500, where each user's interference step (500 x 500
+# atom pairs) is summed as one big-integer product instead of pair by pair;
+# pinned from the output of the pair loop
+GOLDEN_INTEGER_K3_N500 = """\
+{
+  "bound": 0.992467547361,
+  "per_user": [
+    [
+      19.2922259665,
+      10.3264416818,
+      0.330822515787
+    ],
+    [
+      19.7569530178,
+      10.7911687331,
+      0.330822515787
+    ],
+    [
+      19.2922259665,
+      10.3264416818,
+      0.330822515787
+    ]
+  ],
+  "r_log": 27.1014935708,
+  "caveat": "valid for non-exceptional r",
+  "params": {
+    "K": 3,
+    "N": 500,
+    "h_max": 4
+  },
+  "closed_form": 0.992467547361
+}
+"""
+
 
 def module_command(*argv: str) -> tuple[list[str], dict]:
     """`python -m icdof <argv>` and an environment that imports this
@@ -646,6 +680,11 @@ class TestOutputContract:
         ):
             assert run(argv) == 0
             assert capsys.readouterr().out == golden
+
+    def test_dense_interference_stdout_is_pinned(self, capsys, files):
+        matrix = files("int3.json", {"K": 3, "entries": [[0, 2, -1], [3, 0, 1], [-2, 4, 0]]})
+        assert run(["bound-integer", "--matrix", matrix, "--n", "500"]) == 0
+        assert capsys.readouterr().out == GOLDEN_INTEGER_K3_N500
 
     def test_sumset_stdout_is_pinned(self, capsys, files):
         for a, b, golden in (

@@ -26,19 +26,21 @@ from icdof import (
     dist_to_json,
     empirical_infodim,
     entropy_bits,
+    integer_example_bound,
     linear_combination,
     parse_probability,
     point_mass,
     scale,
     sorted_items,
     support_set,
+    theorem1_certified_bound,
     truncated_dist,
     uniform_on,
     weighted_on,
 )
 from conftest import counting_convolve, random_rational_dist, reference_build_wn
 import icdof.dist
-from icdof.dist import _Lattice, _pack, floor_dist, split_entropies
+from icdof.dist import _Lattice, _dense_convolve, _pack, floor_dist, split_entropies
 from icdof.scalar import mono_mul
 
 G1 = ExactScalar.generator("g1")
@@ -962,6 +964,128 @@ class TestSplitEntropies:
         interference = linear_combination(*zip(*cross))
         h = entropy_bits(interference)
         assert (calls, result) == ([6], (h, h, 6, 6))
+
+
+@st.composite
+def dense_dists(draw, max_size=24, tops=(2**4, 2**8, 2**16, 2**32, 2**64, 2**80)):
+    """Integer points lo + stride*i, i from a window half again as wide as
+    the support, so that most pairs of them pass the dense step's gate, with
+    weights sized for every slot width and past the widest."""
+    n = draw(st.integers(1, max_size))
+    lo, stride = draw(st.integers(-40, 40)), draw(st.sampled_from([1, 1, 2, 3, 4]))
+    picked = draw(st.lists(st.integers(0, n + n // 2), min_size=n, max_size=n, unique=True))
+    top = draw(st.sampled_from(tops))
+    weights = draw(st.lists(st.integers(1, top), min_size=n, max_size=n))
+    return weighted_on([lo + stride * i for i in picked], weights)
+
+
+def dense_and_loop(A: DiscreteDist, B: DiscreteDist, budget: int = 10**9) -> bool:
+    """Assert that `_dense_convolve` gives `convolve`'s sum: the same merged
+    weights, lattice, reach and denominator. True when it took the product,
+    that is, when it did not hand the step to `convolve`."""
+    calls: list = []
+    with mock.patch.object(icdof.dist, "convolve", counting_convolve(calls)):
+        dense = _dense_convolve(A, B, budget)
+    loop = convolve(A, B, budget)
+    assert dense._weights == loop._weights
+    assert (dense._lattice, dense._reach, dense._denominator) == (
+        loop._lattice, loop._reach, loop._denominator)
+    assert entropy_bits(dense) == entropy_bits(loop)
+    return not calls
+
+
+class TestDenseConvolve:
+    """`_dense_convolve`, the big-integer product that `split_entropies`
+    takes for its steps, against its oracle, the pair loop of `convolve`."""
+
+    @settings(max_examples=300)
+    @given(dense_dists(), dense_dists())
+    def test_matches_the_pair_loop(self, A, B):
+        dense_and_loop(A, B)
+
+    @settings(max_examples=100)
+    @given(st.lists(st.integers(-4, 4).filter(bool), min_size=2, max_size=3),
+           dense_dists(tops=(1, 2**4, 2**16)).filter(lambda X: len(X) > 1), st.booleans())
+    def test_on_the_lattice_of_an_integer_table(self, coeffs, X, symbolic):
+        # bound-integer's terms h_ij*W_j beside the signal g_i*W_i: two
+        # coordinates, the keys of the cross terms on the constant one; a
+        # symbolic input adds g1 and g1*g_i
+        if symbolic:
+            X = weighted_on([x + (k % 3) * G1 for k, x in enumerate(support_set(X))],
+                            list(X._weights.values()))
+        packed = _pack([*((as_scalar(c), X) for c in coeffs), (GS, X)])
+        A, B = next(packed), next(packed)
+        assert len(A._lattice.basis) == 2 + 2 * symbolic
+        dense_and_loop(A, B)
+
+    @pytest.mark.parametrize("total, dense", [
+        (2**8 - 1, True), (2**8, True), (2**64 - 1, True), (2**64, False)])
+    def test_slot_width_bounds(self, total, dense):
+        # the slot bound min(sum(a)*max(b), sum(b)*max(a)) is `total`, and the
+        # sum at key 19 reaches it: one byte, two, eight, then the loop
+        A = weighted_on(range(20), [1] * 19 + [total - 19])
+        B = uniform_on(range(20))
+        assert dense_and_loop(A, B) is dense
+        assert max(_dense_convolve(A, B, 10**9)._weights.values()) == total
+
+    @pytest.mark.parametrize("A, B", [
+        (point_mass(-7), uniform_on(range(0, 90, 3))),
+        (uniform_on(range(-60, 0, 2)), point_mass(5)),
+        (point_mass(2), point_mass(-3)),
+        (point_mass(G1), uniform_on(range(30))),
+    ])
+    def test_one_atom_operands(self, A, B):
+        dense_and_loop(A, B)
+
+    def test_refused_as_convolve(self):
+        # two coordinates over 10^12 need 2-word keys; at the budget that
+        # admits them the 12 x 12 step is dense
+        A = uniform_on([G1 * 10**12 * k + G2 for k in range(12)])
+        B = uniform_on([G1 * 10**12 * k - G2 for k in range(12)])
+        pairs = len(A) * len(B)
+        for budget in (pairs - 1, pairs, 2 * pairs - 1):
+            with pytest.raises(BudgetExceededError) as expected:
+                convolve(A, B, budget)
+            with pytest.raises(BudgetExceededError) as refused:
+                _dense_convolve(A, B, budget)
+            assert str(refused.value) == str(expected.value)
+        assert "2-word keys" in str(expected.value)
+        assert dense_and_loop(A, B, 2 * pairs)
+
+
+class TestDensePath:
+    """Which steps the big-integer product takes: wide integer interference
+    does, steps of corpus size and symbolic steps stay on the pair loop."""
+
+    @pytest.fixture
+    def steps(self):
+        calls: list = []
+        with mock.patch.object(icdof.dist, "convolve", counting_convolve(calls)):
+            yield calls
+
+    def test_integer_table_step_is_dense(self, steps):
+        report = integer_example_bound(3, [[0, 2, -1], [3, 0, 1], [-2, 4, 0]], 48)
+        assert steps == []  # each user's 48 x 48 interference step
+        assert report.bound > 0
+
+    def test_enumerated_full_step_is_dense(self, steps):
+        # the signal 2*X and the cross term X reach the same monomial
+        X = uniform_on(range(30))
+        result = split_entropies([(as_scalar(1), X)], (as_scalar(2), X))
+        assert steps == []
+        full = linear_combination([1, 2], [X, X])
+        assert result == (entropy_bits(X), entropy_bits(full), 30, len(full))
+
+    def test_corpus_size_step_is_not(self, steps):
+        A = weighted_on([-15, -13, -10, -6, -3, 0, 2, 5, 7, 9, 12, 15], range(1, 13))
+        B = weighted_on([-14, -11, -9, -8, -4, -1, 1, 3, 6, 10, 13, 14], range(12, 0, -1))
+        split_entropies([(as_scalar(1), A), (as_scalar(1), B)], None)
+        assert steps == [144]
+
+    def test_generic_theorem1_steps_are_not(self, steps):
+        theorem1_certified_bound(ChannelMatrix.generic(3), 1, 2)
+        # W_N's own steps, then one symbolic interference step per user
+        assert steps[-3:] == [128 * 128] * 3
 
 
 class TestJson:
