@@ -35,7 +35,7 @@ from .infodim import (
     log2_inverse_contraction,
     recommended_quantization,
 )
-from .optimize import OptConfig, OptResult, optimize_hlambda, optimize_theorem3
+from .optimize import OptConfig, optimize_hlambda, optimize_theorem3
 from .scalar import parse_rational
 from .sumsets import (
     entropy_inequality_suite,
@@ -130,28 +130,13 @@ def _cmd_hlambda(args) -> dict:
     return {"bound": hlambda_bound(args.lam, U, V, budget=args.budget), "lambda": str(args.lam)}
 
 
-def _opt_config(args) -> OptConfig:
-    return OptConfig(
+def _cmd_optimize(args) -> dict:
+    config = OptConfig(
         restarts=args.restarts,
         max_iters=args.max_iters,
         seed=args.seed,
         rationalization_denominator=args.max_denominator,
     )
-
-
-def _opt_report(result: OptResult, extra: dict) -> dict:
-    report = {
-        "best_value": result.best_value,
-        "seed": result.seed,
-        "dists": [dist_to_json(dist) for dist in result.dists],
-        "trace": [dict(entry) for entry in result.trace],
-    }
-    report.update(extra)
-    return report
-
-
-def _cmd_optimize(args) -> dict:
-    config = _opt_config(args)
 
     def progress(entry: dict) -> None:
         print(
@@ -164,12 +149,20 @@ def _cmd_optimize(args) -> dict:
         if args.lam is None:
             raise ParseError("--lambda is required for --target hlambda")
         result = optimize_hlambda(args.lam, args.n, config, progress=progress)
-        return _opt_report(result, {"target": "hlambda", "lambda": str(args.lam)})
-    if args.matrix is None:
-        raise ParseError("--matrix is required for --target thm3")
-    H = _load_channel(args.matrix)
-    result = optimize_theorem3(H, args.n, config, progress=progress)
-    return _opt_report(result, {"target": "thm3", "K": H.K})
+        target = {"target": "hlambda", "lambda": str(args.lam)}
+    else:
+        if args.matrix is None:
+            raise ParseError("--matrix is required for --target thm3")
+        H = _load_channel(args.matrix)
+        result = optimize_theorem3(H, args.n, config, progress=progress)
+        target = {"target": "thm3", "K": H.K}
+    return {
+        "best_value": result.best_value,
+        "seed": result.seed,
+        "dists": [dist_to_json(dist) for dist in result.dists],
+        "trace": result.trace,
+        **target,
+    }
 
 
 def _cmd_infodim(args) -> dict:

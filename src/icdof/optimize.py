@@ -124,7 +124,6 @@ class _Tracker:
     value: float = -math.inf
     dists: Optional[tuple[DiscreteDist, ...]] = None
     evaluations: int = 0
-    start_value: float = -math.inf
 
     def record(self, value: float, dists: tuple[DiscreteDist, ...]) -> None:
         self.evaluations += 1
@@ -233,60 +232,55 @@ def _nelder_mead(
         sort()
 
 
-def _run_restart(
-    objective: Callable[[Sequence[float]], tuple[float, tuple[DiscreteDist, ...]]],
-    x0: Sequence[float],
-    config: OptConfig,
-    warm: Optional[tuple[float, tuple[DiscreteDist, ...]]] = None,
-) -> _Tracker:
-    tracker = _Tracker()
-    if warm is not None:
-        tracker.record(*warm)
-
-    def neg(x):
-        value, dists = objective(x)
-        tracker.record(value, dists)
-        return -value
-
-    tracker.start_value = -neg(x0)
-    _nelder_mead(neg, x0, maxiter=config.max_iters, maxfev=4 * config.max_iters)
-    return tracker
-
-
 def _search(
-    objective,
-    dim: int,
+    score: Callable[[tuple[DiscreteDist, ...]], float],
+    n: int,
+    blocks: int,
     config: OptConfig,
     warm_start: Optional[tuple[Sequence[float], float, tuple[DiscreteDist, ...]]] = None,
     progress: Optional[Callable[[dict], None]] = None,
 ) -> OptResult:
+    """Maximize score over `blocks` distributions on {0..n-1}, each decoded
+    from its slice of n log-weights, by restarted Nelder-Mead. The first
+    restart starts at warm_start's point, with its exact value and
+    distributions recorded first; progress sees each trace entry as its
+    restart ends."""
+    if n < 2:
+        raise ValidationError(f"need a support of at least 2 points, got n={n}")
+    support = support_set(uniform_on(integer_grid(n)))  # packed once per search
+    max_den = config.rationalization_denominator
     rng = random.Random(config.seed)
-    starts = [[rng.gauss(0.0, 1.0) for _ in range(dim)] for _ in range(config.restarts)]
-    warms: list[Optional[tuple[float, tuple[DiscreteDist, ...]]]] = [None] * config.restarts
-    if warm_start is not None:
-        x0, value, dists = warm_start
-        starts[0] = list(x0)
-        warms[0] = (value, dists)
-    trackers = [
-        _run_restart(objective, x0, config, warm=warm) for x0, warm in zip(starts, warms)
-    ]
-
+    starts = [[rng.gauss(0.0, 1.0) for _ in range(blocks * n)] for _ in range(config.restarts)]
+    best = _Tracker()
     trace = []
-    best_index = 0
-    for i, t in enumerate(trackers):
+    for i, x0 in enumerate(starts):
+        tracker = _Tracker()
+        if i == 0 and warm_start is not None:
+            x0, *warm = warm_start
+            tracker.record(*warm)
+
+        def neg(x):
+            dists = tuple(
+                dist_from_logweights(x[j * n : (j + 1) * n], support, max_den) for j in range(blocks)
+            )
+            value = score(dists)
+            tracker.record(value, dists)
+            return -value
+
+        start_value = -neg(x0)
+        _nelder_mead(neg, x0, maxiter=config.max_iters, maxfev=4 * config.max_iters)
         trace.append(
             {
                 "restart": i,
-                "start_value": t.start_value,
-                "best_value": t.value,
-                "evaluations": t.evaluations,
+                "start_value": start_value,
+                "best_value": tracker.value,
+                "evaluations": tracker.evaluations,
             }
         )
         if progress is not None:
             progress(trace[-1])
-        if t.value > trackers[best_index].value:
-            best_index = i
-    best = trackers[best_index]
+        if tracker.value > best.value:
+            best = tracker
     if best.dists is None:
         raise ValidationError("objective was degenerate at every candidate")
     return OptResult(
@@ -320,23 +314,12 @@ def optimize_hlambda(
     lam = Fraction(lam)
     if lam == 0:
         raise ValidationError("lambda must be nonzero")
-    if n < 2:
-        raise ValidationError(f"need a support of at least 2 points, got n={n}")
-    support = support_set(uniform_on(integer_grid(n)))  # packed once per search
-    max_den = config.rationalization_denominator
-
-    def objective(x):
-        U = dist_from_logweights(x[:n], support, max_den)
-        V = dist_from_logweights(x[n:], support, max_den)
-        return hlambda_bound(lam, U, V), (U, V)
-
     warm = None
     if lam == -1 and n >= 4:
         W4 = prop4_dist(n)
-        pad = math.log(1e-9)
-        logw = [float(math.log(float(p))) for p in PROP4_PROBS] + [pad] * (n - 4)
+        logw = [math.log(float(p)) for p in PROP4_PROBS] + [math.log(1e-9)] * (n - 4)
         warm = (logw + logw, hlambda_bound(lam, W4, W4), (W4, W4))
-    return _search(objective, 2 * n, config, warm_start=warm, progress=progress)
+    return _search(lambda dists: hlambda_bound(lam, *dists), n, 2, config, warm, progress)
 
 
 def optimize_theorem3(
@@ -347,19 +330,11 @@ def optimize_theorem3(
 ) -> OptResult:
     """Maximize the output-entropy ratio over K input distributions supported
     on {0..n-1}. Candidates that make every output deterministic are skipped."""
-    if n < 2:
-        raise ValidationError(f"need a support of at least 2 points, got n={n}")
-    support = support_set(uniform_on(integer_grid(n)))  # packed once per search
-    max_den = config.rationalization_denominator
-    K = H.K
 
-    def objective(x):
-        dists = tuple(
-            dist_from_logweights(x[j * n : (j + 1) * n], support, max_den) for j in range(K)
-        )
+    def score(dists):
         try:
-            return theorem3_ratio(H, dists), dists
+            return theorem3_ratio(H, dists)
         except ValidationError:
-            return -math.inf, dists
+            return -math.inf
 
-    return _search(objective, K * n, config, progress=progress)
+    return _search(score, n, H.K, config, progress=progress)

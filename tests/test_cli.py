@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import icdof
 from icdof import cli
@@ -326,6 +330,93 @@ GOLDEN_THM3 = """\
 """
 
 
+# the same warm-started search with fewer iterations: stdout, and the one
+# progress line per restart on stderr, pinned byte for byte
+GOLDEN_HLAMBDA_ITERS30 = """\
+{
+  "best_value": 1.13329425921,
+  "seed": 0,
+  "dists": [
+    {
+      "atoms": [
+        {
+          "value": "0",
+          "prob": "146602145915243/314767630223774564"
+        },
+        {
+          "value": "1",
+          "prob": "1906047454641421/314767630223774564"
+        },
+        {
+          "value": "2",
+          "prob": "725721323156193/10854056214612916"
+        },
+        {
+          "value": "3",
+          "prob": "291669062251688303/314767630223774564"
+        }
+      ]
+    },
+    {
+      "atoms": [
+        {
+          "value": "0",
+          "prob": "16547936292174/49990190824253167"
+        },
+        {
+          "value": "1",
+          "prob": "295792428549469/49990190824253167"
+        },
+        {
+          "value": "2",
+          "prob": "173153466725568/2631062674960693"
+        },
+        {
+          "value": "3",
+          "prob": "46387934591625732/49990190824253167"
+        }
+      ]
+    }
+  ],
+  "trace": [
+    {
+      "restart": 0,
+      "start_value": 1.13257556846,
+      "best_value": 1.13329425921,
+      "evaluations": 54
+    },
+    {
+      "restart": 1,
+      "start_value": 0.99025127297,
+      "best_value": 1.01602327318,
+      "evaluations": 49
+    }
+  ],
+  "target": "hlambda",
+  "lambda": "-1"
+}
+"""
+
+GOLDEN_HLAMBDA_ITERS30_ERR = """\
+restart 0: start 1.13258, best 1.13329 after 54 evaluations
+restart 1: start 0.990251, best 1.01602 after 49 evaluations
+"""
+
+# an all-zero channel scores -inf everywhere: both restarts report before the
+# degenerate refusal
+GOLDEN_ZERO_THM3 = """\
+{
+  "code": "invalid-input",
+  "message": "objective was degenerate at every candidate"
+}
+"""
+
+GOLDEN_ZERO_THM3_ERR = """\
+restart 0: start -inf, best -inf after 21 evaluations
+restart 1: start -inf, best -inf after 21 evaluations
+"""
+
+
 # stdout of `icdof sumset` on a rational and a symbolic example, pinned byte
 # for byte: the order of the elements and the progression reports
 GOLDEN_SUMSET_RATIONAL = """\
@@ -552,6 +643,40 @@ class TestExitCodes:
         assert code == 2
         assert report["code"] == "parse-error"
 
+    @pytest.mark.parametrize("flags, code, message", [
+        (["--target", "hlambda", "--lambda", "-1", "--n", "1"],
+         "invalid-input", "need a support of at least 2 points, got n=1"),
+        (["--target", "thm3", "--matrix", "MATRIX", "--n", "1"],
+         "invalid-input", "need a support of at least 2 points, got n=1"),
+        (["--target", "hlambda", "--lambda", "-1", "--n", "0"],
+         "invalid-input", "need a support of at least 2 points, got n=0"),
+        (["--target", "hlambda", "--lambda", "-1", "--n", "-2"],
+         "invalid-input", "need a support of at least 2 points, got n=-2"),
+        (["--target", "hlambda", "--lambda", "-1", "--n", "3", "--restarts", "0"],
+         "invalid-input", "need at least 1 restart, got 0"),
+        (["--target", "hlambda", "--lambda", "-1", "--n", "3", "--max-iters", "0"],
+         "invalid-input", "need at least 1 iteration, got 0"),
+        (["--target", "hlambda", "--lambda", "-1", "--n", "3", "--max-denominator", "1"],
+         "invalid-input", "rationalization denominator must be at least 2"),
+        (["--target", "hlambda", "--lambda", "0", "--n", "3"],
+         "invalid-input", "lambda must be nonzero"),
+        (["--target", "hlambda", "--lambda", "1/0", "--n", "3"],
+         "parse-error", "zero denominator in '1/0'"),
+        (["--target", "hlambda", "--lambda", "x", "--n", "3"],
+         "parse-error", "expected a rational 'p/q' or 'p', got 'x'"),
+        (["--target", "hlambda", "--n", "3"],
+         "parse-error", "--lambda is required for --target hlambda"),
+        (["--target", "thm3", "--n", "3"],
+         "parse-error", "--matrix is required for --target thm3"),
+    ])
+    def test_optimize_refusals(self, capsys, files, flags, code, message):
+        matrix = files("m3.json", {"K": 3, "entries": [[1, 2, 3], [4, 5, 7], [2, -1, 1]]})
+        argv = ["optimize"] + [matrix if flag == "MATRIX" else flag for flag in flags]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"code": code, "message": message}
+        assert captured.err == ""
+
     def test_wrong_dist_count(self, capsys, coin_file):
         code, report = run_json(capsys, ["ratio-thm3", "--k", "3", "--dist", coin_file])
         assert code == 2
@@ -671,6 +796,18 @@ class TestOutputContract:
             assert run(argv + common) == 0
             assert capsys.readouterr().out == golden
 
+    def test_optimizer_stderr_is_pinned(self, capsys, files):
+        # one progress line per restart, then the report or the refusal
+        zero = files("zero.json", {"K": 2, "entries": [[0, 0], [0, 0]]})
+        for argv, status, out, err in (
+            (["--target", "hlambda", "--lambda", "-1", "--n", "4", "--restarts", "2",
+              "--max-iters", "30"], 0, GOLDEN_HLAMBDA_ITERS30, GOLDEN_HLAMBDA_ITERS30_ERR),
+            (["--target", "thm3", "--matrix", zero, "--n", "2", "--restarts", "2",
+              "--max-iters", "5"], 2, GOLDEN_ZERO_THM3, GOLDEN_ZERO_THM3_ERR),
+        ):
+            assert run(["optimize"] + argv) == status
+            assert capsys.readouterr() == (out, err)
+
     def test_certified_bound_stdout_is_pinned(self, capsys, files):
         matrix = files("int3.json", {"K": 3, "entries": [[0, 2, -1], [3, 0, 1], [-2, 4, 0]]})
         for argv, golden in (
@@ -732,3 +869,36 @@ class TestOutputContract:
         captured = capsys.readouterr()
         assert "restart" in captured.err
         json.loads(captured.out)  # stdout is pure JSON
+
+
+@pytest.fixture(scope="module")
+def fuzz_matrix(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "m2.json"
+    path.write_text(json.dumps({"K": 2, "entries": [[1, 2], [3, -1]]}))
+    return str(path)
+
+
+class TestOptimizeFuzz:
+    """Small argument lists for `optimize`, valid and not: every one exits 0
+    or 2 with exactly one JSON document on stdout."""
+
+    @settings(max_examples=60)
+    @given(
+        target=st.sampled_from([["--target", "hlambda", "--lambda", "-1"],
+                                ["--target", "hlambda", "--lambda", "2"],
+                                ["--target", "thm3", "--matrix", "MATRIX"]]),
+        n=st.integers(-2, 4),
+        restarts=st.integers(0, 2),
+        max_iters=st.integers(0, 2),
+        max_denominator=st.integers(0, 3),
+    )
+    def test_optimize_argv(self, fuzz_matrix, target, n, restarts, max_iters, max_denominator):
+        argv = ["optimize"] + [fuzz_matrix if flag == "MATRIX" else flag for flag in target] + [
+            "--n", str(n), "--restarts", str(restarts), "--max-iters", str(max_iters),
+            "--max-denominator", str(max_denominator)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = run(argv)
+        assert status in (0, 2), out.getvalue()
+        report = json.loads(out.getvalue())  # one document, nothing around it
+        assert ("code" in report) == (status == 2)

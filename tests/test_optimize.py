@@ -152,6 +152,28 @@ class TestHlambdaSearch:
         replay = hlambda_bound(-1, result.best_U, result.best_V)
         assert replay == pytest.approx(result.best_value, abs=1e-12)
 
+    def test_progress_reports_each_restart_as_it_ends(self):
+        # between two progress calls come exactly the evaluations the second
+        # one reports: its restart's, and none of the next restart's
+        events = []
+
+        def spy(*args):
+            events.append("score")
+            return hlambda_bound(*args)
+
+        config = OptConfig(restarts=3, max_iters=10, seed=4)
+        with mock.patch.object(icdof.optimize, "hlambda_bound", spy):
+            optimize_hlambda(2, 3, config, progress=events.append)
+        counts, scores = [], 0
+        for event in events:
+            if event == "score":
+                scores += 1
+            else:
+                counts.append((scores, event["evaluations"]))
+                scores = 0
+        assert scores == 0 and len(counts) == 3
+        assert all(seen == reported for seen, reported in counts)
+
     def test_zero_lambda_rejected(self):
         with pytest.raises(ValidationError):
             optimize_hlambda(0, 3, FAST)
