@@ -195,7 +195,7 @@ def theorem1_certified_bound(
 
 
 def integer_example_bound(
-    K: int, offdiag: Sequence[Sequence[int]], N: int, budget: int = DEFAULT_ATOM_BUDGET
+    K: int, offdiag: list[list[int]], N: int, budget: int = DEFAULT_ATOM_BUDGET
 ) -> BoundReport:
     """Integer off-diagonal matrix with fresh-generator diagonal, inputs
     uniform on {0..N-1}, resolution r_log = 2*log2(2*h_max*K*N).
@@ -204,11 +204,14 @@ def integer_example_bound(
     every user (verified), and the result is compared against the closed
     form K*log2(N) / (2*log2(2*h_max*K*N)).
     """
+    if not isinstance(K, int):
+        raise ValidationError(f"K must be an integer, got {K!r}")
     if K < 2:
         raise ValidationError(f"need K >= 2, got {K}")
     if N < 1:
         raise ValidationError(f"need N >= 1, got {N}")
-    if len(offdiag) != K or any(len(row) != K for row in offdiag):
+    if not isinstance(offdiag, list) or len(offdiag) != K or any(
+            not isinstance(row, list) or len(row) != K for row in offdiag):
         raise ValidationError(f"off-diagonal table must be {K}x{K}")
     rows = []
     for i in range(K):
@@ -225,6 +228,7 @@ def integer_example_bound(
             row.append(ExactScalar.rational(value))
         rows.append(tuple(row))
     H = ChannelMatrix(K, tuple(rows))
+    check_pair_budget(N * N, budget)  # each user's first step, refused before the input is built
     h_max = max(abs(offdiag[i][j]) for i in range(K) for j in range(K) if i != j)
     r_log = 2 * math.log2(2 * h_max * K * N)
     return _certified_report(

@@ -107,17 +107,7 @@ def phi(K: int, d: int) -> int:
     return math.comb(K * (K - 1) + d, d)
 
 
-@dataclass(frozen=True)
-class MonomialBasis:
-    K: int
-    d: int
-    monomials: tuple[Monomial, ...]
-
-    def __len__(self) -> int:
-        return len(self.monomials)
-
-
-def enumerate_monomials(K: int, d: int) -> MonomialBasis:
+def enumerate_monomials(K: int, d: int) -> tuple[Monomial, ...]:
     """All monomials of degree <= d in the off-diagonal position generators,
     ordered by degree and then lexicographically; the constant comes first."""
     count = phi(K, d)  # validates K, d
@@ -134,7 +124,7 @@ def enumerate_monomials(K: int, d: int) -> MonomialBasis:
             for combo in combinations_with_replacement(names, degree)
         )
     assert len(monos) == count
-    return MonomialBasis(K, d, tuple(monos))
+    return tuple(monos)
 
 
 def _position_of(name: str) -> tuple[int, int]:
@@ -174,9 +164,9 @@ def alphabet_size(count: int, N: int, budget: int) -> int:
     raise BudgetExceededError(f"alphabet would hold {shown} values, over the budget of {budget}")
 
 
-def _monomial_values(H: ChannelMatrix, monos: Sequence[Monomial]) -> Iterator[ExactScalar]:
+def basis_values(H: ChannelMatrix, monos: Sequence[Monomial]) -> Iterator[ExactScalar]:
     """The values at H of `monos`, graded and holding every monomial of each
-    degree up to the last (as a basis does), formed one by one as they are
+    degree up to the last (as `enumerate_monomials` does), formed as they are
     read: a degree-k value is the kept degree-(k-1) value of the monomial
     less one factor of its last generator, times that generator's entry.
     Only two degrees are kept. `evaluate_monomial`, which forms a value from
@@ -196,10 +186,6 @@ def _monomial_values(H: ChannelMatrix, monos: Sequence[Monomial]) -> Iterator[Ex
             value = ONE
         layer[mono] = value
         yield value
-
-
-def basis_values(H: ChannelMatrix, basis: MonomialBasis) -> list[ExactScalar]:
-    return list(_monomial_values(H, basis.monomials))
 
 
 def build_wn(
@@ -224,7 +210,7 @@ def build_wn(
         )
     coefficient = uniform_on(range(1, N + 1))
     return linear_combination(
-        basis_values(H, enumerate_monomials(H.K, d)), [coefficient] * count, budget=budget)
+        list(basis_values(H, enumerate_monomials(H.K, d))), [coefficient] * count, budget=budget)
 
 
 # -- independence checker --------------------------------------------------------
@@ -311,13 +297,13 @@ def check_condition_star(
     users = [i for i, proved in enumerate(_jacobian_certificate(H)) if not proved]
     if not users:
         return ConditionStarReport("holds-up-to-bound", d)
-    monos = enumerate_monomials(H.K, d + 1).monomials
+    monos = enumerate_monomials(H.K, d + 1)
     n, lo, prefix = len(monos), phi(H.K, d), []
 
     def values():
         # the degree-<=d values are kept for the diagonal multiples, which are
         # read only once every value has been reduced
-        for c, value in enumerate(_monomial_values(H, monos)):
+        for c, value in enumerate(basis_values(H, monos)):
             if c < lo:
                 prefix.append(value)
             yield dict(value.terms())

@@ -26,7 +26,7 @@ from .bounds import (
 )
 from .channel import ChannelMatrix, channel_from_json, check_condition_star
 from .dist import DEFAULT_ATOM_BUDGET, dist_from_json, dist_to_json, entropy_bits
-from .errors import IcdofError, ParseError, NotRationalError
+from .errors import BudgetExceededError, IcdofError, ParseError, NotRationalError
 from .infodim import (
     NON_EXCEPTIONAL_CAVEAT,
     empirical_infodim,
@@ -81,6 +81,10 @@ def _load_dist(path: str):
 def _matrix_arg(args) -> ChannelMatrix:
     if args.matrix is not None:
         return _load_channel(args.matrix)
+    limit = max(args.budget, DEFAULT_ATOM_BUDGET)
+    if args.k >= 2 and args.k * args.k > limit:  # K < 2 is refused by the matrix itself
+        raise BudgetExceededError(
+            f"a generic matrix with K={args.k} has {args.k}^2 entries, over the budget of {limit}")
     return ChannelMatrix.generic(args.k)
 
 

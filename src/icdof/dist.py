@@ -31,6 +31,7 @@ JSON. No other module knows the format.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from collections import Counter
 from collections.abc import Set
@@ -646,9 +647,26 @@ def _product_entropy(A: DiscreteDist, B: DiscreteDist) -> float:
 # {"atoms": [{"value": "<scalar-syntax>", "prob": "p/q"}, ...]}; probabilities
 # may also be decimal strings, which are converted exactly (0.08 -> 2/25).
 
+_EXPONENT = re.compile(r"e[-+]?0*([\d_]*)\s*\Z", re.IGNORECASE)
+
+
+def json_list(obj: dict, key: str) -> list:
+    """obj[key], refused unless it is a JSON list."""
+    value = obj[key]
+    if not isinstance(value, list):
+        raise ParseError(f'"{key}" must be a list, got {value!r}')
+    return value
+
 
 def parse_probability(text) -> Fraction:
     if isinstance(text, str) and ("." in text or "e" in text.lower()):
+        # Fraction forms 10^exponent: refuse one with more digits than the
+        # interpreter converts to a string, which would take minutes
+        exponent = _EXPONENT.search(text)
+        digits = exponent[1].replace("_", "") if exponent else ""
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+        if limit and (len(digits) > len(str(limit)) or int(digits or 0) > limit):
+            raise ParseError(f"bad probability {text!r}: exponent over the limit of {limit}")
         try:
             return Fraction(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -664,7 +682,7 @@ def dist_from_json(obj) -> DiscreteDist:
     if not isinstance(obj, dict) or "atoms" not in obj:
         raise ParseError('distribution JSON must be {"atoms": [...]}')
     atoms: dict[ExactScalar, Fraction] = {}
-    for entry in obj["atoms"]:
+    for entry in json_list(obj, "atoms"):
         if not isinstance(entry, dict) or "value" not in entry or "prob" not in entry:
             raise ParseError(f'each atom needs "value" and "prob", got {entry!r}')
         point = as_scalar(entry["value"])

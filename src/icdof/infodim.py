@@ -20,6 +20,7 @@ from .dist import (
     DiscreteDist,
     entropy_bits,
     floor_dist,
+    json_list,
     linear_combination,
     parse_probability,
 )
@@ -69,8 +70,8 @@ def ifs_from_json(obj) -> IFSSpec:
         raise ParseError('IFS JSON must be {"r": ..., "w": [...], "probs": [...]}')
     return IFSSpec(
         parse_rational(obj["r"]),
-        tuple(as_scalar(w) for w in obj["w"]),
-        tuple(parse_probability(p) for p in obj["probs"]),
+        tuple(as_scalar(w) for w in json_list(obj, "w")),
+        tuple(parse_probability(p) for p in json_list(obj, "probs")),
     )
 
 
@@ -133,6 +134,8 @@ def empirical_infodim(
     """
     if k < 2:
         raise ValidationError(f"need a quantization factor k >= 2, got {k}")
+    if m < 1:  # before the guard below can warn
+        raise ValidationError(f"need m >= 1, got {m}")
     try:
         w_fracs = [w.as_fraction() for w in ifs.w_values]
     except NotRationalError:

@@ -19,8 +19,16 @@ from typing import Callable, Optional, Sequence
 
 from .bounds import hlambda_bound, theorem3_ratio
 from .channel import ChannelMatrix
-from .dist import DiscreteDist, SupportSet, support_set, uniform_on, weighted_on
-from .errors import ValidationError
+from .dist import (
+    DEFAULT_ATOM_BUDGET,
+    DiscreteDist,
+    SupportSet,
+    check_pair_budget,
+    support_set,
+    uniform_on,
+    weighted_on,
+)
+from .errors import BudgetExceededError, ValidationError
 from .scalar import ExactScalar
 
 PROP4_BASE = Fraction(2, 25)
@@ -247,6 +255,9 @@ def _search(
     restart ends."""
     if n < 2:
         raise ValidationError(f"need a support of at least 2 points, got n={n}")
+    if n > DEFAULT_ATOM_BUDGET:
+        raise BudgetExceededError(
+            f"search grid would hold {n} points, over the budget of {DEFAULT_ATOM_BUDGET}")
     support = support_set(uniform_on(integer_grid(n)))  # packed once per search
     max_den = config.rationalization_denominator
     rng = random.Random(config.seed)
@@ -314,6 +325,8 @@ def optimize_hlambda(
     lam = Fraction(lam)
     if lam == 0:
         raise ValidationError("lambda must be nonzero")
+    if n >= 2:  # a smaller n is refused by `_search`
+        check_pair_budget(n * n, DEFAULT_ATOM_BUDGET)  # the first evaluation's U + V
     warm = None
     if lam == -1 and n >= 4:
         W4 = prop4_dist(n)
@@ -329,12 +342,17 @@ def optimize_theorem3(
     progress: Optional[Callable[[dict], None]] = None,
 ) -> OptResult:
     """Maximize the output-entropy ratio over K input distributions supported
-    on {0..n-1}. Candidates that make every output deterministic are skipped."""
+    on {0..n-1}. Candidates that make every output deterministic are skipped;
+    a budget refusal ends the search."""
+    if n >= 2 and any(sum(not x.is_zero() for x in row) > 1 for row in H.entries):
+        check_pair_budget(n * n, DEFAULT_ATOM_BUDGET)  # that row's first step
 
     def score(dists):
         try:
             return theorem3_ratio(H, dists)
-        except ValidationError:
+        except BudgetExceededError:
+            raise
+        except ValidationError:  # deterministic inputs
             return -math.inf
 
     return _search(score, n, H.K, config, progress=progress)

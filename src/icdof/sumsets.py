@@ -21,6 +21,7 @@ from .dist import (
     SupportSet,
     convolve,
     entropy_bits,
+    json_list,
     scale,
     support_set,
     uniform_on,
@@ -45,7 +46,7 @@ def _packed(A: AbstractSet) -> SupportSet:
 def set_from_json(obj) -> AbstractSet[ExactScalar]:
     if not isinstance(obj, dict) or "elements" not in obj:
         raise ParseError('set JSON must be {"elements": [...]}')
-    elements = list(obj["elements"])
+    elements = json_list(obj, "elements")
     result = finite_set(elements)
     if not result:
         raise ParseError("empty element list")

@@ -18,8 +18,8 @@ from icdof import (
     DiscreteDist,
     ExactScalar,
     as_scalar,
-    basis_values,
     enumerate_monomials,
+    evaluate_monomial,
 )
 
 # One profile for every property suite: the same examples on every run, no
@@ -65,9 +65,10 @@ def counting_convolve(calls: list):
 def reference_build_wn(H: ChannelMatrix, d: int, N: int) -> list[ExactScalar]:
     """Slow twin of `build_wn`: every one of the N^phi(K,d) values sum_f a_f
     f(H), a_f in {1..N}, formed as an `ExactScalar` sum, repeats kept, in the
-    order of the coefficient vectors."""
+    order of the coefficient vectors. Each basis value is formed from the
+    entries alone by `evaluate_monomial`."""
     values = [ExactScalar.rational(0)]
-    for f in basis_values(H, enumerate_monomials(H.K, d)):
+    for f in (evaluate_monomial(H, m) for m in enumerate_monomials(H.K, d)):
         scaled = [f * a for a in range(1, N + 1)]
         values = [w + fa for w in values for fa in scaled]
     return values

@@ -9,6 +9,8 @@ import os
 import subprocess
 import sys
 import time
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import icdof
-from icdof import cli
+import icdof.bounds
+import icdof.dist
+import icdof.optimize
+from icdof import ChannelMatrix, cli
 from icdof.cli import run
 
 
@@ -728,6 +733,115 @@ class TestExitCodes:
         assert report["code"] in ("parse-error", "invalid-input")
         assert "True" in report["message"]
 
+    @pytest.mark.parametrize("verb, obj, code, message", [
+        ("sumset", {"elements": 5}, "parse-error", '"elements" must be a list, got 5'),
+        ("sumset", {"elements": None}, "parse-error", '"elements" must be a list, got None'),
+        ("sumset", {"elements": "abc"}, "parse-error", '"elements" must be a list, got \'abc\''),
+        ("hlambda", {"atoms": 5}, "parse-error", '"atoms" must be a list, got 5'),
+        ("ratio-thm3", {"atoms": 5}, "parse-error", '"atoms" must be a list, got 5'),
+        ("ineq-suite", {"atoms": 5}, "parse-error", '"atoms" must be a list, got 5'),
+        ("infodim", {"r": "1/3", "w": 5, "probs": ["1/2", "1/2"]},
+         "parse-error", '"w" must be a list, got 5'),
+        ("infodim", {"r": "1/3", "w": ["0", "2"], "probs": 5},
+         "parse-error", '"probs" must be a list, got 5'),
+        ("bound-integer", {"K": "2", "entries": [[0, 1], [1, 0]]},
+         "invalid-input", "K must be an integer, got '2'"),
+        ("bound-integer", {"K": 2.0, "entries": [[0, 1], [1, 0]]},
+         "invalid-input", "K must be an integer, got 2.0"),
+        ("bound-integer", {"K": 2, "entries": 5},
+         "invalid-input", "off-diagonal table must be 2x2"),
+        ("bound-integer", {"K": 2, "entries": [5, 6]},
+         "invalid-input", "off-diagonal table must be 2x2"),
+        ("bound-integer", {"K": True, "entries": [[0, 1], [1, 0]]},
+         "invalid-input", "need K >= 2, got True"),
+    ])
+    def test_wrong_typed_fields(self, capsys, files, coin_file, verb, obj, code, message):
+        path = files("input.json", obj)
+        argv = {
+            "sumset": ["--a", path, "--b", path],
+            "hlambda": ["--lambda", "-1", "--u", path, "--v", coin_file],
+            "ratio-thm3": ["--k", "2", "--dist", path, "--dist", coin_file],
+            "ineq-suite": ["--u", path, "--v", coin_file],
+            "infodim": ["--ifs", path],
+            "bound-integer": ["--matrix", path, "--n", "3"],
+        }[verb]
+        assert run_json(capsys, [verb, *argv]) == (2, {"code": code, "message": message})
+
+    def test_infodim_checks_m_before_the_quantization_guard(self, capsys, files):
+        ifs = files("cantor.json", {"r": "1/3", "w": ["0", "2"], "probs": ["1/2", "1/2"]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would exit 1
+            result = run_json(capsys, ["infodim", "--ifs", ifs, "--m", "0"])
+        assert result == (2, {"code": "invalid-input", "message": "need m >= 1, got 0"})
+
+    @pytest.mark.parametrize("prob", ["1e999999999", "1e-999999999", "2.5E+1_000_000"])
+    def test_probability_exponents_over_the_digit_limit(self, capsys, files, monkeypatch, prob):
+        formed = []
+        monkeypatch.setattr(icdof.dist, "Fraction",
+                            lambda *args: formed.append(args) or Fraction(*args))
+        dist = files("dist.json", {"atoms": [{"value": 0, "prob": prob}]})
+        ifs = files("ifs.json", {"r": "1/3", "w": ["0", "2"], "probs": [prob, "1/2"]})
+        limit = sys.get_int_max_str_digits()
+        message = f"bad probability {prob!r}: exponent over the limit of {limit}"
+        for argv in (["hlambda", "--lambda", "-1", "--u", dist, "--v", dist],
+                     ["infodim", "--ifs", ifs]):
+            assert run_json(capsys, argv) == (2, {"code": "parse-error", "message": message})
+        assert formed == []
+
+    def test_probability_exponents_at_the_digit_limit_are_read(self):
+        limit = sys.get_int_max_str_digits()
+        assert icdof.parse_probability(f"1e-{limit}") == Fraction(1, 10**limit)
+        assert icdof.parse_probability("0.5e0_1") == 5
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bound-thm1", "--k", "100000", "--d", "0", "--n", "2"],
+         "a generic matrix with K=100000 has 100000^2 entries, over the budget of 5000000"),
+        (["bound-thm1", "--k", "2300", "--d", "0", "--n", "1"],
+         "a generic matrix with K=2300 has 2300^2 entries, over the budget of 5000000"),
+        (["bound-thm1", "--k", "2237", "--d", "0", "--n", "2", "--budget", "10"],
+         "a generic matrix with K=2237 has 2237^2 entries, over the budget of 5000000"),
+        (["bound-thm1", "--k", "4000", "--d", "0", "--n", "2", "--budget", "10000000"],
+         "a generic matrix with K=4000 has 4000^2 entries, over the budget of 10000000"),
+        (["ratio-thm3", "--k", "100000", "--dist", "DIST"],
+         "a generic matrix with K=100000 has 100000^2 entries, over the budget of 5000000"),
+    ])
+    def test_generic_matrix_over_the_budget(self, capsys, monkeypatch, coin_file, argv, message):
+        monkeypatch.setattr(ChannelMatrix, "generic", staticmethod(_refuse_build))
+        argv = [coin_file if arg == "DIST" else arg for arg in argv]
+        assert run_json(capsys, argv) == (2, {"code": "budget-exceeded", "message": message})
+
+    @pytest.mark.parametrize("k, budget", [
+        (2236, "1"), (2236, "100"), (2236, str(icdof.DEFAULT_ATOM_BUDGET)), (2237, "10000000"),
+    ])
+    def test_generic_matrix_within_the_budget_is_built(self, capsys, monkeypatch, k, budget):
+        monkeypatch.setattr(ChannelMatrix, "generic", staticmethod(_refuse_build))
+        argv = ["bound-thm1", "--k", str(k), "--d", "0", "--n", "2", "--budget", budget]
+        assert run_json(capsys, argv) == (2, {"code": "invalid-input", "message": "built"})
+
+    @pytest.mark.parametrize("n", [3000, 3000000, 100000000])
+    def test_integer_table_first_step_over_the_budget(self, capsys, files, monkeypatch, n):
+        monkeypatch.setattr(icdof.bounds, "uniform_on", _refuse_build)
+        table = files("int3.json", {"K": 3, "entries": [[0, 2, -1], [3, 0, 1], [-2, 4, 0]]})
+        message = f"convolution needs {n * n} atom pairs, over the budget of 5000000"
+        assert run_json(capsys, ["bound-integer", "--matrix", table, "--n", str(n)]) == (
+            2, {"code": "budget-exceeded", "message": message})
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--target", "hlambda", "--lambda", "-1", "--n", "3000"],
+         "convolution needs 9000000 atom pairs, over the budget of 5000000"),
+        (["--target", "hlambda", "--lambda", "-1", "--n", "100000000"],
+         "convolution needs 10000000000000000 atom pairs, over the budget of 5000000"),
+        (["--target", "thm3", "--matrix", "MATRIX", "--n", "5000"],
+         "convolution needs 25000000 atom pairs, over the budget of 5000000"),
+    ])
+    def test_optimizer_first_step_over_the_budget(self, capsys, files, monkeypatch, flags, message):
+        monkeypatch.setattr(icdof.optimize, "integer_grid", _refuse_build)
+        matrix = files("m3.json", {"K": 3, "entries": [[1, 2, 3], [4, 5, 7], [2, -1, 1]]})
+        assert run(["optimize"] + [matrix if flag == "MATRIX" else flag for flag in flags]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"code": "budget-exceeded", "message": message}
+        assert captured.err == ""
+
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_result_is_an_error(self, capsys, monkeypatch, value):
         monkeypatch.setattr(cli, "_cmd_bound_floor", lambda args: {"floor": value})
@@ -741,6 +855,10 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "usage" in capsys.readouterr().out.lower()
+
+
+def _refuse_build(*args):
+    raise icdof.ValidationError("built")
 
 
 class TestProcess:
@@ -899,6 +1017,88 @@ class TestOptimizeFuzz:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             status = run(argv)
+        assert status in (0, 2), out.getvalue()
+        report = json.loads(out.getvalue())  # one document, nothing around it
+        assert ("code" in report) == (status == 2)
+
+
+# JSON values of any shape, half of them scalars: the junk each reader is fed
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.floats() | st.text(max_size=8)
+    | st.integers(-10**6, 10**6) | st.integers(-10**1000, 10**1000)
+    | st.sampled_from(["1/0", "generic", "1e999999999", "h_1_2", "0.5", "-1", "1/2"])
+)
+JSON_JUNK = JSON_SCALARS | st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=5), inner, max_size=3)),
+    max_leaves=6,
+)
+
+# (argv with INPUT for the file, a valid document, the paths one junk value may replace)
+READERS = {
+    "distribution": (
+        ["hlambda", "--lambda", "-1", "--u", "INPUT", "--v", "INPUT"],
+        {"atoms": [{"value": "0", "prob": "1/2"}, {"value": "1", "prob": "1/2"}]},
+        [(), ("atoms",), ("atoms", 0), ("atoms", 1, "value"), ("atoms", 0, "prob")],
+    ),
+    "set": (
+        ["sumset", "--a", "INPUT", "--b", "INPUT"],
+        {"elements": ["0", "2", "4"]},
+        [(), ("elements",), ("elements", 1)],
+    ),
+    "channel": (
+        ["condition", "--matrix", "INPUT", "--degree", "1"],
+        {"K": 2, "entries": [["generic", 2], [3, "generic"]]},
+        [(), ("K",), ("entries",), ("entries", 1), ("entries", 0, 1)],
+    ),
+    "ifs": (
+        ["infodim", "--ifs", "INPUT", "--m", "2"],
+        {"r": "1/3", "w": ["0", "2"], "probs": ["1/2", "1/2"]},
+        [(), ("r",), ("w",), ("probs",), ("w", 1), ("probs", 0)],
+    ),
+    "integer table": (
+        ["bound-integer", "--matrix", "INPUT", "--n", "3"],
+        {"K": 2, "entries": [[0, 1], [2, 0]]},
+        [(), ("K",), ("entries",), ("entries", 0), ("entries", 1, 0)],
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("readers")
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    copy = json.loads(json.dumps(doc))
+    target = copy
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return copy
+
+
+class TestReaderFuzz:
+    """Each file reader on a valid document with one field, or the whole
+    document, replaced by JSON junk: every run exits 0 or 2 with exactly one
+    JSON document on stdout."""
+
+    @settings(max_examples=60)
+    @given(data=st.data(), junk=JSON_JUNK)
+    @pytest.mark.parametrize("reader", list(READERS))
+    def test_reader(self, fuzz_dir, reader, data, junk):
+        argv, doc, paths = READERS[reader]
+        path = fuzz_dir / "input.json"
+        path.write_text(json.dumps(_replaced(doc, data.draw(st.sampled_from(paths)), junk)))
+        budget = [] if argv[0] == "condition" else ["--budget", "1000"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            status = run([str(path) if arg == "INPUT" else arg for arg in argv] + budget)
         assert status in (0, 2), out.getvalue()
         report = json.loads(out.getvalue())  # one document, nothing around it
         assert ("code" in report) == (status == 2)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import icdof
 from icdof import (
+    BudgetExceededError,
     ChannelMatrix,
     OptConfig,
     ValidationError,
@@ -200,6 +201,48 @@ class TestTheorem3Search:
         H = ChannelMatrix.from_rows([[0, 0], [0, 0]])
         with pytest.raises(ValidationError, match="degenerate"):
             optimize_theorem3(H, 2, FAST)
+
+    def test_budget_refusal_ends_the_search(self, monkeypatch):
+        # n * n = 40000 pairs pass the up-front check; each user's full step,
+        # 200^2 interference atoms times 200 signal atoms, does not
+        calls = []
+        ratio = icdof.optimize.theorem3_ratio
+        monkeypatch.setattr(icdof.optimize, "theorem3_ratio",
+                            lambda H, dists: calls.append(1) or ratio(H, dists))
+        refusal = "^convolution needs 8000000 atom pairs, over the budget of 5000000$"
+        with pytest.raises(BudgetExceededError, match=refusal):
+            optimize_theorem3(ChannelMatrix.generic(3), 200,
+                              OptConfig(restarts=1, max_iters=1, rationalization_denominator=2))
+        assert len(calls) == 1
+
+
+class TestUpFrontRefusals:
+    """Searches whose first evaluation, or whose grid, is over the budget are
+    refused before the grid is built."""
+
+    @pytest.mark.parametrize("run", [
+        lambda n: optimize_hlambda(-1, n, FAST),
+        lambda n: optimize_hlambda(Fraction(3, 2), n, FAST),
+        lambda n: optimize_theorem3(ChannelMatrix.from_rows([[1, 0], [2, 3]]), n, FAST),
+    ], ids=["hlambda-warm", "hlambda", "thm3"])
+    def test_first_step_is_refused_before_the_grid(self, monkeypatch, run):
+        monkeypatch.setattr(icdof.optimize, "integer_grid", _never)
+        for n in (2237, 300000, 10**8):
+            with pytest.raises(BudgetExceededError,
+                               match=f"^convolution needs {n * n} atom pairs, over the budget"):
+                run(n)
+
+    def test_grid_over_the_budget_is_refused_before_it_is_built(self, monkeypatch):
+        # no row has two nonzero entries, so no pair step bounds n
+        monkeypatch.setattr(icdof.optimize, "integer_grid", _never)
+        H = ChannelMatrix.from_rows([[1, 0], [0, 1]])
+        refusal = "^search grid would hold 5000001 points, over the budget of 5000000$"
+        with pytest.raises(BudgetExceededError, match=refusal):
+            optimize_theorem3(H, 5000001, FAST)
+
+
+def _never(*args):
+    raise AssertionError("the input was built for a refused search")
 
 
 def scipy_nelder_mead(f, x0, maxiter, maxfev):
