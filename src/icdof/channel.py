@@ -19,7 +19,8 @@ from typing import Iterator, Optional, Sequence
 from .dist import DEFAULT_ATOM_BUDGET, DiscreteDist, linear_combination, uniform_on
 from .errors import BudgetExceededError, ParseError, ValidationError
 from .linalg import first_relations
-from .scalar import ONE, ExactScalar, Monomial, MONO_ONE, as_scalar, mono_from_pairs, mono_str
+from .scalar import (
+    ONE, ExactScalar, Monomial, MONO_ONE, as_scalar, decimal, exact_str, mono_from_pairs, mono_str)
 
 
 def off_diagonal_name(i: int, j: int) -> str:
@@ -85,10 +86,6 @@ def channel_from_json(obj) -> ChannelMatrix:
     return ChannelMatrix(K, tuple(rows))
 
 
-def channel_to_json(H: ChannelMatrix) -> dict:
-    return {"K": H.K, "entries": [[str(x) for x in row] for row in H.entries]}
-
-
 def is_fully_connected(H: ChannelMatrix) -> bool:
     """True iff every entry is nonzero (exact test)."""
     return all(not x.is_zero() for row in H.entries for x in row)
@@ -141,15 +138,6 @@ def evaluate_monomial(H: ChannelMatrix, mono: Monomial) -> ExactScalar:
     return value
 
 
-def _decimal(count: int, formula: str) -> str:
-    """`count` in decimal, or `formula` once it is too long for the
-    interpreter to convert (its limit on integer string conversion)."""
-    try:
-        return str(count)
-    except ValueError:
-        return formula
-
-
 def alphabet_size(count: int, N: int, budget: int) -> int:
     """N^count, the number of alphabet values, once within the budget. Its
     lower bound 2^(count * (bitlen N - 1)) refuses it before it is formed, and
@@ -160,7 +148,7 @@ def alphabet_size(count: int, N: int, budget: int) -> int:
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
     # 2^floor_bits has more than `limit` digits once floor_bits >= limit * 10/3
     formula = f"{N}^{count}"
-    shown = formula if limit and 3 * floor_bits >= 10 * limit else _decimal(N**count, formula)
+    shown = formula if limit and 3 * floor_bits >= 10 * limit else decimal(N**count, formula)
     raise BudgetExceededError(f"alphabet would hold {shown} values, over the budget of {budget}")
 
 
@@ -205,7 +193,7 @@ def build_wn(
     alphabet_size(count, N, budget)
     if count > budget:  # only reachable at N = 1, where the alphabet has one value
         raise BudgetExceededError(
-            f"alphabet basis would hold {_decimal(count, f'phi({H.K}, {d})')} monomials, "
+            f"alphabet basis would hold {decimal(count, f'phi({H.K}, {d})')} monomials, "
             f"over the budget of {budget}"
         )
     coefficient = uniform_on(range(1, N + 1))
@@ -226,7 +214,7 @@ class WitnessTerm:
         return {
             "family": self.family,
             "monomial": mono_str(self.monomial),
-            "coefficient": str(self.coefficient),
+            "coefficient": exact_str(self.coefficient),
         }
 
 
@@ -290,7 +278,7 @@ def check_condition_star(
         raise ValidationError(f"need d >= 0, got {d}")
     columns = phi(H.K, d + 1) + phi(H.K, d)
     if columns > budget:
-        shown = _decimal(columns, f"phi({H.K}, {d + 1}) + phi({H.K}, {d})")
+        shown = decimal(columns, f"phi({H.K}, {d + 1}) + phi({H.K}, {d})")
         raise BudgetExceededError(
             f"independence check needs {shown} family columns, over the budget of {budget}"
         )

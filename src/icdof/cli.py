@@ -36,7 +36,7 @@ from .infodim import (
     recommended_quantization,
 )
 from .optimize import OptConfig, optimize_hlambda, optimize_theorem3
-from .scalar import parse_rational
+from .scalar import exact_str, parse_rational
 from .sumsets import (
     entropy_inequality_suite,
     is_arithmetic_progression,
@@ -194,8 +194,8 @@ def _ap_json(elements) -> Optional[dict]:
         return None
     start, step, length = decomposition
     return {
-        "start": str(start),
-        "step": None if step is None else str(step),
+        "start": exact_str(start),
+        "step": None if step is None else exact_str(step),
         "length": length,
     }
 

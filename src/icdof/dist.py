@@ -43,7 +43,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import BudgetExceededError, NotRationalError, ParseError, ValidationError
-from .scalar import MONO_ONE, ONE, ExactScalar, as_scalar, mono_mul, parse_rational
+from .scalar import MONO_ONE, ONE, ExactScalar, as_scalar, decimal, mono_mul, parse_rational
 
 DEFAULT_ATOM_BUDGET = 5_000_000
 
@@ -225,9 +225,10 @@ class DiscreteDist:
             point = as_scalar(point)
             prob = prob if type(prob) is Fraction else Fraction(prob)
             if prob.numerator <= 0:
-                raise ValidationError(f"probability {prob} of atom '{point}' is not positive")
+                raise ValidationError(
+                    f"probability {decimal(prob)} of atom '{decimal(point)}' is not positive")
             if point in checked:
-                raise ValidationError(f"duplicate support point '{point}'")
+                raise ValidationError(f"duplicate support point '{decimal(point)}'")
             checked[point] = prob
         if not checked:
             raise ValidationError("a distribution needs at least one atom")
@@ -235,7 +236,7 @@ class DiscreteDist:
         weights = [prob.numerator * (denom // prob.denominator) for prob in checked.values()]
         if sum(weights) != denom:
             total = Fraction(sum(weights), denom)
-            raise ValidationError(f"probabilities sum to {total}, expected exactly 1")
+            raise ValidationError(f"probabilities sum to {decimal(total)}, expected exactly 1")
         lattice, keys, reach = _born(list(checked))
         self._fill(lattice, dict(zip(keys, weights)), denom, reach)
 
@@ -378,7 +379,7 @@ def weighted_on(support: Iterable, weights: Sequence[int]) -> DiscreteDist:
         seen = set()
         for key, point in zip(keys, points):
             if key in seen:
-                raise ValidationError(f"support not distinct: '{point}' appears twice")
+                raise ValidationError(f"support not distinct: '{decimal(point)}' appears twice")
             seen.add(key)
     return _new(lattice, packed, sum(weights) // g, reach)
 
@@ -687,7 +688,7 @@ def dist_from_json(obj) -> DiscreteDist:
             raise ParseError(f'each atom needs "value" and "prob", got {entry!r}')
         point = as_scalar(entry["value"])
         if point in atoms:
-            raise ParseError(f"duplicate atom '{point}' in distribution JSON")
+            raise ParseError(f"duplicate atom '{decimal(point)}' in distribution JSON")
         atoms[point] = parse_probability(entry["prob"])
     return DiscreteDist(atoms)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -35,6 +35,7 @@ class IFSSpec:
     r: Fraction
     w_values: tuple[ExactScalar, ...]
     probs: tuple[Fraction, ...]
+    _offsets: DiscreteDist = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 < self.r < 1):
@@ -45,12 +46,10 @@ class IFSSpec:
             )
         if len(self.w_values) < 2:
             raise ValidationError("need at least 2 offsets")
-        if any(p <= 0 for p in self.probs):
-            raise ValidationError("probabilities must be positive")
-        if sum(self.probs) != 1:
-            raise ValidationError(f"probabilities sum to {sum(self.probs)}, expected 1")
-        if len(set(self.w_values)) != len(self.w_values):
+        if len(set(self.w_values)) != len(self.w_values):  # before the dict below merges them
             raise ValidationError("offsets must be pairwise distinct")
+        # the probabilities' positivity and sum are checked by the distribution
+        object.__setattr__(self, "_offsets", DiscreteDist(dict(zip(self.w_values, self.probs))))
 
     @staticmethod
     def create(r, w_values: Sequence, probs: Sequence) -> "IFSSpec":
@@ -61,7 +60,7 @@ class IFSSpec:
         )
 
     def offset_dist(self) -> DiscreteDist:
-        return DiscreteDist(dict(zip(self.w_values, self.probs)))
+        return self._offsets
 
 
 def ifs_from_json(obj) -> IFSSpec:
@@ -73,14 +72,6 @@ def ifs_from_json(obj) -> IFSSpec:
         tuple(as_scalar(w) for w in json_list(obj, "w")),
         tuple(parse_probability(p) for p in json_list(obj, "probs")),
     )
-
-
-def ifs_to_json(ifs: IFSSpec) -> dict:
-    return {
-        "r": str(ifs.r),
-        "w": [str(w) for w in ifs.w_values],
-        "probs": [str(p) for p in ifs.probs],
-    }
 
 
 def log2_inverse_contraction(r: Fraction) -> float:

@@ -92,7 +92,7 @@ def first_relations(
     n = len(pivots)  # every base vector is a pivot unless `shared` is set
     for group in extras:
         relation = shared or next(filter(None, _relations(group, ChainMap({}, pivots), n)), None)
-        yield None if relation is None else primitive_integer_vector(
+        yield None if relation is None else _primitive_integer_vector(
             [relation.get(c, 0) for c in range(max(relation) + 1)])
 
 
@@ -117,7 +117,7 @@ def kernel_basis(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     ]
 
 
-def primitive_integer_vector(vec: Sequence[Fraction]) -> list[int]:
+def _primitive_integer_vector(vec: Sequence[Fraction]) -> list[int]:
     """Clear denominators and divide by the gcd; sign fixed so the first
     nonzero entry is positive."""
     values = [Fraction(x) for x in vec]

@@ -63,14 +63,6 @@ class OptResult:
     trace: tuple[dict, ...]
     seed: int
 
-    @property
-    def best_U(self) -> DiscreteDist:
-        return self.dists[0]
-
-    @property
-    def best_V(self) -> DiscreteDist:
-        return self.dists[1]
-
 
 def integer_grid(n: int) -> tuple[ExactScalar, ...]:
     return tuple(ExactScalar.rational(i) for i in range(n))

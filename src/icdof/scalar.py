@@ -9,6 +9,7 @@ difference decides every collision question in the package.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from fractions import Fraction
@@ -214,27 +215,6 @@ class ExactScalar:
         flat = self._flat
         return zip(flat[::2], flat[1::2])
 
-    def generators(self) -> frozenset:
-        gens = set()
-        for mono, _ in self.terms():
-            gens.update(g for g, _ in mono[1])
-        return frozenset(gens)
-
-    def degree(self) -> int:
-        flat = self._flat
-        return max((flat[i][0] for i in range(0, len(flat), 2)), default=0)
-
-    def eval_float(self, assignment: Mapping[str, float]) -> float:
-        total = 0.0
-        for mono, coeff in self.terms():
-            term = float(coeff)
-            for gen, exp in mono[1]:
-                if gen not in assignment:
-                    raise ValidationError(f"missing assignment for generator '{gen}'")
-                term *= assignment[gen] ** exp
-            total += term
-        return total
-
     def sort_key(self) -> tuple:
         """Opaque deterministic total-order key (used for stable JSON output)."""
         return self._flat
@@ -289,6 +269,32 @@ ZERO = ExactScalar()
 ONE = ExactScalar((MONO_ONE, 1))
 ExactScalar.ZERO = ZERO
 ExactScalar.ONE = ONE
+
+
+def decimal(value, formula: str = "") -> str:
+    """`value` (an int, a Fraction or an ExactScalar) as `str` writes it, or,
+    once it holds an integer too long for the interpreter to convert (its
+    limit on integer string conversion), `formula` or else its size."""
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    if formula:
+        return formula
+    parts = [c for _, c in value.terms()] if isinstance(value, ExactScalar) else [value]
+    top = max(abs(x) for p in map(Fraction, parts) for x in (p.numerator, p.denominator))
+    digits = int((top.bit_length() - 1) * math.log10(2)) + 1  # those of 2^(bitlen - 1)
+    return f"a value of {digits + (top >= 10**digits)} digits"
+
+
+def exact_str(value) -> str:
+    """`str(value)` for an output that must print `value` exactly; a value
+    too long for the interpreter to convert is refused by its size."""
+    try:
+        return str(value)
+    except ValueError:
+        size, limit = decimal(value), sys.get_int_max_str_digits()
+        raise ValidationError(f"cannot print {size} exactly; the limit is {limit} digits") from None
 
 
 def as_scalar(value) -> ExactScalar:

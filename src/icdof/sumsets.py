@@ -27,7 +27,7 @@ from .dist import (
     uniform_on,
 )
 from .errors import BudgetExceededError, NotRationalError, ParseError, ValidationError
-from .scalar import ExactScalar, as_scalar
+from .scalar import ExactScalar, as_scalar, exact_str
 
 
 def finite_set(elements: Iterable) -> AbstractSet[ExactScalar]:
@@ -57,7 +57,7 @@ def set_from_json(obj) -> AbstractSet[ExactScalar]:
 
 def set_to_json(elements: AbstractSet[ExactScalar]) -> dict:
     ordered = sorted(elements, key=lambda x: x.sort_key())
-    return {"elements": [str(x) for x in ordered]}
+    return {"elements": [exact_str(x) for x in ordered]}
 
 
 def sumset(
@@ -79,19 +79,6 @@ def sumset(
     if pairs > budget:
         raise BudgetExceededError(f"sumset needs {pairs} pairs, over the budget of {budget}")
     return support_set(convolve(_packed(A).dist, _packed(B).dist, budget=budget))
-
-
-def check_trivial_bounds(
-    A: AbstractSet[ExactScalar],
-    B: AbstractSet[ExactScalar],
-    budget: int = DEFAULT_ATOM_BUDGET,
-) -> tuple[bool, bool]:
-    """(lower_ok, upper_ok) for max{|A|,|B|} <= |A+B| <= |A|*|B|.
-
-    Both are theorems, so this exists as a test oracle for the sum kernel.
-    """
-    size = len(sumset(A, B, budget=budget))
-    return max(len(A), len(B)) <= size, size <= len(A) * len(B)
 
 
 def is_arithmetic_progression(

@@ -793,6 +793,45 @@ class TestExitCodes:
         assert icdof.parse_probability(f"1e-{limit}") == Fraction(1, 10**limit)
         assert icdof.parse_probability("0.5e0_1") == 5
 
+    @pytest.mark.parametrize("case", ["hlambda", "ineq-suite", "infodim", "sumset",
+                                      "duplicate-atom", "negative-prob", "condition", "bound-thm1"])
+    def test_values_too_long_to_print_are_invalid_input(self, capsys, files, case):
+        # each integer is within the digit limit; the sum of the probabilities
+        # and the square of 10^4000 - 1 are not
+        probs = [f"1/{10**4000 + 1}", f"1/{10**4000 + 3}"]
+        dist = files("dist.json", {"atoms": [{"value": "0", "prob": probs[0]},
+                                             {"value": "1", "prob": probs[1]}]})
+        square = "*".join(["9" * 4000] * 2)
+        atoms = {"duplicate-atom": [{"value": square, "prob": "1/2"}] * 2,
+                 "negative-prob": [{"value": square, "prob": "-1"}, {"value": "0", "prob": "2"}]}
+        bad = files("bad.json", {"atoms": atoms.get(case, [])})
+        # its witness is square*1 - 1*h_1_2, with h_1_2 = square
+        matrix = files("matrix.json", {"K": 2, "entries": [["generic", square], ["1", "generic"]]})
+        argv = {
+            "hlambda": ["hlambda", "--lambda", "-1", "--u", dist, "--v", dist],
+            "ineq-suite": ["ineq-suite", "--u", dist, "--v", dist],
+            "infodim": ["infodim", "--ifs",
+                        files("ifs.json", {"r": "1/3", "w": ["0", "2"], "probs": probs})],
+            "sumset": ["sumset", "--a", files("a.json", {"elements": [square, "1"]}),
+                       "--b", files("b.json", {"elements": ["0", "1"]})],
+            "condition": ["condition", "--matrix", matrix, "--degree", "1"],
+            "bound-thm1": ["bound-thm1", "--matrix", matrix, "--d", "0", "--n", "2"],
+        }.get(case, ["hlambda", "--lambda", "-1", "--u", bad, "--v", bad])
+        limit = sys.get_int_max_str_digits()
+        unprintable = ("invalid-input",
+                       f"cannot print a value of 8000 digits exactly; the limit is {limit} digits")
+        code, message = {
+            "sumset": unprintable,
+            "condition": unprintable,
+            "bound-thm1": unprintable,
+            "duplicate-atom": ("parse-error",
+                               "duplicate atom 'a value of 8000 digits' in distribution JSON"),
+            "negative-prob": ("invalid-input",
+                              "probability -1 of atom 'a value of 8000 digits' is not positive"),
+        }.get(case, ("invalid-input",
+                     "probabilities sum to a value of 8001 digits, expected exactly 1"))
+        assert run_json(capsys, argv) == (2, {"code": code, "message": message})
+
     @pytest.mark.parametrize("argv, message", [
         (["bound-thm1", "--k", "100000", "--d", "0", "--n", "2"],
          "a generic matrix with K=100000 has 100000^2 entries, over the budget of 5000000"),

@@ -17,8 +17,6 @@ from icdof import (
     ValidationError,
     empirical_infodim,
     entropy_bits,
-    ifs_from_json,
-    ifs_to_json,
     infodim_formula,
     recommended_quantization,
     support_set,
@@ -39,13 +37,6 @@ class TestSpec:
             IFSSpec.create(Fraction(1, 2), [0, 1], [Fraction(1, 2), Fraction(1, 3)])
         with pytest.raises(ValidationError):
             IFSSpec.create(Fraction(1, 2), [0], [Fraction(1)])
-
-    def test_json_round_trip(self):
-        obj = ifs_to_json(CANTOR)
-        back = ifs_from_json(obj)
-        assert back.r == CANTOR.r
-        assert back.w_values == CANTOR.w_values
-        assert back.probs == CANTOR.probs
 
 
 class TestFormula:

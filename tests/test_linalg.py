@@ -16,7 +16,8 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from icdof import ValidationError, kernel_basis, primitive_integer_vector
+from icdof import ValidationError, kernel_basis
+from icdof.linalg import _primitive_integer_vector
 from icdof.linalg import first_relations
 
 
@@ -116,7 +117,7 @@ class TestKernelBasis:
         basis = kernel_basis(rows)
         assert len(basis) == 1
         _check_in_kernel(rows, basis[0])
-        assert primitive_integer_vector(basis[0]) == [2, -1]
+        assert _primitive_integer_vector(basis[0]) == [2, -1]
 
     def test_fractional_entries(self):
         rows = [[Fraction(1, 3), Fraction(1, 6), Fraction(-1, 2)]]
@@ -182,23 +183,23 @@ class TestKernelBasis:
 
 class TestPrimitiveVector:
     def test_clears_denominators_and_reduces(self):
-        assert primitive_integer_vector([Fraction(2, 3), Fraction(-4, 3)]) == [1, -2]
-        assert primitive_integer_vector([Fraction(0), Fraction(-5, 2)]) == [0, 1]
-        assert primitive_integer_vector([Fraction(6), Fraction(9)]) == [2, 3]
+        assert _primitive_integer_vector([Fraction(2, 3), Fraction(-4, 3)]) == [1, -2]
+        assert _primitive_integer_vector([Fraction(0), Fraction(-5, 2)]) == [0, 1]
+        assert _primitive_integer_vector([Fraction(6), Fraction(9)]) == [2, 3]
 
     def test_leading_sign_is_positive(self):
-        vec = primitive_integer_vector([Fraction(-1, 2), Fraction(1, 4)])
+        vec = _primitive_integer_vector([Fraction(-1, 2), Fraction(1, 4)])
         assert vec[0] > 0
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValidationError, match="^zero vector has no primitive form$"):
-            primitive_integer_vector([Fraction(0), Fraction(0)])
+            _primitive_integer_vector([Fraction(0), Fraction(0)])
 
     @given(st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12), min_size=1))
     def test_primitive_multiple_of_the_input(self, vec):
         if not any(vec):
             return
-        ints = primitive_integer_vector(vec)
+        ints = _primitive_integer_vector(vec)
         assert all(type(x) is int for x in ints) and len(ints) == len(vec)
         assert math.gcd(*ints) == 1
         assert next(x for x in ints if x) > 0
@@ -224,7 +225,7 @@ class TestFirstRelations:
             for key, x in vector.items():
                 rows.setdefault(key, {})[c] = x
         vector = reference_first_kernel_vector(rows.values(), len(columns))
-        return None if vector is None else primitive_integer_vector(vector)
+        return None if vector is None else _primitive_integer_vector(vector)
 
     def _check(self, base, extras):
         found = list(first_relations(iter(base), (iter(group) for group in extras)))

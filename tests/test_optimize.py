@@ -150,7 +150,7 @@ class TestHlambdaSearch:
 
     def test_best_dists_reproduce_best_value(self):
         result = optimize_hlambda(-1, 3, FAST)
-        replay = hlambda_bound(-1, result.best_U, result.best_V)
+        replay = hlambda_bound(-1, *result.dists)
         assert replay == pytest.approx(result.best_value, abs=1e-12)
 
     def test_progress_reports_each_restart_as_it_ends(self):
