@@ -311,37 +311,12 @@ def as_scalar(value) -> ExactScalar:
 
 # -- text syntax -------------------------------------------------------------
 #
-# rationals as "p/q" or "p", generators as bare identifiers, products with
-# "*", powers with "^", sums with "+"/"-", e.g. "2*g1^2*g2 + 1/3".
+# signed terms, each a "*" product of rationals "p/q" or "p" and generators
+# "name" or "name^k", e.g. "2*g1^2*g2 - 1/3*g2 + 4". No parentheses, so every
+# term is a rational times a monomial.
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:\s*/\s*\d+)?)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*^])|(?P<bad>\S))"
-)
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            break
-        if match.group("bad"):
-            raise ParseError(
-                f"unexpected character {match.group('bad')!r} at position {match.start('bad')} in {text!r}"
-            )
-        if match.group("number"):
-            tokens.append(("num", match.group("number").replace(" ", "")))
-        elif match.group("ident"):
-            tokens.append(("ident", match.group("ident")))
-        else:
-            tokens.append(("op", match.group("op")))
-        pos = match.end()
-    if text[pos:].strip():
-        raise ParseError(f"trailing junk {text[pos:]!r} in {text!r}")
-    return tokens
+_FACTOR_RE = re.compile(rf"(\d+(?:\s*/\s*\d+)?)|({_IDENT_RE.pattern})(?:\s*\^\s*(\d+))?")
 
 
 def parse_scalar(text: str) -> ExactScalar:
@@ -357,58 +332,37 @@ def parse_scalar(text: str) -> ExactScalar:
         raise ParseError(f"decimal literals are not exact; write a fraction p/q instead: {text!r}")
     if not cleaned:
         raise ParseError("empty scalar expression")
-    tokens = _tokenize(cleaned)
-    result = ZERO
-    idx = 0
-    while idx < len(tokens):
-        sign = 1
-        while idx < len(tokens) and tokens[idx][0] == "op" and tokens[idx][1] in "+-":
-            if tokens[idx][1] == "-":
-                sign = -sign
-            idx += 1
-        if idx >= len(tokens):
-            raise ParseError(f"dangling sign in {text!r}")
-        term, idx = _parse_term(tokens, idx, cleaned)
-        result = result + (term * -1 if sign < 0 else term)
-        if idx < len(tokens) and not (tokens[idx][0] == "op" and tokens[idx][1] in "+-"):
-            raise ParseError(f"expected '+' or '-' before {tokens[idx][1]!r} in {text!r}")
-    return result
+    pieces = re.split(r"([-+])", cleaned)  # the signs at the odd places
+    if not pieces[-1]:
+        raise ParseError(f"dangling sign in {text!r}")
+    terms: dict[Monomial, Fraction | int] = {}
+    negative = False
+    for i, piece in enumerate(pieces):
+        if i % 2:
+            negative ^= piece == "-"
+        elif piece.strip():  # a blank piece lies between two signs of one run
+            mono, coeff = _parse_term(piece, text)
+            terms[mono] = terms.get(mono, 0) + (-coeff if negative else coeff)
+            negative = False
+    return ExactScalar.from_terms(terms)
 
 
-def _parse_term(tokens, idx, text):
-    factors = []
-    expect_factor = True
-    while idx < len(tokens):
-        kind, value = tokens[idx]
-        if expect_factor:
-            if kind == "num":
-                factors.append(ExactScalar.rational(parse_rational(value)))
-                idx += 1
-            elif kind == "ident":
-                base = ExactScalar.generator(value)
-                idx += 1
-                if idx < len(tokens) and tokens[idx] == ("op", "^"):
-                    idx += 1
-                    if idx >= len(tokens) or tokens[idx][0] != "num" or "/" in tokens[idx][1]:
-                        raise ParseError(f"'^' must be followed by an integer exponent in {text!r}")
-                    base = base ** _integer(tokens[idx][1])
-                    idx += 1
-                factors.append(base)
-            else:
-                raise ParseError(f"expected a number or generator near {value!r} in {text!r}")
-            expect_factor = False
+def _parse_term(term: str, text: str):
+    """The (monomial, coefficient) of one unsigned term."""
+    coeff, pairs = 1, []
+    for factor in map(str.strip, term.split("*")):
+        match = _FACTOR_RE.fullmatch(factor)
+        if match is None:
+            if not factor:
+                raise ParseError(f"dangling operator in {text!r}")
+            raise ParseError(f"expected a number or a generator, not {factor!r}, in {text!r}")
+        number, gen, exponent = match.groups()
+        if number:
+            # "zero denominator in '1/0'", also for "1 / 0"
+            coeff *= parse_rational(number.replace(" ", ""))
         else:
-            if kind == "op" and value == "*":
-                expect_factor = True
-                idx += 1
-            else:
-                break
-    if expect_factor or not factors:
-        raise ParseError(f"dangling operator in {text!r}")
-    product = factors[0]
-    for factor in factors[1:]:
-        product = product * factor
-    return product, idx
+            pairs.append((gen, _integer(exponent) if exponent else 1))
+    return mono_from_pairs(pairs), coeff
 
 
 def parse_rational(text: str) -> Fraction:

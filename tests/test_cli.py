@@ -1066,6 +1066,11 @@ JSON_SCALARS = (
     st.none() | st.booleans() | st.floats() | st.text(max_size=8)
     | st.integers(-10**6, 10**6) | st.integers(-10**1000, 10**1000)
     | st.sampled_from(["1/0", "generic", "1e999999999", "h_1_2", "0.5", "-1", "1/2"])
+    # the scalar syntax, well-formed and malformed
+    | st.sampled_from(["2*g1^2*g2 - 1/3*g2 + 4", "h_1_2 + 1", "g - - + g", "− 1 / 2 * g ^ 3",
+                       "g^0", "0*g", "\u00a0g\u3000*\u2003h\t", "\u0663/4", "x^" + "9" * 5000,
+                       "g1 +", "g1 g2", "2**3", "(g1)", "^2", "g^1/2", "g*", "*g", "1/2/3",
+                       "12abc", "g^-2", "+-+", "2^3", "1 2"])
 )
 JSON_JUNK = JSON_SCALARS | st.recursive(
     JSON_SCALARS,

@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icdof.scalar import decimal, exact_str, mono_from_pairs, mono_mul
+from icdof.scalar import _integer, decimal, exact_str, mono_from_pairs, mono_mul
 from icdof import (
     ExactScalar,
     NotRationalError,
@@ -47,6 +48,132 @@ def eval_float(value: ExactScalar, assignment: dict) -> float:
             term *= assignment[gen] ** exp
         total += term
     return total
+
+
+# -- the slow twin of parse_scalar: a tokenizer and a token-index loop that
+# sums the terms with ExactScalar arithmetic, one `+` per term
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<number>\d+(?:\s*/\s*\d+)?)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>[-+*^])|(?P<bad>\S))"
+)
+
+
+def _reference_tokenize(text: str):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _REFERENCE_TOKEN_RE.match(text, pos)
+        if match.group("bad"):
+            raise ParseError(
+                f"unexpected character {match.group('bad')!r} at position {match.start('bad')} in {text!r}"
+            )
+        if match.group("number"):
+            tokens.append(("num", match.group("number").replace(" ", "")))
+        elif match.group("ident"):
+            tokens.append(("ident", match.group("ident")))
+        else:
+            tokens.append(("op", match.group("op")))
+        pos = match.end()
+    return tokens
+
+
+def reference_parse_scalar(text: str) -> ExactScalar:
+    cleaned = text.replace("−", "-").replace("–", "-").strip()
+    if "." in cleaned:
+        raise ParseError(f"decimal literals are not exact; write a fraction p/q instead: {text!r}")
+    if not cleaned:
+        raise ParseError("empty scalar expression")
+    tokens = _reference_tokenize(cleaned)
+    result = ExactScalar.ZERO
+    idx = 0
+    while idx < len(tokens):
+        sign = 1
+        while idx < len(tokens) and tokens[idx][0] == "op" and tokens[idx][1] in "+-":
+            if tokens[idx][1] == "-":
+                sign = -sign
+            idx += 1
+        if idx >= len(tokens):
+            raise ParseError(f"dangling sign in {text!r}")
+        term, idx = _reference_parse_term(tokens, idx, cleaned)
+        result = result + (term * -1 if sign < 0 else term)
+        if idx < len(tokens) and not (tokens[idx][0] == "op" and tokens[idx][1] in "+-"):
+            raise ParseError(f"expected '+' or '-' before {tokens[idx][1]!r} in {text!r}")
+    return result
+
+
+def _reference_parse_term(tokens, idx, text):
+    factors = []
+    expect_factor = True
+    while idx < len(tokens):
+        kind, value = tokens[idx]
+        if expect_factor:
+            if kind == "num":
+                factors.append(ExactScalar.rational(parse_rational(value)))
+                idx += 1
+            elif kind == "ident":
+                base = ExactScalar.generator(value)
+                idx += 1
+                if idx < len(tokens) and tokens[idx] == ("op", "^"):
+                    idx += 1
+                    if idx >= len(tokens) or tokens[idx][0] != "num" or "/" in tokens[idx][1]:
+                        raise ParseError(f"'^' must be followed by an integer exponent in {text!r}")
+                    base = base ** _integer(tokens[idx][1])
+                    idx += 1
+                factors.append(base)
+            else:
+                raise ParseError(f"expected a number or generator near {value!r} in {text!r}")
+            expect_factor = False
+        else:
+            if kind == "op" and value == "*":
+                expect_factor = True
+                idx += 1
+            else:
+                break
+    if expect_factor or not factors:
+        raise ParseError(f"dangling operator in {text!r}")
+    product = factors[0]
+    for factor in factors[1:]:
+        product = product * factor
+    return product, idx
+
+
+def parsed_or_refused(parse, text: str):
+    """The canonical form `parse` gives `text`, or ParseError if it refuses it."""
+    try:
+        return parse(text)._flat
+    except ParseError:
+        return ParseError
+
+
+# unicode whitespace (no-break, em and ideographic spaces, a file separator)
+# and an Arabic-Indic digit, which `\d` and int() both read as 3
+_SPACES = [" ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "\x1c"]
+_TOKEN_SOUP = st.lists(
+    st.sampled_from(["0", "1", "7", "12", "\u0663", "/", ".", "g", "g1", "h_1_2", "_x", "G2",
+                     "*", "^", "+", "-", "−", "–", "(", ")", *_SPACES]),
+    max_size=14,
+).map("".join)
+
+
+_BLANK = st.sampled_from(["", "", " ", "  ", *_SPACES[1:]])
+_SIGN_RUN = st.lists(st.builds(str.__add__, _BLANK, st.sampled_from("+-−–")),
+                     min_size=1, max_size=3).map("".join)
+_FACTOR = st.one_of(
+    st.integers(0, 30).map(str),
+    st.builds("{}{}/{}{}".format, st.integers(0, 30), _BLANK, _BLANK, st.integers(0, 9)),
+    st.sampled_from(["g1", "g2", "x"]),
+    st.builds("{}{}^{}{}".format, st.sampled_from(["g1", "g2", "x"]), _BLANK, _BLANK,
+              st.integers(0, 4)),
+)
+_TERM = st.builds(lambda factors, b1, b2: b1 + f"{b2}*{b1}".join(factors) + b2,
+                  st.lists(_FACTOR, min_size=1, max_size=3), _BLANK, _BLANK)
+# sums of products with runs of signs, blanks anywhere between tokens,
+# repeated generators, powers and `p / q`
+_EXPRESSIONS = st.builds(
+    lambda lead, first, rest: lead + first + "".join(signs + term for signs, term in rest),
+    st.just("") | _SIGN_RUN, _TERM, st.lists(st.tuples(_SIGN_RUN, _TERM), max_size=3),
+)
 
 
 class TestArithmetic:
@@ -184,6 +311,32 @@ class TestParsing:
     def test_malformed(self, bad):
         with pytest.raises(Exception):
             parse_scalar(bad)
+
+    @settings(max_examples=1000)
+    @given(_TOKEN_SOUP)
+    def test_token_soup_matches_reference(self, text):
+        assert parsed_or_refused(parse_scalar, text) == parsed_or_refused(reference_parse_scalar, text)
+
+    @settings(max_examples=500)
+    @given(_EXPRESSIONS)
+    def test_expressions_match_reference(self, text):
+        assert parsed_or_refused(parse_scalar, text) == parsed_or_refused(reference_parse_scalar, text)
+
+    def test_parses_with_no_scalar_arithmetic(self, monkeypatch):
+        # summing the terms one `+` at a time is quadratic: 20000 took 50 s
+        big = " + ".join(f"g{i}" for i in range(20000))
+        expected = {
+            big: ExactScalar.from_terms({mono_from_pairs([(f"g{i}", 1)]): 1 for i in range(20000)}),
+            "2*g1^2*g2 - 1/3*g2 + 4": 2 * G1**2 * G2 - Fraction(1, 3) * G2 + 4,
+        }
+
+        def refuse(*args):
+            raise AssertionError("the parser did ExactScalar arithmetic")
+
+        for name in ("__add__", "__mul__", "__pow__"):
+            monkeypatch.setattr(ExactScalar, name, refuse)
+        for text, value in expected.items():
+            assert parse_scalar(text) == value
 
     def test_zero_denominator_names_the_literal(self):
         with pytest.raises(ParseError, match=r"^zero denominator in '3/0'$"):
