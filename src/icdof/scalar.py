@@ -19,8 +19,8 @@ from .errors import NotRationalError, ParseError, ValidationError
 
 # A monomial is (degree, pairs) with pairs sorted by generator id, e.g.
 # (3, (("g1", 2), ("g2", 1))) for g1^2*g2. Storing the degree first makes
-# plain tuple comparison a graded order, so term lists can be merged without
-# key functions. The empty monomial is the constant 1.
+# plain tuple comparison a graded order, so term lists sort without key
+# functions. The empty monomial is the constant 1.
 Monomial = tuple
 
 MONO_ONE: Monomial = (0, ())
@@ -59,9 +59,10 @@ class ExactScalar:
     """Immutable canonical polynomial; hashable, so usable as a support point.
 
     Internally a flat tuple (m1, c1, m2, c2, ...) with monomials strictly
-    increasing and coefficients nonzero ints or Fractions. Equality and
-    hashing are plain tuple operations on that canonical form, except that a
-    rational scalar hashes as the int or Fraction it equals.
+    increasing and coefficients nonzero ints or Fractions, an integral one
+    always an int. Equality and hashing are plain tuple operations on that
+    canonical form, except that a rational scalar hashes as the int or
+    Fraction it equals.
     """
 
     __slots__ = ("_flat", "_hash")
@@ -103,73 +104,34 @@ class ExactScalar:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, ExactScalar):
-            if isinstance(other, (int, Fraction)):
-                other = ExactScalar.rational(other)
-            else:
-                return NotImplemented
-        a, b = self._flat, other._flat
-        if not a:
-            return other
-        if not b:
-            return self
-        out = []
-        append = out.append
-        i = j = 0
-        la, lb = len(a), len(b)
-        while i < la and j < lb:
-            ma, mb = a[i], b[j]
-            if ma == mb:
-                c = a[i + 1] + b[j + 1]
-                if c:
-                    append(ma)
-                    append(c)
-                i += 2
-                j += 2
-            elif ma < mb:
-                append(ma)
-                append(a[i + 1])
-                i += 2
-            else:
-                append(mb)
-                append(b[j + 1])
-                j += 2
-        out.extend(a[i:])
-        out.extend(b[j:])
-        return ExactScalar(tuple(out))
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        acc = dict(self.terms())
+        for mono, x in other.terms():
+            c = acc.get(mono)
+            acc[mono] = x if c is None else c + x
+        return ExactScalar.from_terms(acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        flat = self._flat
-        return ExactScalar(tuple(x if i % 2 == 0 else -x for i, x in enumerate(flat)))
+        return self * -1
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ExactScalar.rational(other)
-        if not isinstance(other, ExactScalar):
-            return NotImplemented
-        return self + (-other)
+        other = _operand(other)
+        return NotImplemented if other is None else self + -other
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return ZERO
-            flat = self._flat
-            return ExactScalar(
-                tuple(x if i % 2 == 0 else _norm_coeff(other * x) for i, x in enumerate(flat))
-            )
-        if not isinstance(other, ExactScalar):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        a, b = self._flat, other._flat
-        if not a or not b:
-            return ZERO
+        b = other._flat
         acc: dict[Monomial, Fraction | int] = {}
-        for i in range(0, len(a), 2):
-            ma, ca = a[i], a[i + 1]
+        for ma, ca in self.terms():
             for j in range(0, len(b), 2):
                 m = mono_mul(ma, b[j])
                 c = acc.get(m)
@@ -222,11 +184,8 @@ class ExactScalar:
     # -- equality / hashing / formatting -------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, ExactScalar):
-            return self._flat == other._flat
-        if isinstance(other, (int, Fraction)):
-            return self._flat == ExactScalar.rational(other)._flat
-        return NotImplemented
+        other = _operand(other)
+        return NotImplemented if other is None else self._flat == other._flat
 
     def __hash__(self):
         h = self._hash
@@ -259,10 +218,15 @@ class ExactScalar:
         return f"ExactScalar('{self}')"
 
 
-def _norm_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return c.numerator
-    return c
+def _operand(value) -> ExactScalar | None:
+    """`value` as an operand of the ring operations: a scalar as itself, an
+    int or a Fraction as its rational scalar (a bool as the int it equals),
+    anything else as None."""
+    if isinstance(value, ExactScalar):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return ExactScalar.rational(int(value) if isinstance(value, bool) else value)
+    return None
 
 
 ZERO = ExactScalar()
@@ -316,6 +280,7 @@ def as_scalar(value) -> ExactScalar:
 # term is a rational times a monomial.
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_MINUS = str.maketrans("−–", "--")  # the minus sign and the en dash read as "-"
 _FACTOR_RE = re.compile(rf"(\d+(?:\s*/\s*\d+)?)|({_IDENT_RE.pattern})(?:\s*\^\s*(\d+))?")
 
 
@@ -323,11 +288,11 @@ def parse_scalar(text: str) -> ExactScalar:
     """Parse the scalar text syntax into a canonical ExactScalar.
 
     Decimal literals are rejected: exact inputs are written "p/q" or "p".
-    Both ASCII "-" and the typographic minus sign are accepted.
+    The minus sign "−" and the en dash "–" read as "-".
     """
     if not isinstance(text, str):
         raise ParseError(f"expected a scalar string, got {type(text).__name__}")
-    cleaned = text.replace("−", "-").replace("–", "-").strip()
+    cleaned = text.translate(_MINUS).strip()
     if "." in cleaned:
         raise ParseError(f"decimal literals are not exact; write a fraction p/q instead: {text!r}")
     if not cleaned:
@@ -366,8 +331,9 @@ def _parse_term(term: str, text: str):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" (signs allowed) into an exact Fraction."""
-    cleaned = str(text).replace("−", "-").strip()
+    """Parse "p/q" or "p" (signs allowed, read as in `parse_scalar`) into an
+    exact Fraction."""
+    cleaned = str(text).translate(_MINUS).strip()
     match = re.fullmatch(r"(-?\d+)(?:\s*/\s*(-?\d+))?", cleaned)
     if match is None:
         raise ParseError(f"expected a rational 'p/q' or 'p', got {text!r}")

@@ -501,6 +501,13 @@ class TestVerbs:
         assert code == 0
         assert report["bound"] == pytest.approx(1.13258, abs=1e-4)
 
+    def test_hlambda_reads_an_en_dash_as_minus(self, capsys, prop4_file, coin_file):
+        outputs = []
+        for lam in ("-1", "–1"):
+            assert run(["hlambda", "--lambda", lam, "--u", prop4_file, "--v", coin_file]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_bound_floor(self, capsys):
         code, report = run_json(capsys, ["bound-floor", "--k", "3", "--d", "3", "--n", "4"])
         assert code == 0

@@ -50,6 +50,48 @@ def eval_float(value: ExactScalar, assignment: dict) -> float:
     return total
 
 
+# -- the slow twins of scalar `+`, unary `-` and the product by a number: an
+# index merge of the two canonical term lists and two tuple rebuilds, each
+# building canonical form without `ExactScalar.from_terms`
+
+
+def reference_add(a: ExactScalar, b: ExactScalar) -> ExactScalar:
+    a, b = a._flat, b._flat
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        ma, mb = a[i], b[j]
+        if ma == mb:
+            c = a[i + 1] + b[j + 1]
+            if c:
+                out += [ma, c]
+            i += 2
+            j += 2
+        elif ma < mb:
+            out += [ma, a[i + 1]]
+            i += 2
+        else:
+            out += [mb, b[j + 1]]
+            j += 2
+    return ExactScalar(tuple(out) + a[i:] + b[j:])
+
+
+def reference_neg(a: ExactScalar) -> ExactScalar:
+    return ExactScalar(tuple(x if i % 2 == 0 else -x for i, x in enumerate(a._flat)))
+
+
+def reference_scale(a: ExactScalar, q) -> ExactScalar:
+    if not q:
+        return ExactScalar.ZERO
+    return ExactScalar(tuple(x if i % 2 == 0 else _norm_coeff(q * x) for i, x in enumerate(a._flat)))
+
+
+def _norm_coeff(c):
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return c.numerator
+    return c
+
+
 # -- the slow twin of parse_scalar: a tokenizer and a token-index loop that
 # sums the terms with ExactScalar arithmetic, one `+` per term
 
@@ -176,6 +218,31 @@ _EXPRESSIONS = st.builds(
 )
 
 
+# scalars of up to 5 terms over g1..g3 of degree <= 3; the coefficients
+# include halves and thirds, so that some sums are integers
+_COEFFS = st.one_of(st.integers(-6, 6),
+                    st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 6])))
+_MONOS = st.lists(st.sampled_from(["g1", "g2", "g3"]), max_size=3).map(
+    lambda gens: mono_from_pairs((g, 1) for g in gens))
+_SCALARS = st.dictionaries(_MONOS, _COEFFS, max_size=5).map(ExactScalar.from_terms)
+# plain numbers as operands: ints, Fractions (some with denominator 1) and bools
+_NUMBERS = st.one_of(_COEFFS, st.builds(Fraction, st.integers(-6, 6)), st.booleans())
+_OPERANDS = st.one_of(_SCALARS, _NUMBERS)
+
+
+def assert_canonical(value: ExactScalar):
+    flat = value._flat
+    monos, coeffs = flat[::2], flat[1::2]
+    assert all(m < n for m, n in zip(monos, monos[1:]))
+    for c in coeffs:
+        assert c and type(c) in (int, Fraction)
+        assert not (isinstance(c, Fraction) and c.denominator == 1)
+    rebuilt = ExactScalar.from_terms(dict(value.terms()))
+    assert value == rebuilt and hash(value) == hash(rebuilt)
+    if value.is_rational():
+        assert hash(value) == hash(value.as_fraction())
+
+
 class TestArithmetic:
     def test_small_identities(self):
         assert (G1 + 1) * (G1 - 1) == G1 * G1 - 1
@@ -254,6 +321,33 @@ class TestArithmetic:
             q = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             assert a * q == a * ExactScalar.rational(q)
             assert a + q == a + ExactScalar.rational(q)
+
+    @given(_SCALARS, _SCALARS, _NUMBERS)
+    def test_operations_match_reference(self, a, b, q):
+        assert (a + b)._flat == reference_add(a, b)._flat
+        assert (a - b)._flat == reference_add(a, reference_neg(b))._flat
+        assert (-a)._flat == reference_neg(a)._flat
+        assert (a * q)._flat == (q * a)._flat == reference_scale(a, q)._flat
+        assert (a + q)._flat == (q + a)._flat == reference_add(a, ExactScalar.rational(q))._flat
+
+    @given(_SCALARS, _OPERANDS, _OPERANDS)
+    def test_ring_laws_with_numbers_on_either_side(self, a, b, c):
+        assert a + b == b + a and a * b == b * a
+        assert (a + b) + c == a + (b + c) and (b + a) + c == b + (a + c)
+        assert (a * b) * c == a * (b * c) and (b * c) * a == b * (c * a)
+        assert a * (b + c) == a * b + a * c and b * (a + c) == b * a + b * c
+        assert a - b == a + (-1) * b and b - a == -(a - b)
+        assert a + 0 == a and a * 1 == a and a * 0 == 0 and a - a == 0
+
+    @given(_SCALARS, _OPERANDS)
+    def test_results_are_canonical(self, a, b):
+        for value in (a + b, b + a, a - b, b - a, -a, a * b, b * a, a**2):
+            assert_canonical(value)
+
+    def test_a_bool_operand_is_the_int_it_equals(self):
+        value = ExactScalar.generator("g") + True
+        assert str(value) == "1 + g"
+        assert type(value._flat[1]) is int
 
 
 class TestQueries:
@@ -353,6 +447,9 @@ class TestParsing:
         assert parse_rational("−1/3") == Fraction(-1, 3)
         with pytest.raises(ParseError):
             parse_rational("0.25")
+
+    def test_parse_rational_reads_the_en_dash(self):
+        assert parse_rational("–3/4") == Fraction(-3, 4)
 
     def test_literals_over_the_digit_limit_are_parse_errors(self):
         # int() refuses more than 4300 digits with a ValueError

@@ -17,9 +17,11 @@ from icdof import (
     ValidationError,
     as_scalar,
     convolve,
+    entropy_bits,
     entropy_inequality_suite,
     finite_set,
     is_arithmetic_progression,
+    linear_combination,
     point_mass,
     scale,
     set_from_json,
@@ -66,6 +68,9 @@ SCALARS = {
     .map(lambda t: t[0] + t[1] * G1 + t[2] * G2 + t[3] * G1 * G2),
 }
 SCALARS["mixed"] = st.one_of(*SCALARS.values())
+# sums of rational multiples of the generators
+SYMBOLIC_POINTS = st.lists(st.tuples(RATIONALS, st.sampled_from([G1, G2, G3])),
+                           min_size=1, max_size=3).map(lambda terms: sum(c * g for c, g in terms))
 
 
 def draw_set(data, kind):
@@ -320,6 +325,22 @@ class TestInequalitySuite:
             assert report.slack_triple >= -1e-9
             assert report.slack_mixed >= -1e-9
             assert report.slack_combined >= -1e-9
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_inequalities_hold_on_symbolic_distributions(self, data):
+        def draw_dist():
+            support = data.draw(st.lists(SYMBOLIC_POINTS, min_size=1, max_size=6, unique=True))
+            size = len(support)
+            return weighted_on(support, data.draw(st.lists(st.integers(1, 20), min_size=size,
+                                                           max_size=size)))
+
+        U, V = draw_dist(), draw_dist()
+        report = entropy_inequality_suite(U, V)
+        assert min(report.slack_triple, report.slack_mixed, report.slack_combined) >= -1e-9
+        assert min(report.h_sum, report.h_diff) >= max(report.h_u, report.h_v) - 1e-9
+        assert report.h_sum == entropy_bits(linear_combination([1, 1], [U, V]))
+        assert report.h_diff == entropy_bits(linear_combination([1, -1], [U, V]))
 
     def test_json_shape(self):
         U = uniform_on([0, 1])
