@@ -125,19 +125,17 @@ def _pack(
 ) -> Iterator["DiscreteDist"]:
     """c_j*X_j for the terms of one linear form (every c_j nonzero) on one
     lattice, each formed when the iterator reaches it. A placement yields the
-    lattice first, so with a `budget` the first step is refused, as `_align`
-    would refuse it, before any key is formed. `_place` would place
-    one-coordinate terms too, but `_rescale` stays beside it because the many
-    tiny rational forms of sums and sumsets pay for `_place`'s per-term
-    images: through `_place` alone, the corpus benchmark's `wall_s` went from
-    0.38-0.49 s to 0.61 s on a 2-vCPU host."""
+    lattice first, so with a `budget` the first step is refused by
+    `check_pair_budget` on that lattice before any key is formed. `_place`
+    would place one-coordinate terms too, but `_rescale` stays beside it
+    because the many tiny rational forms of sums and sumsets pay for
+    `_place`'s per-term images: through `_place` alone, the corpus
+    benchmark's `wall_s` went from 0.38-0.49 s to 0.61 s on a 2-vCPU host."""
     rational = all(c.is_rational() and dist._lattice.is_rational() for c, dist in terms)
     placed = (_rescale if rational else _place)(terms)
     lattice = next(placed)
     if budget is not None and len(terms) > 1:
-        pairs = len(terms[0][1]) * len(terms[1][1])
-        check_pair_budget(pairs, budget)
-        _check_key_words(pairs, lattice, budget)
+        check_pair_budget(len(terms[0][1]) * len(terms[1][1]), budget, lattice)
     for (_, dist), (keys, reach) in zip(terms, placed):
         yield _new(lattice, dict(zip(keys, dist._weights.values())), dist._denominator, reach)
 
@@ -416,11 +414,22 @@ def floor_dist(s: Fraction, dist: DiscreteDist) -> DiscreteDist:
     return _new(_Lattice([MONO_ONE], 1, 2 * reach + 1), cells, dist._denominator, reach)
 
 
-def check_pair_budget(pairs: int, budget: int) -> None:
-    """Refuse a convolution of `pairs` atom pairs before it allocates."""
+def check_pair_budget(pairs: int, budget: int, lattice: Optional[_Lattice] = None) -> None:
+    """Refuse a convolution step of `pairs` atom pairs before it allocates:
+    by pairs, then, given the step's `lattice`, by pairs times the 64-bit
+    words a key on it can need, so wide keys are refused while their pair
+    count still looks small."""
     if pairs > budget:
         raise BudgetExceededError(
             f"convolution needs {pairs} atom pairs, over the budget of {budget}"
+        )
+    if lattice is None:
+        return
+    words = max(1, -(-len(lattice.basis) * lattice.radix.bit_length() // 64))
+    if pairs * words > budget:
+        raise BudgetExceededError(
+            f"convolution needs {pairs} atom pairs of {words}-word keys, "
+            f"over the budget of {budget}"
         )
 
 
@@ -428,9 +437,9 @@ def _align(
     A: DiscreteDist, B: DiscreteDist, budget: int
 ) -> tuple[DiscreteDist, DiscreteDist, _Lattice, int]:
     """A and B on the lattice of A + B, and the sum's reach, once the step
-    A + B is within the budget. The budget counts atom pairs, then atom pairs
-    times the 64-bit words a key can need, so wide keys are refused while
-    their pair count still looks small."""
+    A + B is within the budget of `check_pair_budget` on that lattice. Pairs
+    are checked before anything is placed; operands placed afresh are
+    refused on their new lattice before any key is formed."""
     pairs = len(A) * len(B)
     check_pair_budget(pairs, budget)
     lattice, other = A._lattice, B._lattice
@@ -440,23 +449,12 @@ def _align(
     else:  # one coordinate: keys are numerators over one denominator
         shared = (lattice.basis, lattice.denominator) == (other.basis, other.denominator)
     if not shared:
-        A, B = _pack([(ONE, A), (ONE, B)])
-        lattice, reach = A._lattice, A._reach + B._reach
-    elif reach > lattice.radix // 2:
+        A, B = _pack([(ONE, A), (ONE, B)], budget)
+        return A, B, A._lattice, A._reach + B._reach
+    if reach > lattice.radix // 2:
         lattice = _Lattice(lattice.basis, lattice.denominator, 2 * reach + 1)
-    _check_key_words(pairs, lattice, budget)
+    check_pair_budget(pairs, budget, lattice)
     return A, B, lattice, reach
-
-
-def _check_key_words(pairs: int, lattice: _Lattice, budget: int) -> None:
-    """Refuse a step of `pairs` atom pairs whose keys on `lattice` need more
-    64-bit words than the budget leaves."""
-    words = max(1, -(-len(lattice.basis) * lattice.radix.bit_length() // 64))
-    if pairs * words > budget:
-        raise BudgetExceededError(
-            f"convolution needs {pairs} atom pairs of {words}-word keys, "
-            f"over the budget of {budget}"
-        )
 
 
 def convolve(A: DiscreteDist, B: DiscreteDist, budget: int = DEFAULT_ATOM_BUDGET) -> DiscreteDist:
@@ -480,13 +478,12 @@ def _dense_convolve(A: DiscreteDist, B: DiscreteDist, budget: int) -> DiscreteDi
     where `_kronecker` takes the step; its atoms come in key order, so only
     `split_entropies`, which reads weights and counts alone, takes it."""
     m, n = len(A), len(B)
-    if m * n < 4 * (m + n) - 2:  # slots >= m + n - 1, so `_kronecker` would decline
-        return convolve(A, B, budget)
-    A, B, lattice, reach = _align(A, B, budget)
-    merged = _kronecker(A._weights, B._weights)
-    if merged is None:
-        return convolve(A, B, budget)
-    return _new(lattice, merged, A._denominator * B._denominator, reach)
+    if m * n >= 4 * (m + n) - 2:  # else slots >= m + n - 1, so `_kronecker` would decline
+        A, B, lattice, reach = _align(A, B, budget)
+        merged = _kronecker(A._weights, B._weights)
+        if merged is not None:
+            return _new(lattice, merged, A._denominator * B._denominator, reach)
+    return convolve(A, B, budget)
 
 
 _SLOT_CODES = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))  # native memoryview formats
@@ -599,8 +596,7 @@ def split_entropies(
     # are those of the unscaled X, and the step's lattice is the interference's
     signal = signal_term[1]
     pairs = n_intf * len(signal)
-    check_pair_budget(pairs, budget)
-    _check_key_words(pairs, interference._lattice, budget)
+    check_pair_budget(pairs, budget, interference._lattice)
     return h_intf, _product_entropy(interference, signal), n_intf, pairs
 
 

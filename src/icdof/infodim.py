@@ -101,9 +101,7 @@ def truncated_dist(ifs: IFSSpec, m: int, budget: int = DEFAULT_ATOM_BUDGET) -> D
 
 def recommended_quantization(ifs: IFSSpec, m: int) -> int:
     """Largest k with k * r^m * max|w| / (1-r) <= 1, floored at 2."""
-    max_w = max(abs(w.as_fraction()) for w in ifs.w_values)
-    if max_w == 0:
-        raise ValidationError("all offsets are zero")
+    max_w = max(abs(w.as_fraction()) for w in ifs.w_values)  # > 0: the offsets are distinct
     limit = (1 - ifs.r) / (ifs.r**m * max_w)
     return max(2, math.floor(limit))
 

@@ -253,7 +253,7 @@ def _search(
     support = support_set(uniform_on(integer_grid(n)))  # packed once per search
     max_den = config.rationalization_denominator
     rng = random.Random(config.seed)
-    starts = [[rng.gauss(0.0, 1.0) for _ in range(blocks * n)] for _ in range(config.restarts)]
+    starts = ([rng.gauss(0.0, 1.0) for _ in range(blocks * n)] for _ in range(config.restarts))
     best = _Tracker()
     trace = []
     for i, x0 in enumerate(starts):

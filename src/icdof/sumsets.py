@@ -19,6 +19,7 @@ from .dist import (
     DEFAULT_ATOM_BUDGET,
     DiscreteDist,
     SupportSet,
+    check_pair_budget,
     convolve,
     entropy_bits,
     json_list,
@@ -26,7 +27,7 @@ from .dist import (
     support_set,
     uniform_on,
 )
-from .errors import BudgetExceededError, NotRationalError, ParseError, ValidationError
+from .errors import NotRationalError, ParseError, ValidationError
 from .scalar import ExactScalar, as_scalar, exact_str
 
 
@@ -68,16 +69,13 @@ def sumset(
     """{a + b : a in A, b in B} with exact collision merging: the support of
     the convolution of any two distributions with supports A and B.
 
-    Refused when |A|*|B| is over the budget. `convolve` also counts the
-    64-bit words of the sum's keys, so a pair count within the budget is
-    still refused when the keys are wide (many monomials or large
-    coordinates) and pairs times words is over it.
+    Refused as `convolve` refuses the step: when |A|*|B| is over the budget,
+    checked before a plain set is packed, or when the keys are wide (many
+    monomials or large coordinates) and pairs times their 64-bit words is.
     """
     if not A or not B:
         raise ValidationError("sumset needs non-empty operands")
-    pairs = len(A) * len(B)
-    if pairs > budget:
-        raise BudgetExceededError(f"sumset needs {pairs} pairs, over the budget of {budget}")
+    check_pair_budget(len(A) * len(B), budget)
     return support_set(convolve(_packed(A).dist, _packed(B).dist, budget=budget))
 
 

@@ -60,6 +60,11 @@ class TestProp1Bound:
 
 
 class TestTheorem1Certified:
+    def test_needs_two_points(self):
+        with pytest.raises(ValidationError) as info:
+            theorem1_certified_bound(ChannelMatrix.generic(2), 0, 1)
+        assert str(info.value) == "need N >= 2, got 1 (the floor formula needs log N > 0)"
+
     def test_two_users_degree_zero(self):
         report = theorem1_certified_bound(ChannelMatrix.generic(2), 0, 2)
         assert report.bound == pytest.approx(1.0, abs=1e-12)
@@ -432,6 +437,11 @@ class TestIntegerExample:
         h_max = 3
         closed = 2 * math.log2(4) / (2 * math.log2(2 * h_max * 2 * 4))
         assert report.closed_form == pytest.approx(closed, abs=1e-12)
+
+    def test_needs_one_point(self):
+        with pytest.raises(ValidationError) as info:
+            integer_example_bound(2, [[0, 1], [1, 0]], 0)
+        assert str(info.value) == "need N >= 1, got 0"
 
     def test_zero_offdiagonal_rejected(self):
         with pytest.raises(ValidationError):

@@ -260,6 +260,12 @@ class TestMonomialFamilies:
         assert phi(2, 1) == 3
         assert phi(2, 0) == 1
 
+    def test_phi_refusals(self):
+        for args, message in (((1, 0), "need K >= 2, got 1"), ((2, -1), "need d >= 0, got -1")):
+            with pytest.raises(ValidationError) as info:
+                phi(*args)
+            assert str(info.value) == message
+
     def test_enumeration_count_and_order(self):
         for K, d in ((2, 2), (3, 1), (3, 2)):
             basis = enumerate_monomials(K, d)
@@ -305,6 +311,11 @@ class TestBuildWn:
         alphabet = build_wn(ChannelMatrix.generic(3), 1, 2)
         assert len(alphabet) == 2 ** phi(3, 1) == 128
         assert all(p == Fraction(1, 128) for _, p in alphabet.items())
+
+    def test_needs_one_point(self):
+        with pytest.raises(ValidationError) as info:
+            build_wn(ChannelMatrix.generic(2), 0, 0)
+        assert str(info.value) == "need N >= 1, got 0"
 
     def test_degree_zero_gives_coefficient_range(self):
         alphabet = build_wn(ChannelMatrix.generic(3), 0, 3)
@@ -405,6 +416,11 @@ class TestConditionStar:
             report = check_condition_star(H, d)
             assert report.status == "holds-up-to-bound"
             assert report.witness is None
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValidationError) as info:
+            check_condition_star(ChannelMatrix.generic(2), -1)
+        assert str(info.value) == "need d >= 0, got -1"
 
     def test_columns_are_budgeted_before_enumeration(self, monkeypatch):
         # generic(3) at d = 1 checks phi(3, 2) + phi(3, 1) = 28 + 7 columns

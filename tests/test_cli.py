@@ -638,6 +638,12 @@ class TestExitCodes:
             assert report["code"] == "parse-error"
             assert "--budget" in report["message"]
 
+    def test_budget_must_be_an_integer(self, capsys):
+        code, report = run_json(
+            capsys, ["bound-thm1", "--k", "2", "--d", "0", "--n", "3", "--budget", "abc"])
+        assert (code, report["code"]) == (2, "parse-error")
+        assert "--budget" in report["message"] and "'abc'" in report["message"]
+
     def test_bound_floor_overflow_is_invalid_input(self, capsys):
         code, report = run_json(
             capsys, ["bound-floor", "--k", str(10**400), "--d", "0", "--n", "2"]

@@ -520,6 +520,22 @@ class TestPacking:
         # keys of one word keep the plain pair count
         assert len(convolve(B, B, budget=4)) == 3
 
+    def test_replaced_step_is_refused_before_any_key_is_formed(self, monkeypatch):
+        # operands on different lattices are placed afresh, on one whose keys
+        # need 4 words: the step is refused on it before either is placed
+        A = uniform_on([G1 * 10**30 * k + G2 for k in range(3)])
+        B = uniform_on([G1 * k - G2 * 10**30 for k in range(4)])
+        formed = []
+        new = icdof.dist._new
+        monkeypatch.setattr(icdof.dist, "_new", lambda *args: formed.append(args) or new(*args))
+        with pytest.raises(BudgetExceededError) as info:
+            convolve(A, B, 12)
+        assert str(info.value) == (
+            "convolution needs 12 atom pairs of 4-word keys, over the budget of 12")
+        assert formed == []
+        assert len(convolve(A, B, 48)) == 12
+        assert [len(weights) for _, weights, *_ in formed] == [3, 4, 12]
+
 
 _wide_rationals = st.builds(
     Fraction, st.integers(-(2**80), 2**80), st.sampled_from([1, 3, 2**80, 3 * 2**80]))
@@ -1108,6 +1124,11 @@ class TestJson:
     def test_scientific_notation(self):
         assert parse_probability("1e-3") == Fraction(1, 1000)
         assert parse_probability("2.5e-1") == Fraction(1, 4)
+
+    def test_malformed_decimal_probability(self):
+        with pytest.raises(ParseError) as info:
+            parse_probability("1.2.3")
+        assert str(info.value) == "bad probability '1.2.3': Invalid literal for Fraction: '1.2.3'"
 
     def test_symbolic_values(self):
         obj = {"atoms": [{"value": "g1", "prob": "1/2"}, {"value": "0", "prob": "1/2"}]}

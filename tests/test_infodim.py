@@ -64,6 +64,11 @@ class TestTruncation:
     def test_single_term_is_the_offset_dist(self):
         assert truncated_dist(CANTOR, 1) == CANTOR.offset_dist()
 
+    def test_needs_one_term(self):
+        with pytest.raises(ValidationError) as info:
+            truncated_dist(CANTOR, 0)
+        assert str(info.value) == "need m >= 1, got 0"
+
     def test_dyadic_three_terms(self):
         X = truncated_dist(DYADIC, 3)
         assert len(X) == 8

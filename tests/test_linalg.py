@@ -108,6 +108,11 @@ class TestKernelBasis:
         for vec in basis:
             _check_in_kernel(rows, vec)
 
+    def test_no_rows_and_ragged_rows(self):
+        assert kernel_basis([]) == []
+        with pytest.raises(ValueError, match="^ragged matrix$"):
+            kernel_basis([[Fraction(1), Fraction(2)], [Fraction(3)]])
+
     def test_full_rank_has_empty_kernel(self):
         rows = [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(3)]]
         assert kernel_basis(rows) == []

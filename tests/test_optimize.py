@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -139,6 +140,11 @@ class TestHlambdaSearch:
         assert result.best_value >= target - 1e-12
         assert result.trace[0]["start_value"] == pytest.approx(target, abs=1e-9)
 
+    def test_warm_start_needs_four_points(self):
+        with pytest.raises(ValidationError) as info:
+            prop4_dist(3)
+        assert str(info.value) == "the warm-start construction needs n >= 4"
+
     def test_warm_start_pads_wider_grids(self):
         result = optimize_hlambda(-1, 6, OptConfig(restarts=1, max_iters=3, seed=0))
         W = prop4_dist()
@@ -174,6 +180,27 @@ class TestHlambdaSearch:
                 scores = 0
         assert scores == 0 and len(counts) == 3
         assert all(seen == reported for seen, reported in counts)
+
+    def test_each_restart_draws_its_start_when_it_begins(self, monkeypatch):
+        # restart 0 on {0..3} draws 2 * 4 start coordinates, and no restart
+        # after it draws before it begins
+        draws = []
+
+        class CountingRandom(random.Random):
+            def gauss(self, *args):
+                draws.append(args)
+                return super().gauss(*args)
+
+        class Stop(Exception):
+            pass
+
+        def stop(entry):
+            raise Stop
+
+        monkeypatch.setattr(icdof.optimize.random, "Random", CountingRandom)
+        with pytest.raises(Stop):
+            optimize_hlambda(-1, 4, OptConfig(restarts=1000, max_iters=1), progress=stop)
+        assert len(draws) == 8
 
     def test_zero_lambda_rejected(self):
         with pytest.raises(ValidationError):

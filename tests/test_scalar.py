@@ -253,6 +253,12 @@ class TestArithmetic:
         assert G1 * 1 == G1
         assert Fraction(1, 2) * G1 + Fraction(1, 2) * G1 == G1
 
+    def test_non_numeric_operands_raise_type_error(self):
+        with pytest.raises(TypeError):
+            G1 + "x"
+        with pytest.raises(TypeError):
+            G1 * "x"
+
     def test_pow(self):
         a = 2 * G1 + 1
         assert a**0 == ExactScalar.ONE
@@ -386,6 +392,14 @@ class TestParsing:
         for _ in range(100):
             a = random_scalar(rng)
             assert parse_scalar(str(a)) == a
+
+    def test_refusals(self):
+        with pytest.raises(ValidationError) as info:
+            ExactScalar.generator("1x")
+        assert str(info.value) == "invalid generator id '1x'"
+        with pytest.raises(ParseError) as info:
+            parse_scalar(3)
+        assert str(info.value) == "expected a scalar string, got int"
 
     def test_examples(self):
         assert parse_scalar("2*g1^2 - 1/3*g2 + 4") == 2 * G1**2 - Fraction(1, 3) * G2 + 4

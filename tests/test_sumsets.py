@@ -102,7 +102,7 @@ class TestSumset:
 
     def test_refuses_exactly_over_the_pair_budget(self):
         A, B = int_set(range(7)), int_set([Fraction(1, 3), 5, -2])
-        message = "sumset needs 21 pairs, over the budget of 20"
+        message = "convolution needs 21 atom pairs, over the budget of 20"
         with pytest.raises(BudgetExceededError, match=re.escape(message)):
             sumset(A, B, budget=20)
         assert sumset(A, B, budget=21) == reference_sumset(A, B)
@@ -116,6 +116,18 @@ class TestSumset:
             with pytest.raises(BudgetExceededError, match=re.escape(message)):
                 sumset(A, A, budget=budget)
         assert sumset(A, A, budget=32) == reference_sumset(A, A)
+
+    def test_pair_and_word_refusals_read_alike(self):
+        A = finite_set([0, 1000000 * G1, 1000000 * G2 + 1000000 * G3, -999999 * G3])
+        refusals = []
+        for budget in (15, 16):
+            with pytest.raises(BudgetExceededError) as info:
+                sumset(A, A, budget=budget)
+            refusals.append(str(info.value))
+        assert refusals == [
+            "convolution needs 16 atom pairs, over the budget of 15",
+            "convolution needs 16 atom pairs of 2-word keys, over the budget of 16",
+        ]
 
     @settings(max_examples=300)
     @given(st.data())
