@@ -87,16 +87,26 @@ def infodim_formula(ifs: IFSSpec) -> float:
 
 
 def truncated_dist(ifs: IFSSpec, m: int, budget: int = DEFAULT_ATOM_BUDGET) -> DiscreteDist:
-    """Exact distribution of the m-term truncation sum_{k=0}^{m-1} r^k W_k
-    with the W_k independent copies of the offset variable."""
+    """Exact distribution of the m-term truncation X_m = sum_{k<m} r^k W_k
+    with the W_k independent copies of the offset variable, built by
+    doubling: X_n = X_a + r^a X'_{n-a}, a = n // 2, X' an independent copy.
+    Each X_n is built once, in a memo local to the call, by one two-term
+    `linear_combination` refused by its budget before any key is formed:
+    about 2*log2(m) steps whose atom pairs add up to about the final atom
+    count. The atoms are not in the left fold's order (`==` ignores order)."""
     if m < 1:
         raise ValidationError(f"need m >= 1, got {m}")
-    W = ifs.offset_dist()
-    coeffs, power = [], Fraction(1)
-    for _ in range(m):  # r^k by one multiply each, not one power each
-        coeffs.append(ExactScalar.rational(power))
-        power *= ifs.r
-    return linear_combination(coeffs, [W] * m, budget=budget)
+    return _truncation(ifs.r, m, {1: ifs.offset_dist()}, budget)
+
+
+def _truncation(r: Fraction, n: int, memo: dict, budget: int) -> DiscreteDist:
+    # not a closure: a recursive closure is a reference cycle, and would keep
+    # every X_n alive until the cyclic collector runs
+    if n not in memo:
+        a = n // 2
+        low, high = _truncation(r, a, memo, budget), _truncation(r, n - a, memo, budget)
+        memo[n] = linear_combination([1, r**a], [low, high], budget=budget)
+    return memo[n]
 
 
 def recommended_quantization(ifs: IFSSpec, m: int) -> int:

@@ -62,6 +62,12 @@ def counting_convolve(calls: list):
     return lambda A, B, budget: calls.append(len(A) * len(B)) or convolve(A, B, budget)
 
 
+def reference_truncation(ifs, m: int) -> DiscreteDist:
+    """Slow twin of `truncated_dist`: the left fold of one `convolve` step
+    per term over one m-term linear form sum_{k<m} r^k W_k."""
+    return icdof.dist.linear_combination([ifs.r**k for k in range(m)], [ifs.offset_dist()] * m)
+
+
 def reference_build_wn(H: ChannelMatrix, d: int, N: int) -> list[ExactScalar]:
     """Slow twin of `build_wn`: every one of the N^phi(K,d) values sum_f a_f
     f(H), a_f in {1..N}, formed as an `ExactScalar` sum, repeats kept, in the

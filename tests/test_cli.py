@@ -787,6 +787,16 @@ class TestExitCodes:
             result = run_json(capsys, ["infodim", "--ifs", ifs, "--m", "0"])
         assert result == (2, {"code": "invalid-input", "message": "need m >= 1, got 0"})
 
+    def test_infodim_deep_truncation_is_refused_at_once(self, capsys, files):
+        # an m-term lattice at m = 10^6 died with MemoryError; by doubling,
+        # X_30 = X_15 + r^15 X_15 is refused after six small steps
+        ifs = files("cantor.json", {"r": "1/3", "w": ["0", "1"], "probs": ["1/2", "1/2"]})
+        start = time.perf_counter()
+        result = run_json(capsys, ["infodim", "--ifs", ifs, "--m", "1000000"])
+        assert time.perf_counter() - start < 10.0
+        message = "convolution needs 1073741824 atom pairs, over the budget of 5000000"
+        assert result == (2, {"code": "budget-exceeded", "message": message})
+
     @pytest.mark.parametrize("prob", ["1e999999999", "1e-999999999", "2.5E+1_000_000"])
     def test_probability_exponents_over_the_digit_limit(self, capsys, files, monkeypatch, prob):
         formed = []

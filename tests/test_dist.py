@@ -34,11 +34,15 @@ from icdof import (
     sorted_items,
     support_set,
     theorem1_certified_bound,
-    truncated_dist,
     uniform_on,
     weighted_on,
 )
-from conftest import counting_convolve, random_rational_dist, reference_build_wn
+from conftest import (
+    counting_convolve,
+    random_rational_dist,
+    reference_build_wn,
+    reference_truncation,
+)
 import icdof.dist
 from icdof.dist import _Lattice, _dense_convolve, _pack, floor_dist, split_entropies
 from icdof.scalar import mono_mul
@@ -124,10 +128,10 @@ def reference_combination(coeffs, dists) -> DiscreteDist:
 
 def reference_empirical_infodim(ifs, m: int, k: int) -> float:
     """Slow twin of `empirical_infodim`: floor k*r*x on the decoded
-    truncation, one `Fraction` per atom."""
+    truncation of the left fold, one `Fraction` per atom."""
     cells: dict = {}
     kr = k * ifs.r
-    for x, p in truncated_dist(ifs, m).items():
+    for x, p in reference_truncation(ifs, m).items():
         cell = math.floor(kr * x.as_fraction())
         cells[cell] = cells.get(cell, 0) + p
     return entropy_bits(DiscreteDist({as_scalar(c): p for c, p in cells.items()})) / math.log2(k)

@@ -3,10 +3,13 @@ quantization-based empirical estimator."""
 
 from __future__ import annotations
 
+import gc
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import icdof.dist
 from icdof import (
@@ -22,9 +25,11 @@ from icdof import (
     support_set,
     truncated_dist,
 )
+from conftest import counting_convolve, reference_truncation
 
 CANTOR = IFSSpec.create(Fraction(1, 3), [0, 2], [Fraction(1, 2), Fraction(1, 2)])
 DYADIC = IFSSpec.create(Fraction(1, 2), [0, 1], [Fraction(1, 2), Fraction(1, 2)])
+G1 = ExactScalar.generator("g1")
 
 
 class TestSpec:
@@ -82,30 +87,53 @@ class TestTruncation:
         assert all(p == Fraction(1, 4) for _, p in X.items())
 
     def test_refusal_forms_only_the_keys_it_needs(self, monkeypatch):
-        # `infodim --m 16000` at r = 1/3, w = {0, 1} in small: keys of 317
-        # bits need 5 words, and the step of 256 pairs is the first refused
-        formed = []
+        # `infodim --m 16000` at r = 1/3, w = {0, 1} in small: after X_2, X_3
+        # and X_6, the step X_12 = X_6 + r^6 X_6 is the first over the budget
+        forms, steps = [], []  # per linear form [terms, terms placed]; admitted pairs
+        pack = icdof.dist._pack
 
-        class SpyKey(int):
-            def __mul__(self, other):
-                formed.append(self)
-                return int(self) * other
+        def spy_pack(terms, budget=None):
+            forms.append(form := [len(terms), 0])
+            for term in pack(terms, budget):  # a placed term's keys are formed
+                form[1] += 1
+                yield term
 
+        monkeypatch.setattr(icdof.dist, "_pack", spy_pack)
+        monkeypatch.setattr(icdof.dist, "convolve", counting_convolve(steps))
         ifs = IFSSpec.create(Fraction(1, 3), [0, 1], [Fraction(1, 2)] * 2)
-        W = ifs.offset_dist()
-        spied = icdof.dist._new(
-            W._lattice, {SpyKey(k): w for k, w in W._weights.items()}, W._denominator, W._reach)
-        monkeypatch.setattr(IFSSpec, "offset_dist", lambda self: spied)
-        m, budget = 200, 1000
-        with pytest.raises(BudgetExceededError) as new:
-            truncated_dist(ifs, m, budget=budget)
-        # the text of forming every term's keys first
-        every_key = list(icdof.dist._pack([(ExactScalar.rational(ifs.r**k), W) for k in range(m)]))
-        with pytest.raises(BudgetExceededError) as old:
-            icdof.dist._sum(iter(every_key), budget)
-        assert str(new.value) == str(old.value) == (
-            "convolution needs 256 atom pairs of 5-word keys, over the budget of 1000")
-        assert len(formed) == 2 * 8  # terms 0 to 7: the sum so far and the refused step's
+        budget = 1000
+        with pytest.raises(BudgetExceededError) as info:
+            truncated_dist(ifs, 200, budget=budget)
+        assert str(info.value) == "convolution needs 4096 atom pairs, over the budget of 1000"
+        assert steps == [4, 8, 64] and max(steps) <= budget
+        # no lattice of more than two terms, and none of the refused step's keys
+        assert forms == [[2, 2]] * 3 + [[2, 0]]
+
+    def test_leaves_no_cyclic_garbage(self):
+        truncated_dist(CANTOR, 10)  # warm up
+        gc.collect()
+        gc.disable()
+        try:
+            truncated_dist(CANTOR, 10)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_matches_the_left_fold(self, data):
+        q = data.draw(st.integers(2, 6))
+        r = Fraction(data.draw(st.integers(1, q - 1)), q)
+        rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+        offsets = data.draw(st.lists(
+            st.one_of(rationals, st.builds(lambda o: o + G1, rationals)),
+            min_size=2, max_size=4, unique=True))
+        weights = [data.draw(st.integers(1, 9)) for _ in offsets]
+        ifs = IFSSpec.create(r, offsets, [Fraction(w, sum(weights)) for w in weights])
+        m = data.draw(st.integers(1, 7))
+        X, fold = truncated_dist(ifs, m), reference_truncation(ifs, m)
+        assert X == fold
+        assert entropy_bits(X) == entropy_bits(fold)
 
 
 class TestEmpirical:
