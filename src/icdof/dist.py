@@ -13,12 +13,12 @@ is fixed before any key exists, and a key is one dot product (one multiply on
 one coordinate, where a rational point's key is its numerator), formed just
 before its term's step. `len` and `entropy_bits` read only the weights, so
 only the entropy is a float, even where `split_entropies` proves a sum
-injective and does not build it. The steps `split_entropies` does build need
-only weights and counts, so where the atom pairs far outnumber the slots of
-the key range, `_kronecker` takes such a step as one product of two integers
-whose fixed-width slots hold the operands' weights (Kronecker substitution);
-the pair loop of `convolve` is its oracle, and every other sum keeps the
-loop's atom order.
+injective and does not build it. Where a step's atom pairs far outnumber
+the slots of its key range, `convolve` takes it as one product of two
+integers whose fixed-width slots hold the operands' weights (Kronecker
+substitution, `_kronecker`), with the pair loop as its oracle. A sum's atom
+order is deterministic but unspecified: `==`, `sorted_items`, JSON and the
+entropy do not read it.
 
 A finite set is the support of a packed distribution (`SupportSet`), so a
 sumset is the support of one `convolve` and a progression test sorts integer
@@ -353,7 +353,7 @@ def weighted_on(support: Iterable, weights: Sequence[int]) -> DiscreteDist:
     ratios of positive integer weights.
 
     A `SupportSet` lends its lattice and keys, so nothing is packed again; its
-    points take the weights in iteration order, which is insertion order.
+    points take the weights in the set's iteration order.
     Other supports error when empty and on duplicates (exact canonical
     equality), since silently merging would change the intended
     probabilities.
@@ -459,31 +459,25 @@ def _align(
 
 def convolve(A: DiscreteDist, B: DiscreteDist, budget: int = DEFAULT_ATOM_BUDGET) -> DiscreteDist:
     """Distribution of X+Y for independent X~A, Y~B, collisions merged exactly,
-    refused as `_align` refuses."""
+    refused as `_align` refuses. The step is one big-integer product where
+    `_kronecker` takes it and a loop over the atom pairs elsewhere, with the
+    same merged weights either way; the atoms come in the loop's insertion
+    order or, from the product, in key order."""
     A, B, lattice, reach = _align(A, B, budget)
     if len(A) < len(B):
         A, B = B, A
-    merged: dict[int, int] = {}
-    get = merged.get
-    inner = list(B._weights.items())
-    for ka, wa in A._weights.items():
-        for kb, wb in inner:
-            key = ka + kb
-            merged[key] = get(key, 0) + wa * wb
-    return _new(lattice, merged, A._denominator * B._denominator, reach)
-
-
-def _dense_convolve(A: DiscreteDist, B: DiscreteDist, budget: int) -> DiscreteDist:
-    """`convolve`'s sum, refused as it refuses, from one big-integer product
-    where `_kronecker` takes the step; its atoms come in key order, so only
-    `split_entropies`, which reads weights and counts alone, takes it."""
     m, n = len(A), len(B)
-    if m * n >= 4 * (m + n) - 2:  # else slots >= m + n - 1, so `_kronecker` would decline
-        A, B, lattice, reach = _align(A, B, budget)
-        merged = _kronecker(A._weights, B._weights)
-        if merged is not None:
-            return _new(lattice, merged, A._denominator * B._denominator, reach)
-    return convolve(A, B, budget)
+    # under 4(m + n) - 2 pairs, slots >= m + n - 1 and `_kronecker` would decline
+    merged = _kronecker(A._weights, B._weights) if m * n >= 4 * (m + n) - 2 else None
+    if merged is None:
+        merged = {}
+        get = merged.get
+        inner = list(B._weights.items())
+        for ka, wa in A._weights.items():
+            for kb, wb in inner:
+                key = ka + kb
+                merged[key] = get(key, 0) + wa * wb
+    return _new(lattice, merged, A._denominator * B._denominator, reach)
 
 
 _SLOT_CODES = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))  # native memoryview formats
@@ -491,8 +485,8 @@ _SLOT_CODES = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))  # native memoryview form
 
 def _kronecker(a: dict, b: dict) -> Optional[dict]:
     """The merged weights of the key sums of `a` and `b` (keys to weights),
-    or None where the pair loop is cheaper or a slot would need more than 8
-    bytes.
+    in key order, or None where the pair loop is cheaper or a slot would
+    need more than 8 bytes.
 
     Every key sum is lo + g*i for i below `slots`, g the gcd of both
     operands' key differences. Each operand's weights are set in slots of one
@@ -503,13 +497,20 @@ def _kronecker(a: dict, b: dict) -> Optional[dict]:
     twice the slots packed and read, |A| + |B| + slots. The factor 2 puts
     the certify integer tables' 12x12 steps near break-even (1.15x the
     loop's speed on a shared 2-vCPU host), where 24x24 steps ran 1.8-2.2x,
-    48x48 4.5x and 156x24 5.9x."""
+    48x48 4.5x and 156x24 5.9x. g divides each operand's key range (max -
+    min) and its first key minus its min, so the gcd of those four bounds
+    the slots from below: most small steps are declined before the scan of
+    every key that finds g itself."""
     pairs = len(a) * len(b)
     low = min(a), min(b)
-    g = math.gcd(*(k - low[0] for k in a), *(k - low[1] for k in b)) or 1
-    spans = [(max(keys) - lo) // g + 1 for keys, lo in zip((a, b), low)]
-    slots = sum(spans) - 1
-    if pairs < 2 * (len(a) + len(b) + slots):
+    ranges = max(a) - low[0], max(b) - low[1]
+    room = pairs // 2 - len(a) - len(b)  # the most slots the product pays for
+    g = math.gcd(*ranges, next(iter(a)) - low[0], next(iter(b)) - low[1]) or 1
+    if sum(ranges) // g + 1 > room:
+        return None
+    g = math.gcd(g, *(k - low[0] for k in a), *(k - low[1] for k in b))
+    slots = sum(ranges) // g + 1
+    if slots > room:
         return None
     top = min(sum(a.values()) * max(b.values()), sum(b.values()) * max(a.values()))
     for width, code in _SLOT_CODES:
@@ -518,8 +519,8 @@ def _kronecker(a: dict, b: dict) -> Optional[dict]:
     else:
         return None
     product = 1
-    for weights, lo, span in zip((a, b), low, spans):
-        view = memoryview(bytearray(width * span)).cast(code)
+    for weights, lo, extent in zip((a, b), low, ranges):
+        view = memoryview(bytearray(width * (extent // g + 1))).cast(code)
         for k, w in weights.items():
             view[(k - lo) // g] = w
         product *= int.from_bytes(view, sys.byteorder)
@@ -528,14 +529,12 @@ def _kronecker(a: dict, b: dict) -> Optional[dict]:
     return dict(zip(compress(range(lo, lo + g * slots, g), out), filter(None, out)))
 
 
-def _sum(packed: Iterator[DiscreteDist], budget: int, step=None) -> DiscreteDist:
-    """The sum of the packed terms of one linear form: one `step` (by
-    default `convolve`) per term after the first, each taken (its keys
-    formed) just before it."""
-    step = step or convolve
+def _sum(packed: Iterator[DiscreteDist], budget: int) -> DiscreteDist:
+    """The sum of the packed terms of one linear form: one `convolve` step
+    per term after the first, each taken (its keys formed) just before it."""
     total = next(packed)
     for term in packed:
-        total = step(total, term, budget=budget)
+        total = convolve(total, term, budget=budget)
     return total
 
 
@@ -578,19 +577,17 @@ def split_entropies(
     linearly independent over Q, so t + s = t' + s' forces t = t' and s = s'.
     Then |I + S| = |I| * |S|, and H(I + S) is `entropy_bits` of the sum, read
     from the two weight multisets without building it or forming S's keys.
-    Otherwise the sum is enumerated. The steps that are built go through
-    `_dense_convolve`, a big-integer product where it pays and the pair loop
-    elsewhere, with the same merged weights either way. Every step, built or
-    not, is refused exactly as `linear_combination` of the cross terms, then
-    the signal, refuses it.
+    Otherwise the sum is enumerated. The steps that are built are `convolve`
+    steps, and every step, built or not, is refused exactly as
+    `linear_combination` of the cross terms, then the signal, refuses it.
     """
     packed = _pack([*cross_terms, signal_term] if signal_term else cross_terms, budget)
-    interference = _sum(islice(packed, len(cross_terms)), budget, _dense_convolve)
+    interference = _sum(islice(packed, len(cross_terms)), budget)
     h_intf, n_intf = entropy_bits(interference), len(interference)
     if signal_term is None:
         return h_intf, h_intf, n_intf, n_intf
     if not _monomials([signal_term]).isdisjoint(_monomials(cross_terms)):
-        full = _dense_convolve(interference, next(packed), budget)
+        full = convolve(interference, next(packed), budget)
         return h_intf, entropy_bits(full), n_intf, len(full)
     # the signal's keys are never read: |S|, its weights and its denominator
     # are those of the unscaled X, and the step's lattice is the interference's

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import random
 import warnings
+from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
 
@@ -26,14 +28,18 @@ from icdof import (
     dist_to_json,
     empirical_infodim,
     entropy_bits,
+    entropy_inequality_suite,
+    hlambda_bound,
     integer_example_bound,
     linear_combination,
     parse_probability,
     point_mass,
     scale,
     sorted_items,
+    sumset,
     support_set,
     theorem1_certified_bound,
+    truncated_dist,
     uniform_on,
     weighted_on,
 )
@@ -44,7 +50,7 @@ from conftest import (
     reference_truncation,
 )
 import icdof.dist
-from icdof.dist import _Lattice, _dense_convolve, _pack, floor_dist, split_entropies
+from icdof.dist import _align, _kronecker, _Lattice, _pack, floor_dist, split_entropies
 from icdof.scalar import mono_mul
 
 G1 = ExactScalar.generator("g1")
@@ -999,24 +1005,62 @@ def dense_dists(draw, max_size=24, tops=(2**4, 2**8, 2**16, 2**32, 2**64, 2**80)
     return weighted_on([lo + stride * i for i in picked], weights)
 
 
+@contextmanager
+def loop_only():
+    """`_kronecker` declines every step, so `convolve` runs the pair loop,
+    the big-integer product's oracle."""
+    with mock.patch.object(icdof.dist, "_kronecker", lambda a, b: None):
+        yield
+
+
+def pair_loop(A: DiscreteDist, B: DiscreteDist, budget: int = 10**9) -> DiscreteDist:
+    with loop_only():
+        return convolve(A, B, budget)
+
+
+@contextmanager
+def products():
+    """Record, for each step that reaches `_kronecker`, its operand sizes
+    and whether it took the step as one product."""
+    taken: list = []
+    kronecker = icdof.dist._kronecker
+
+    def spy(a, b):
+        merged = kronecker(a, b)
+        taken.append((len(a), len(b), merged is not None))
+        return merged
+
+    with mock.patch.object(icdof.dist, "_kronecker", spy):
+        yield taken
+
+
 def dense_and_loop(A: DiscreteDist, B: DiscreteDist, budget: int = 10**9) -> bool:
-    """Assert that `_dense_convolve` gives `convolve`'s sum: the same merged
-    weights, lattice, reach and denominator. True when it took the product,
-    that is, when it did not hand the step to `convolve`."""
-    calls: list = []
-    with mock.patch.object(icdof.dist, "convolve", counting_convolve(calls)):
-        dense = _dense_convolve(A, B, budget)
-    loop = convolve(A, B, budget)
+    """Assert that `convolve` gives the pair loop's sum: the same merged
+    weights, lattice, reach and denominator. True when it took the product."""
+    with products() as taken:
+        dense = convolve(A, B, budget)
+    loop = pair_loop(A, B, budget)
     assert dense._weights == loop._weights
     assert (dense._lattice, dense._reach, dense._denominator) == (
         loop._lattice, loop._reach, loop._denominator)
     assert entropy_bits(dense) == entropy_bits(loop)
-    return not calls
+    return any(took for *_, took in taken)
+
+
+def full_rule_takes(a: dict, b: dict) -> bool:
+    """`_kronecker`'s rule with g read from every key, and no earlier
+    bound: the atom pairs are at least twice |A| + |B| + slots, and the
+    merged-weight bound fits 8 bytes."""
+    low = min(a), min(b)
+    g = math.gcd(*(k - low[0] for k in a), *(k - low[1] for k in b)) or 1
+    slots = sum((max(keys) - lo) // g + 1 for keys, lo in zip((a, b), low)) - 1
+    top = min(sum(a.values()) * max(b.values()), sum(b.values()) * max(a.values()))
+    return len(a) * len(b) >= 2 * (len(a) + len(b) + slots) and top < 2**64
 
 
 class TestDenseConvolve:
-    """`_dense_convolve`, the big-integer product that `split_entropies`
-    takes for its steps, against its oracle, the pair loop of `convolve`."""
+    """`convolve`'s big-integer product against its oracle, the pair loop
+    (`convolve` with `_kronecker` declining)."""
 
     @settings(max_examples=300)
     @given(dense_dists(), dense_dists())
@@ -1046,7 +1090,7 @@ class TestDenseConvolve:
         A = weighted_on(range(20), [1] * 19 + [total - 19])
         B = uniform_on(range(20))
         assert dense_and_loop(A, B) is dense
-        assert max(_dense_convolve(A, B, 10**9)._weights.values()) == total
+        assert max(convolve(A, B, 10**9)._weights.values()) == total
 
     @pytest.mark.parametrize("A, B", [
         (point_mass(-7), uniform_on(range(0, 90, 3))),
@@ -1059,40 +1103,83 @@ class TestDenseConvolve:
 
     def test_refused_as_convolve(self):
         # two coordinates over 10^12 need 2-word keys; at the budget that
-        # admits them the 12 x 12 step is dense
+        # admits them the 12 x 12 step is dense, and a refused step never
+        # reaches the product
         A = uniform_on([G1 * 10**12 * k + G2 for k in range(12)])
         B = uniform_on([G1 * 10**12 * k - G2 for k in range(12)])
         pairs = len(A) * len(B)
         for budget in (pairs - 1, pairs, 2 * pairs - 1):
             with pytest.raises(BudgetExceededError) as expected:
+                pair_loop(A, B, budget)
+            with products() as taken, pytest.raises(BudgetExceededError) as refused:
                 convolve(A, B, budget)
-            with pytest.raises(BudgetExceededError) as refused:
-                _dense_convolve(A, B, budget)
-            assert str(refused.value) == str(expected.value)
+            assert str(refused.value) == str(expected.value) and taken == []
         assert "2-word keys" in str(expected.value)
         assert dense_and_loop(A, B, 2 * pairs)
 
 
+def corpus_steps():
+    """The aligned operands of one corpus-benchmark step U + lam*V: 2-12
+    points in [-15, 15] with weights 1-9, lam one of -1, 2, 1/2, -2."""
+    def dist(points, weights):
+        return weighted_on(points, weights[:len(points)])
+
+    side = st.builds(dist, st.lists(st.integers(-15, 15), min_size=2, max_size=12, unique=True),
+                     st.lists(st.integers(1, 9), min_size=12, max_size=12))
+    lam = st.sampled_from([Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-2)])
+    return st.builds(lambda U, V, lam: _align(U, scale(lam, V), 10**9)[:2], side, side, lam)
+
+
+class TestDeclineBound:
+    """`_kronecker` declines a step by a bound on its slots before it scans
+    every key for their gcd; the bound never declines a step that the rule
+    with the full gcd takes."""
+
+    @settings(max_examples=300)
+    @given(dense_dists(), dense_dists())
+    def test_on_dense_operands(self, A, B):
+        A, B, *_ = _align(A, B, 10**9)
+        taken = _kronecker(A._weights, B._weights) is not None
+        assert taken == full_rule_takes(A._weights, B._weights)
+
+    @settings(max_examples=300)
+    @given(corpus_steps())
+    def test_on_corpus_steps(self, step):
+        a, b = (X._weights for X in step)
+        assert (_kronecker(a, b) is not None) == full_rule_takes(a, b)
+
+    @pytest.mark.parametrize("extra, taken", [(0, True), (1, False)])
+    def test_at_the_boundary(self, extra, taken):
+        # 12 x 12 pairs pay for 144/2 - 24 = 48 slots: key ranges 23 and 24
+        # fill them, and one more slot is declined
+        a = dict.fromkeys([*range(11), 23], 1)
+        b = dict.fromkeys([*range(11), 24 + extra], 1)
+        assert full_rule_takes(a, b) is taken
+        assert (_kronecker(a, b) is not None) is taken
+
+
 class TestDensePath:
-    """Which steps the big-integer product takes: wide integer interference
-    does, steps of corpus size and symbolic steps stay on the pair loop."""
+    """Which steps `convolve` takes as one product: wide integer steps do,
+    steps of corpus size and symbolic steps stay on the pair loop."""
 
     @pytest.fixture
     def steps(self):
         calls: list = []
-        with mock.patch.object(icdof.dist, "convolve", counting_convolve(calls)):
-            yield calls
+        with mock.patch.object(icdof.dist, "convolve", counting_convolve(calls)), \
+                products() as taken:
+            yield calls, taken
 
     def test_integer_table_step_is_dense(self, steps):
         report = integer_example_bound(3, [[0, 2, -1], [3, 0, 1], [-2, 4, 0]], 48)
-        assert steps == []  # each user's 48 x 48 interference step
+        # each user's 48 x 48 interference step, and no other
+        assert steps == ([48 * 48] * 3, [(48, 48, True)] * 3)
         assert report.bound > 0
 
     def test_enumerated_full_step_is_dense(self, steps):
         # the signal 2*X and the cross term X reach the same monomial
         X = uniform_on(range(30))
         result = split_entropies([(as_scalar(1), X)], (as_scalar(2), X))
-        assert steps == []
+        assert steps == ([30 * 30], [(30, 30, True)])
         full = linear_combination([1, 2], [X, X])
         assert result == (entropy_bits(X), entropy_bits(full), 30, len(full))
 
@@ -1100,12 +1187,84 @@ class TestDensePath:
         A = weighted_on([-15, -13, -10, -6, -3, 0, 2, 5, 7, 9, 12, 15], range(1, 13))
         B = weighted_on([-14, -11, -9, -8, -4, -1, 1, 3, 6, 10, 13, 14], range(12, 0, -1))
         split_entropies([(as_scalar(1), A), (as_scalar(1), B)], None)
-        assert steps == [144]
+        assert steps == ([144], [(12, 12, False)])
 
     def test_generic_theorem1_steps_are_not(self, steps):
+        calls, taken = steps
         theorem1_certified_bound(ChannelMatrix.generic(3), 1, 2)
         # W_N's own steps, then one symbolic interference step per user
-        assert steps[-3:] == [128 * 128] * 3
+        assert calls[-3:] == [128 * 128] * 3
+        assert not any(took for *_, took in taken)
+
+
+def dense_integer_dist(seed: int, n: int) -> DiscreteDist:
+    """n integer points picked from a window half again as wide, with
+    seeded weights 1-1000: operands whose steps the product takes."""
+    rng = random.Random(seed)
+    return weighted_on(sorted(rng.sample(range(-n, n // 2), n)),
+                       [rng.randint(1, 1000) for _ in range(n)])
+
+
+class TestEveryCallerTakesTheProduct:
+    """Every sum goes through `convolve`, so each caller takes large dense
+    steps as one product and gives the pair loop's result exactly: the
+    same floats bit for bit, or results equal by `==`."""
+
+    @pytest.mark.parametrize("lam", [Fraction(-1), Fraction(2), Fraction(1, 2)])
+    @pytest.mark.parametrize("n", [16, 150])
+    def test_hlambda_bound(self, lam, n):
+        U, V = dense_integer_dist(1, n), dense_integer_dist(2, n)
+        with products() as taken:
+            bound = hlambda_bound(lam, U, V)
+        assert taken and all(took for *_, took in taken)
+        with loop_only():
+            assert bound == hlambda_bound(lam, U, V)
+
+    def test_hlambda_bound_at_2000_atoms(self):
+        U, V = dense_integer_dist(3, 2000), dense_integer_dist(4, 2000)
+        with products() as taken:
+            bound = hlambda_bound(-1, U, V)
+        assert taken == [(2000, 2000, True)] * 2
+        with loop_only():
+            assert bound == hlambda_bound(-1, U, V)
+
+    @pytest.mark.parametrize("n", [16, 150])
+    def test_entropy_inequality_suite(self, n):
+        U, V = dense_integer_dist(5, n), dense_integer_dist(6, n)
+        with products() as taken:
+            report = entropy_inequality_suite(U, V)
+        assert len(taken) == 2 and all(took for *_, took in taken)
+        with loop_only():
+            assert report == entropy_inequality_suite(U, V)
+
+    @pytest.mark.parametrize("n", [16, 150])
+    def test_sumset(self, n):
+        A = support_set(dense_integer_dist(7, n))
+        B = support_set(dense_integer_dist(8, n))
+        with products() as taken:
+            total = sumset(A, B)
+        assert taken == [(n, n, True)]
+        with loop_only():
+            assert total == sumset(A, B)
+
+    @pytest.mark.parametrize("n", [16, 150])
+    def test_linear_combination(self, n):
+        coeffs = [1, -2, 3]
+        dists = [dense_integer_dist(seed, n) for seed in (9, 10, 11)]
+        with products() as taken:
+            total = linear_combination(coeffs, dists)
+        assert taken and all(took for *_, took in taken)
+        with loop_only():
+            assert total == linear_combination(coeffs, dists)
+
+    def test_truncated_dist(self):
+        ifs = IFSSpec(Fraction(1, 2), tuple(map(as_scalar, range(4))), (Fraction(1, 4),) * 4)
+        with products() as taken:
+            X = truncated_dist(ifs, 10)
+        assert taken[-1] == (94, 94, True)
+        with loop_only():
+            assert X == truncated_dist(ifs, 10)
+        assert entropy_bits(X) == entropy_bits(reference_truncation(ifs, 10))
 
 
 class TestJson:
