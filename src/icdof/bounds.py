@@ -2,8 +2,12 @@
 
 Everything here reduces to exact distributions of linear forms sum_j h_ij W_j
 and their entropies: every bound reads each user's H(interference) and
-H(full) from `split_entropies`, which proves their sum injective or enumerates
-it. The clamped-sum bound takes a resolution parameter r_log = log2(1/r) > 0;
+H(full) from a `PlacedSplit`, which proves their sum injective or enumerates
+it. The objectives are split into a placement, which reads the inputs' keys
+and the coefficients only, and an evaluation, which runs the steps and the
+formula on weights attached to the placed keys: the public functions place
+their arguments and evaluate once, and the optimizer places once per search.
+The clamped-sum bound takes a resolution parameter r_log = log2(1/r) > 0;
 certified constructions pick the inputs (Theorem 1's W_N from `build_wn`),
 check independence first, and verify the signal/interference entropy split
 exactly before reporting. All reports carry the caveat that dimension
@@ -16,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .channel import (
     ChannelMatrix,
@@ -29,12 +33,14 @@ from .channel import (
 from .dist import (
     DEFAULT_ATOM_BUDGET,
     DiscreteDist,
+    PlacedSplit,
     check_pair_budget,
     convolve,
     entropy_bits,
+    place_step,
     point_mass,
+    reweighted,
     scale,
-    split_entropies,
     uniform_on,
 )
 from .errors import ConditionStarViolationError, ValidationError
@@ -66,18 +72,45 @@ class BoundReport:
         return out
 
 
-def _user_entropies(H: ChannelMatrix, W: Sequence[DiscreteDist], budget: int) -> Iterator[tuple]:
-    """(H(interference_i), H(full_i), |interference_i|, |full_i|) for each
-    user i in turn, from `split_entropies` on the terms (h_ij, W_j) of row i:
-    the cross terms, a point mass at 0 when every cross coefficient is zero
-    (as in triangular matrices), and the signal term, none when h_ii is zero."""
+def _user_forms(H: ChannelMatrix, W: Sequence[DiscreteDist], budget: int) -> Callable:
+    """The placement of every user's `split_entropies`, a `PlacedSplit` of
+    the terms (h_ij, W_j) of row i: the cross terms, a point mass at 0 when
+    every cross coefficient is zero (as in triangular matrices), and the
+    signal term, none when h_ii is zero. Returns the evaluation, which
+    yields each user's (H(interference_i), H(full_i), |interference_i|,
+    |full_i|) in turn, with W's own weights, or with each input's (weights,
+    denominator) in `inputs`, in W's order, attached to the placed terms.
+    A user is placed when an evaluation first reaches it, so every refusal
+    comes where enumerating the users in turn puts it: after the steps of
+    the users before it, and before its own."""
     if len(W) != H.K:
         raise ValidationError(f"{len(W)} input distributions for K={H.K} users")
-    for i in range(H.K):
+    placed = []
+
+    def place(i: int) -> tuple:
         row = H.row(i)
-        cross = [(c, dist) for j, (c, dist) in enumerate(zip(row, W)) if j != i and not c.is_zero()]
-        signal = (row[i], W[i]) if not row[i].is_zero() else None
-        yield split_entropies(cross or [(ONE, point_mass(0))], signal, budget)
+        cross = [j for j, c in enumerate(row) if j != i and not c.is_zero()]
+        signal = [] if row[i].is_zero() else [i]
+        split = PlacedSplit([(row[j], W[j]) for j in cross] or [(ONE, point_mass(0))],
+                            (row[i], W[i]) if signal else None, budget)
+        return split, (cross or [None]) + signal  # None: the point mass keeps its weight
+
+    def entropies(inputs: Optional[Sequence] = None) -> Iterator[tuple]:
+        for i in range(H.K):
+            if i == len(placed):
+                placed.append(place(i))
+            split, sources = placed[i]
+            terms = split.terms if inputs is None else [
+                X if j is None else reweighted(X, *inputs[j]) for X, j in zip(split.terms, sources)]
+            yield split.entropies(terms)
+
+    return entropies
+
+
+def _user_entropies(H: ChannelMatrix, W: Sequence[DiscreteDist], budget: int) -> Iterator[tuple]:
+    """Each user's entropies from `_user_forms`, evaluated once with W's own
+    weights."""
+    yield from _user_forms(H, W, budget)()
 
 
 def _clamped_terms(entropies: Iterable[tuple], r_log: float) -> tuple[tuple, float]:
@@ -241,6 +274,15 @@ def integer_example_bound(
     )
 
 
+def _theorem3(entropies: Iterable[tuple]) -> float:
+    """The Theorem 3 ratio of the users' (H(interference), H(full), ...)."""
+    entropies = list(entropies)
+    denom = max(h_full for _, h_full, _, _ in entropies)
+    if denom <= 0:
+        raise ValidationError("deterministic inputs: every output entropy is zero")
+    return math.fsum(h_full - h_intf for h_intf, h_full, _, _ in entropies) / denom
+
+
 def theorem3_ratio(
     H: ChannelMatrix, W: Sequence[DiscreteDist], budget: int = DEFAULT_ATOM_BUDGET
 ) -> float:
@@ -249,11 +291,17 @@ def theorem3_ratio(
     Scale-free: depends only on the distributions of the K linear forms.
     Errors when every full entropy is zero (deterministic inputs).
     """
-    entropies = list(_user_entropies(H, W, budget))
-    denom = max(h_full for _, h_full, _, _ in entropies)
-    if denom <= 0:
-        raise ValidationError("deterministic inputs: every output entropy is zero")
-    return math.fsum(h_full - h_intf for h_intf, h_full, _, _ in entropies) / denom
+    return _theorem3(_user_entropies(H, W, budget))
+
+
+def theorem3_form(
+    H: ChannelMatrix, W: Sequence[DiscreteDist], budget: int = DEFAULT_ATOM_BUDGET
+) -> Callable:
+    """`theorem3_ratio` placed on the keys of W by `_user_forms`. Returns the
+    evaluation, which takes each input's (weights, denominator), in W's
+    order and each in its input's key order, and returns the ratio."""
+    users = _user_forms(H, W, budget)
+    return lambda inputs: _theorem3(users(inputs))
 
 
 def hlambda_bound(
@@ -262,12 +310,35 @@ def hlambda_bound(
     V: DiscreteDist,
     budget: int = DEFAULT_ATOM_BUDGET,
 ) -> float:
-    """2 - H(U+V)/H(U+lam*V) for independent U, V."""
+    """2 - H(U+V)/H(U+lam*V) for independent U, V: `hlambda_form` placed
+    on U and V and evaluated once with their own weights."""
+    return hlambda_form(lam, U, V, budget)()
+
+
+def hlambda_form(
+    lam: Fraction | int,
+    U: DiscreteDist,
+    V: DiscreteDist,
+    budget: int = DEFAULT_ATOM_BUDGET,
+) -> Callable:
+    """The placement of `hlambda_bound`, which reads keys only: U and V on
+    the lattice of U + V, and U and lam*V on that of U + lam*V, each step
+    refused there as `convolve` refuses it. Returns the evaluation, which
+    runs the two `convolve` steps and the formula with U's and V's own
+    weights, or with the (weights, denominator) of U and of V in `inputs`,
+    each in its key order, attached to the placed keys."""
     lam = Fraction(lam)
     if lam == 0:
         raise ValidationError("lambda must be nonzero")
-    numerator = entropy_bits(convolve(U, V, budget=budget))
-    denominator = entropy_bits(convolve(U, scale(lam, V), budget=budget))
-    if denominator <= 0:
-        raise ValidationError("deterministic inputs: H(U + lambda*V) is zero")
-    return 2 - numerator / denominator
+    placed = (*place_step(U, V, budget), *place_step(U, scale(lam, V), budget))
+
+    def bound(inputs: Optional[Sequence] = None) -> float:
+        A, B, C, D = placed if inputs is None else [
+            reweighted(X, *w) for X, w in zip(placed, [*inputs, *inputs])]
+        numerator = entropy_bits(convolve(A, B, budget))
+        denominator = entropy_bits(convolve(C, D, budget))
+        if denominator <= 0:
+            raise ValidationError("deterministic inputs: H(U + lambda*V) is zero")
+        return 2 - numerator / denominator
+
+    return bound

@@ -29,11 +29,10 @@ from .dist import DEFAULT_ATOM_BUDGET, dist_from_json, dist_to_json, entropy_bit
 from .errors import BudgetExceededError, IcdofError, ParseError, NotRationalError
 from .infodim import (
     NON_EXCEPTIONAL_CAVEAT,
-    empirical_infodim,
     ifs_from_json,
     infodim_formula,
     log2_inverse_contraction,
-    recommended_quantization,
+    quantized_estimate,
 )
 from .optimize import OptConfig, optimize_hlambda, optimize_theorem3
 from .scalar import exact_str, parse_rational
@@ -178,8 +177,7 @@ def _cmd_infodim(args) -> dict:
         "caveat": NON_EXCEPTIONAL_CAVEAT,
     }
     if args.m is not None:
-        k = args.quant if args.quant is not None else recommended_quantization(ifs, args.m)
-        report["empirical"] = empirical_infodim(ifs, args.m, k, budget=args.budget)
+        report["empirical"], k = quantized_estimate(ifs, args.m, args.quant, args.budget)
         report["m"] = args.m
         report["quantization"] = k
     return report

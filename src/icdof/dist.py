@@ -18,7 +18,10 @@ the slots of its key range, `convolve` takes it as one product of two
 integers whose fixed-width slots hold the operands' weights (Kronecker
 substitution, `_kronecker`), with the pair loop as its oracle. A sum's atom
 order is deterministic but unspecified: `==`, `sorted_items`, JSON and the
-entropy do not read it.
+entropy do not read it. Keys depend on points and coefficients alone, so a
+placement (`place_step`, `PlacedSplit`) forms a sum's operands once, and
+`reweighted` attaches other weights to them in key order: an objective
+scored on many weightings of fixed supports packs nothing again.
 
 A finite set is the support of a packed distribution (`SupportSet`), so a
 sumset is the support of one `convolve` and a progression test sorts integer
@@ -366,20 +369,35 @@ def weighted_on(support: Iterable, weights: Sequence[int]) -> DiscreteDist:
         if not points:
             raise ValidationError("empty support")
         lattice, keys, reach = _born(points)
-    if len(weights) != len(keys):
-        raise ValidationError(f"{len(weights)} weights for {len(keys)} support points")
-    for w in weights:
-        if type(w) is not int or w <= 0:
-            raise ValidationError(f"weight {w!r} is not a positive integer")
-    g = math.gcd(*weights)  # lowest terms, as `DiscreteDist(atoms)` stores them
-    packed = dict(zip(keys, [w // g for w in weights]))
+    weights, denominator = lowest_weights(weights, len(keys))
+    packed = dict(zip(keys, weights))
     if len(packed) < len(keys):
         seen = set()
         for key, point in zip(keys, points):
             if key in seen:
                 raise ValidationError(f"support not distinct: '{decimal(point)}' appears twice")
             seen.add(key)
-    return _new(lattice, packed, sum(weights) // g, reach)
+    return _new(lattice, packed, denominator, reach)
+
+
+def lowest_weights(weights: Sequence[int], count: int) -> tuple[list[int], int]:
+    """Positive integer weights for `count` points, in lowest terms as
+    `DiscreteDist(atoms)` stores them, and their sum, the denominator. Refused
+    unless there are `count` of them and each is a positive int."""
+    if len(weights) != count:
+        raise ValidationError(f"{len(weights)} weights for {count} support points")
+    for w in weights:
+        if type(w) is not int or w <= 0:
+            raise ValidationError(f"weight {w!r} is not a positive integer")
+    g = math.gcd(*weights)
+    return [w // g for w in weights], sum(weights) // g
+
+
+def reweighted(placed: DiscreteDist, weights: Iterable[int], denominator: int) -> DiscreteDist:
+    """`placed`'s points with `weights` (positive ints in its key order, summing
+    to `denominator`) in place of its own: an evaluation's input on the keys a
+    placement formed, with nothing packed again."""
+    return _new(placed._lattice, dict(zip(placed._weights, weights)), denominator, placed._reach)
 
 
 def uniform_on(support: Iterable) -> DiscreteDist:
@@ -480,6 +498,14 @@ def convolve(A: DiscreteDist, B: DiscreteDist, budget: int = DEFAULT_ATOM_BUDGET
     return _new(lattice, merged, A._denominator * B._denominator, reach)
 
 
+def place_step(A: DiscreteDist, B: DiscreteDist, budget: int) -> tuple:
+    """The placement of the step A + B, which reads keys only: A and B on the
+    lattice of their sum, refused as `convolve` refuses the step. `convolve`
+    finds them, or copies of them with other weights attached by
+    `reweighted`, on one lattice, and places nothing again."""
+    return _align(A, B, budget)[:2]
+
+
 _SLOT_CODES = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))  # native memoryview formats
 
 
@@ -570,7 +596,8 @@ def split_entropies(
 ) -> tuple[float, float, int, int]:
     """(H(I), H(I + S), |I|, |I + S|) for the interference I = sum_j c_j X_j
     of at least one cross term and the signal S = c X of one linear form
-    (every c nonzero); without a signal term, I + S is I.
+    (every c nonzero); without a signal term, I + S is I. The terms are
+    placed by `PlacedSplit` and evaluated once with their own weights.
 
     When no monomial S can reach is one that I can reach, the map (t, s) ->
     t + s on their supports is proved injective: distinct monomials are
@@ -581,20 +608,51 @@ def split_entropies(
     steps, and every step, built or not, is refused exactly as
     `linear_combination` of the cross terms, then the signal, refuses it.
     """
-    packed = _pack([*cross_terms, signal_term] if signal_term else cross_terms, budget)
-    interference = _sum(islice(packed, len(cross_terms)), budget)
-    h_intf, n_intf = entropy_bits(interference), len(interference)
-    if signal_term is None:
-        return h_intf, h_intf, n_intf, n_intf
-    if not _monomials([signal_term]).isdisjoint(_monomials(cross_terms)):
-        full = convolve(interference, next(packed), budget)
-        return h_intf, entropy_bits(full), n_intf, len(full)
-    # the signal's keys are never read: |S|, its weights and its denominator
-    # are those of the unscaled X, and the step's lattice is the interference's
-    signal = signal_term[1]
-    pairs = n_intf * len(signal)
-    check_pair_budget(pairs, budget, interference._lattice)
-    return h_intf, _product_entropy(interference, signal), n_intf, pairs
+    split = PlacedSplit(cross_terms, signal_term, budget)
+    return split.entropies(split.terms)
+
+
+class PlacedSplit:
+    """The placement of `split_entropies`, which reads the terms' keys and
+    coefficients only. `terms` holds the terms packed on one lattice, cross
+    terms first, with their distributions' weights; a proved signal is its
+    unscaled distribution, whose keys are never read. The first step is
+    refused on that lattice as `_pack` refuses it, and the injectivity
+    proof is decided once. `entropies` evaluates: it runs the steps, budget
+    checks and entropies of `split_entropies` on `terms`, or on copies of
+    them with other weights attached by `reweighted`."""
+
+    __slots__ = ("terms", "count", "proved", "budget")
+
+    def __init__(
+        self,
+        cross_terms: Sequence[tuple[ExactScalar, DiscreteDist]],
+        signal_term: Optional[tuple[ExactScalar, DiscreteDist]],
+        budget: int,
+    ):
+        terms = [*cross_terms, signal_term] if signal_term else cross_terms
+        self.count, self.budget = len(cross_terms), budget
+        self.proved = signal_term is not None and _monomials([signal_term]).isdisjoint(
+            _monomials(cross_terms))
+        self.terms = list(islice(_pack(terms, budget), len(terms) - self.proved))
+        if self.proved:
+            self.terms.append(signal_term[1])
+
+    def entropies(self, terms: Sequence[DiscreteDist]) -> tuple[float, float, int, int]:
+        count, budget = self.count, self.budget
+        interference = _sum(islice(terms, count), budget)
+        h_intf, n_intf = entropy_bits(interference), len(interference)
+        if len(terms) == count:  # no signal
+            return h_intf, h_intf, n_intf, n_intf
+        if not self.proved:
+            full = convolve(interference, terms[count], budget)
+            return h_intf, entropy_bits(full), n_intf, len(full)
+        # |S|, its weights and its denominator are those of the unscaled X,
+        # and the step's lattice is the interference's
+        signal = terms[count]
+        pairs = n_intf * len(signal)
+        check_pair_budget(pairs, budget, interference._lattice)
+        return h_intf, _product_entropy(interference, signal), n_intf, pairs
 
 
 # -- entropy ------------------------------------------------------------------

@@ -13,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .dist import (
     DEFAULT_ATOM_BUDGET,
@@ -109,10 +109,15 @@ def _truncation(r: Fraction, n: int, memo: dict, budget: int) -> DiscreteDist:
     return memo[n]
 
 
+def _max_offset(ifs: IFSSpec) -> Fraction:
+    """max |w|, > 0 since the offsets are distinct. Raises NotRationalError
+    if an offset is symbolic."""
+    return max(abs(w.as_fraction()) for w in ifs.w_values)
+
+
 def recommended_quantization(ifs: IFSSpec, m: int) -> int:
     """Largest k with k * r^m * max|w| / (1-r) <= 1, floored at 2."""
-    max_w = max(abs(w.as_fraction()) for w in ifs.w_values)  # > 0: the offsets are distinct
-    limit = (1 - ifs.r) / (ifs.r**m * max_w)
+    limit = (1 - ifs.r) / (ifs.r**m * _max_offset(ifs))
     return max(2, math.floor(limit))
 
 
@@ -131,22 +136,36 @@ def empirical_infodim(
     one quantization cell; a violation only warns, because the estimate is
     still defined, just less trustworthy.
     """
-    if k < 2:
+    return quantized_estimate(ifs, m, k, budget)[0]
+
+
+def quantized_estimate(
+    ifs: IFSSpec, m: int, k: Optional[int], budget: int = DEFAULT_ATOM_BUDGET
+) -> tuple[float, int]:
+    """`empirical_infodim` at quantization factor k, or at
+    `recommended_quantization` when k is None, and the factor used. The
+    checks come in the order of `recommended_quantization` (when k is None),
+    then `empirical_infodim`; the truncation is then built, or refused,
+    before r^m is formed, which at m = 10^7 has millions of digits."""
+    if k is None:
+        _max_offset(ifs)  # a symbolic offset is refused as the recommendation refuses it
+    elif k < 2:
         raise ValidationError(f"need a quantization factor k >= 2, got {k}")
     if m < 1:  # before the guard below can warn
         raise ValidationError(f"need m >= 1, got {m}")
     try:
-        w_fracs = [w.as_fraction() for w in ifs.w_values]
+        max_w = _max_offset(ifs)
     except NotRationalError:
         raise NotRationalError(
             "the empirical path requires rational offsets (exact floors need ordered values)"
         ) from None
-    max_w = max(abs(w) for w in w_fracs)
+    X = truncated_dist(ifs, m, budget=budget)
+    if k is None:
+        k = recommended_quantization(ifs, m)
     if k * ifs.r**m * max_w / (1 - ifs.r) > 1:
         warnings.warn(
             "quantization factor is finer than the truncation error; "
             "increase m or lower k",
-            stacklevel=2,
+            stacklevel=3,
         )
-    X = truncated_dist(ifs, m, budget=budget)
-    return entropy_bits(floor_dist(k * ifs.r, X)) / math.log2(k)
+    return entropy_bits(floor_dist(k * ifs.r, X)) / math.log2(k), k

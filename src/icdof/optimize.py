@@ -1,12 +1,17 @@
 """Derivative-free maximization of the entropy-ratio objectives over
 parametrized discrete distributions.
 
-Candidates are log-weight vectors over a fixed integer support grid. Each
-evaluation exponentiates (softmax style), rationalizes every weight with a
-bounded-denominator continued-fraction approximation in integer arithmetic,
-brings the approximations to integer weights over their common denominator,
-and scores the resulting distributions through the exact engine, so no
-floating objective value is ever reported that the exact path did not produce.
+Candidates are log-weight vectors over a fixed integer support grid. The
+objective is placed once per search on the grid's keys (`hlambda_form`,
+`theorem3_form`): the packing, lattices and injectivity proofs, which read
+keys and coefficients only. Each evaluation exponentiates (softmax style),
+rationalizes every weight with a bounded-denominator continued-fraction
+approximation in integer arithmetic, brings the approximations to integer
+weights over their common denominator, and scores those weights through the
+exact engine on the placed keys, so no floating objective value is ever
+reported that the exact path did not produce. No distribution is built per
+candidate; the best candidate's are built once, by `weighted_on`, when the
+search ends.
 """
 
 from __future__ import annotations
@@ -17,13 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .bounds import hlambda_bound, theorem3_ratio
+from .bounds import hlambda_bound, hlambda_form, theorem3_form
 from .channel import ChannelMatrix
 from .dist import (
     DEFAULT_ATOM_BUDGET,
     DiscreteDist,
     SupportSet,
     check_pair_budget,
+    lowest_weights,
     support_set,
     uniform_on,
     weighted_on,
@@ -107,29 +113,34 @@ def rationalize_weights(weights: Sequence[float], max_denominator: int) -> list[
     return [p * (common // q) for p, q in approx]
 
 
-def dist_from_logweights(
-    x: Sequence[float], support: SupportSet | Sequence[ExactScalar], max_denominator: int
-) -> DiscreteDist:
+def weights_from_logweights(x: Sequence[float], max_denominator: int) -> list[int]:
+    """Positive integer weights in the ratios of exp(x), softmax style, by
+    `rationalize_weights`."""
     shift = max(x)
-    weights = [math.exp(v - shift) for v in x]
-    return weighted_on(support, rationalize_weights(weights, max_denominator))
+    return rationalize_weights([math.exp(v - shift) for v in x], max_denominator)
 
 
 @dataclass
 class _Tracker:
     """Best-so-far state for one restart; the objective updates it on every
     exact evaluation, so the reported best never depends on what the simplex
-    happens to return."""
+    happens to return. The best candidate is kept as given: each block's
+    distribution (the warm start) or its integer weights on the grid, which
+    `dists` builds once."""
 
     value: float = -math.inf
-    dists: Optional[tuple[DiscreteDist, ...]] = None
+    candidate: Optional[tuple] = None
     evaluations: int = 0
 
-    def record(self, value: float, dists: tuple[DiscreteDist, ...]) -> None:
+    def record(self, value: float, candidate: tuple) -> None:
         self.evaluations += 1
         if value > self.value:
             self.value = value
-            self.dists = dists
+            self.candidate = candidate
+
+    def dists(self, support: SupportSet) -> tuple[DiscreteDist, ...]:
+        return tuple(block if isinstance(block, DiscreteDist) else weighted_on(support, block)
+                     for block in self.candidate)
 
 
 class _MaxEvaluations(Exception):
@@ -233,24 +244,30 @@ def _nelder_mead(
 
 
 def _search(
-    score: Callable[[tuple[DiscreteDist, ...]], float],
+    place: Callable[[DiscreteDist], Callable[[list], float]],
     n: int,
     blocks: int,
     config: OptConfig,
     warm_start: Optional[tuple[Sequence[float], float, tuple[DiscreteDist, ...]]] = None,
     progress: Optional[Callable[[dict], None]] = None,
 ) -> OptResult:
-    """Maximize score over `blocks` distributions on {0..n-1}, each decoded
-    from its slice of n log-weights, by restarted Nelder-Mead. The first
-    restart starts at warm_start's point, with its exact value and
-    distributions recorded first; progress sees each trace entry as its
-    restart ends."""
+    """Maximize an objective over `blocks` distributions on {0..n-1}, each
+    decoded from its slice of n log-weights, by restarted Nelder-Mead.
+    `place` places the objective once per search, on the keys of the
+    uniform distribution on {0..n-1}. Each evaluation rationalizes each
+    slice to integer weights, validates them with `lowest_weights` and
+    passes them to the placed objective in the grid's key order; no
+    distribution is built. The best candidate's distributions are built
+    once, through `weighted_on`, when the search ends. The first restart
+    starts at warm_start's point, with its exact value and distributions
+    recorded first; progress sees each trace entry as its restart ends."""
     if n < 2:
         raise ValidationError(f"need a support of at least 2 points, got n={n}")
     if n > DEFAULT_ATOM_BUDGET:
         raise BudgetExceededError(
             f"search grid would hold {n} points, over the budget of {DEFAULT_ATOM_BUDGET}")
-    support = support_set(uniform_on(integer_grid(n)))  # packed once per search
+    grid = uniform_on(integer_grid(n))  # packed once per search
+    evaluate = place(grid)
     max_den = config.rationalization_denominator
     rng = random.Random(config.seed)
     starts = ([rng.gauss(0.0, 1.0) for _ in range(blocks * n)] for _ in range(config.restarts))
@@ -263,11 +280,11 @@ def _search(
             tracker.record(*warm)
 
         def neg(x):
-            dists = tuple(
-                dist_from_logweights(x[j * n : (j + 1) * n], support, max_den) for j in range(blocks)
+            weights = tuple(
+                weights_from_logweights(x[j * n : (j + 1) * n], max_den) for j in range(blocks)
             )
-            value = score(dists)
-            tracker.record(value, dists)
+            value = evaluate([lowest_weights(w, n) for w in weights])
+            tracker.record(value, weights)
             return -value
 
         start_value = -neg(x0)
@@ -284,11 +301,11 @@ def _search(
             progress(trace[-1])
         if tracker.value > best.value:
             best = tracker
-    if best.dists is None:
+    if best.candidate is None:
         raise ValidationError("objective was degenerate at every candidate")
     return OptResult(
         best_value=best.value,
-        dists=best.dists,
+        dists=best.dists(support_set(grid)),
         trace=tuple(trace),
         seed=config.seed,
     )
@@ -324,7 +341,7 @@ def optimize_hlambda(
         W4 = prop4_dist(n)
         logw = [math.log(float(p)) for p in PROP4_PROBS] + [math.log(1e-9)] * (n - 4)
         warm = (logw + logw, hlambda_bound(lam, W4, W4), (W4, W4))
-    return _search(lambda dists: hlambda_bound(lam, *dists), n, 2, config, warm, progress)
+    return _search(lambda grid: hlambda_form(lam, grid, grid), n, 2, config, warm, progress)
 
 
 def optimize_theorem3(
@@ -339,12 +356,17 @@ def optimize_theorem3(
     if n >= 2 and any(sum(not x.is_zero() for x in row) > 1 for row in H.entries):
         check_pair_budget(n * n, DEFAULT_ATOM_BUDGET)  # that row's first step
 
-    def score(dists):
-        try:
-            return theorem3_ratio(H, dists)
-        except BudgetExceededError:
-            raise
-        except ValidationError:  # deterministic inputs
-            return -math.inf
+    def place(grid):
+        ratio = theorem3_form(H, [grid] * H.K)
 
-    return _search(score, n, H.K, config, progress=progress)
+        def score(inputs):
+            try:
+                return ratio(inputs)
+            except BudgetExceededError:
+                raise
+            except ValidationError:  # deterministic inputs
+                return -math.inf
+
+        return score
+
+    return _search(place, n, H.K, config, progress=progress)

@@ -62,6 +62,20 @@ def counting_convolve(calls: list):
     return lambda A, B, budget: calls.append(len(A) * len(B)) or convolve(A, B, budget)
 
 
+class PowerSpy(Fraction):
+    """A rational that records, in `exponents`, the exponent of every power
+    taken of it: as a contraction parameter r, it shows which r^k were formed."""
+
+    def __new__(cls, *args):
+        self = super().__new__(cls, *args)
+        self.exponents = []
+        return self
+
+    def __pow__(self, exponent):
+        self.exponents.append(exponent)
+        return Fraction(self) ** exponent
+
+
 def reference_truncation(ifs, m: int) -> DiscreteDist:
     """Slow twin of `truncated_dist`: the left fold of one `convolve` step
     per term over one m-term linear form sum_{k<m} r^k W_k."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -23,6 +24,7 @@ import icdof.dist
 import icdof.optimize
 from icdof import ChannelMatrix, cli
 from icdof.cli import run
+from conftest import PowerSpy
 
 
 @pytest.fixture
@@ -797,6 +799,20 @@ class TestExitCodes:
         message = "convolution needs 1073741824 atom pairs, over the budget of 5000000"
         assert result == (2, {"code": "budget-exceeded", "message": message})
 
+    def test_infodim_refuses_before_r_to_the_m(self, capsys, files, monkeypatch):
+        # at m = 10^7, the recommended factor's r^m has 4.8 million digits,
+        # 7 s to form; the truncation is refused first, with the same report
+        ifs = files("cantor.json", {"r": "1/3", "w": ["0", "1"], "probs": ["1/2", "1/2"]})
+        r = PowerSpy(1, 3)
+        read = cli.ifs_from_json
+        monkeypatch.setattr(cli, "ifs_from_json", lambda obj: dataclasses.replace(read(obj), r=r))
+        m = 10**7
+        for quant in ([], ["--quant", "3"]):
+            result = run_json(capsys, ["infodim", "--ifs", ifs, "--m", str(m), *quant])
+            message = "convolution needs 274877906944 atom pairs, over the budget of 5000000"
+            assert result == (2, {"code": "budget-exceeded", "message": message})
+        assert r.exponents and max(r.exponents) < m
+
     @pytest.mark.parametrize("prob", ["1e999999999", "1e-999999999", "2.5E+1_000_000"])
     def test_probability_exponents_over_the_digit_limit(self, capsys, files, monkeypatch, prob):
         formed = []
@@ -1169,3 +1185,91 @@ class TestReaderFuzz:
         assert status in (0, 2), out.getvalue()
         report = json.loads(out.getvalue())  # one document, nothing around it
         assert ("code" in report) == (status == 2)
+
+
+
+def _fuzz_run(argv) -> None:
+    """Run one fuzzed command line: it must exit 0 or 2 with exactly one
+    JSON document on stdout, an error object exactly when it exits 2."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        status = run(argv)
+    assert status in (0, 2), out.getvalue()
+    report = json.loads(out.getvalue())  # one document, nothing around it
+    assert ("code" in report) == (status == 2)
+
+
+def _mostly(valid, invalid):
+    """`valid`, and now and then `invalid`."""
+    return st.integers(0, 99).flatmap(lambda i: valid if i < 90 else invalid)
+
+
+_FUZZ_VALUES = (st.integers(-3, 3) | st.builds(lambda n, d: f"{n}/{d}", st.integers(-3, 3),
+                                               st.integers(1, 4))
+                | st.sampled_from(["g", "g + 1", "2*g - 1", "h_1_2", "−1/2"]))
+_FUZZ_WEIGHTS = st.integers(1, 9) | st.integers(1, 2**80)
+_FUZZ_LAMBDAS = _mostly(
+    st.sampled_from(["-1", "–1", "−1", "1/2", "–3/2", "2"])
+    | st.integers(-10**6, 10**6).filter(bool).map(str)
+    | st.integers(-10**4000, 10**4000).filter(bool).map(str)  # under the digit limit
+    | st.builds(lambda n, d: f"{n}/{d}", st.integers(-10**60, 10**60).filter(bool),
+                st.integers(1, 10**60)),
+    st.sampled_from(["0", "-0", "–0", "0/5", "1/0", "x", "", "1e3"]),
+)
+_FUZZ_BUDGETS = _mostly(st.sampled_from(["1", "2", "3", "100", "5000000", str(10**30)]),
+                        st.sampled_from(["0", "-1", "x"]))
+
+
+@st.composite
+def _fuzz_dist(draw) -> dict:
+    """A distribution document on rational or symbolic points; now and then
+    one that repeats a point, misses a total of 1 or is junk."""
+    flaw = draw(_mostly(st.none(), st.sampled_from(["repeat", "total", "junk"])))
+    if flaw == "junk":
+        return draw(JSON_JUNK)
+    points = draw(st.lists(_FUZZ_VALUES, min_size=1, max_size=4,
+                           unique_by=None if flaw == "repeat" else str))
+    weights = draw(st.lists(_FUZZ_WEIGHTS, min_size=len(points), max_size=len(points)))
+    total = sum(weights) + (flaw == "total")
+    return {"atoms": [{"value": str(x), "prob": f"{w}/{total}"} for x, w in zip(points, weights)]}
+
+
+class TestVerbFuzz:
+    """The verbs whose objectives are placed once and evaluated: any
+    --lambda, --k, --matrix, --dist and --budget exits 0 or 2 with exactly
+    one JSON document on stdout."""
+
+    @settings(max_examples=150)
+    @given(lam=_FUZZ_LAMBDAS, u=_fuzz_dist(), v=_fuzz_dist(), budget=_FUZZ_BUDGETS)
+    def test_hlambda(self, fuzz_dir, lam, u, v, budget):
+        paths = []
+        for name, doc in (("u.json", u), ("v.json", v)):
+            (fuzz_dir / name).write_text(json.dumps(doc))
+            paths.append(str(fuzz_dir / name))
+        _fuzz_run(["hlambda", f"--lambda={lam}", "--u", paths[0], "--v", paths[1],
+                   f"--budget={budget}"])
+
+    @settings(max_examples=150)
+    @given(data=st.data(), budget=_FUZZ_BUDGETS)
+    def test_ratio_thm3(self, fuzz_dir, data, budget):
+        K = data.draw(_mostly(st.integers(2, 3), st.integers(-1, 1)))
+        if data.draw(st.booleans()):
+            users = [f"--k={K}"]
+        else:
+            size = max(K, 0)
+            cell = _mostly(_FUZZ_VALUES | st.just("generic"), JSON_SCALARS)
+            rows = st.lists(st.lists(cell, min_size=size, max_size=size),
+                            min_size=size, max_size=size)
+            matrix = data.draw(_mostly(rows.map(lambda r: {"K": K, "entries": r}), JSON_JUNK))
+            (fuzz_dir / "matrix.json").write_text(json.dumps(matrix))
+            users = ["--matrix", str(fuzz_dir / "matrix.json")]
+        # mostly one file per user; otherwise 0 to 4 of them
+        count = data.draw(_mostly(st.just(K), st.integers(0, 4))) if K > 1 else (
+            data.draw(st.integers(0, 4)))
+        argv = ["ratio-thm3", *users, f"--budget={budget}"]
+        for i in range(count):
+            (fuzz_dir / f"dist{i}.json").write_text(json.dumps(data.draw(_fuzz_dist())))
+            argv += ["--dist", str(fuzz_dir / f"dist{i}.json")]
+        _fuzz_run(argv)

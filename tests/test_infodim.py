@@ -18,6 +18,7 @@ from icdof import (
     IFSSpec,
     NotRationalError,
     ValidationError,
+    as_scalar,
     empirical_infodim,
     entropy_bits,
     infodim_formula,
@@ -25,7 +26,8 @@ from icdof import (
     support_set,
     truncated_dist,
 )
-from conftest import counting_convolve, reference_truncation
+from icdof.infodim import quantized_estimate
+from conftest import PowerSpy, counting_convolve, reference_truncation
 
 CANTOR = IFSSpec.create(Fraction(1, 3), [0, 2], [Fraction(1, 2), Fraction(1, 2)])
 DYADIC = IFSSpec.create(Fraction(1, 2), [0, 1], [Fraction(1, 2), Fraction(1, 2)])
@@ -171,6 +173,24 @@ class TestEmpirical:
         assert math.isfinite(infodim_formula(symbolic))
         with pytest.raises(NotRationalError):
             empirical_infodim(symbolic, 4, 16)
+
+    @pytest.mark.parametrize("k", [3, 2**64, None])  # None: the recommended factor
+    def test_refused_before_r_to_the_m(self, k):
+        # at m = 10^7, r^m has 4.8 million digits and took seconds to form;
+        # the truncation is refused after a few small steps, before any
+        # power of r at or past m is taken
+        r = PowerSpy(1, 3)
+        ifs = IFSSpec(r, (as_scalar(0), as_scalar(1)), (Fraction(1, 2),) * 2)
+        m = 10**7
+        with pytest.raises(BudgetExceededError) as info:
+            quantized_estimate(ifs, m, k)
+        assert str(info.value) == (
+            "convolution needs 274877906944 atom pairs, over the budget of 5000000")
+        assert r.exponents and max(r.exponents) < m
+
+    def test_recommended_factor_is_reported(self):
+        assert quantized_estimate(CANTOR, 8, None) == (
+            empirical_infodim(CANTOR, 8, 2187), recommended_quantization(CANTOR, 8))
 
     def test_quantization_floor(self):
         with pytest.raises(ValidationError):

@@ -33,12 +33,28 @@ import icdof.optimize
 from icdof.optimize import (
     _limit_denominator,
     _nelder_mead,
-    dist_from_logweights,
     integer_grid,
     rationalize_weights,
+    weights_from_logweights,
 )
 
 FAST = OptConfig(restarts=2, max_iters=40, seed=0)
+
+
+def spied_form(form, note):
+    """`form`, whose evaluations each call note("score") before they score:
+    the seam at which a search scores each candidate."""
+
+    def placed(*args):
+        evaluate = form(*args)
+
+        def spy(inputs):
+            note("score")
+            return evaluate(inputs)
+
+        return spy
+
+    return placed
 
 
 def fraction_rationalize_weights(weights, max_denominator) -> tuple[Fraction, ...]:
@@ -108,7 +124,7 @@ class TestParametrization:
 
     def test_dist_from_logweights(self):
         support = integer_grid(3)
-        D = dist_from_logweights([0.0, -50.0, 1.0], support, 10**6)
+        D = icdof.weighted_on(support, weights_from_logweights([0.0, -50.0, 1.0], 10**6))
         assert len(D) == 3
         assert sum(p for _, p in D.items()) == 1
 
@@ -163,13 +179,9 @@ class TestHlambdaSearch:
         # between two progress calls come exactly the evaluations the second
         # one reports: its restart's, and none of the next restart's
         events = []
-
-        def spy(*args):
-            events.append("score")
-            return hlambda_bound(*args)
-
         config = OptConfig(restarts=3, max_iters=10, seed=4)
-        with mock.patch.object(icdof.optimize, "hlambda_bound", spy):
+        with mock.patch.object(icdof.optimize, "hlambda_form",
+                               spied_form(icdof.optimize.hlambda_form, events.append)):
             optimize_hlambda(2, 3, config, progress=events.append)
         counts, scores = [], 0
         for event in events:
@@ -233,9 +245,8 @@ class TestTheorem3Search:
         # n * n = 40000 pairs pass the up-front check; each user's full step,
         # 200^2 interference atoms times 200 signal atoms, does not
         calls = []
-        ratio = icdof.optimize.theorem3_ratio
-        monkeypatch.setattr(icdof.optimize, "theorem3_ratio",
-                            lambda H, dists: calls.append(1) or ratio(H, dists))
+        monkeypatch.setattr(icdof.optimize, "theorem3_form",
+                            spied_form(icdof.optimize.theorem3_form, calls.append))
         refusal = "^convolution needs 8000000 atom pairs, over the budget of 5000000$"
         with pytest.raises(BudgetExceededError, match=refusal):
             optimize_theorem3(ChannelMatrix.generic(3), 200,
