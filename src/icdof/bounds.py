@@ -4,9 +4,9 @@ Everything here reduces to exact distributions of linear forms sum_j h_ij W_j
 and their entropies: every bound reads each user's H(interference) and
 H(full) from a `PlacedSplit`, which proves their sum injective or enumerates
 it. The objectives are split into a placement, which reads the inputs' keys
-and the coefficients only, and an evaluation, which runs the steps and the
-formula on weights attached to the placed keys: the public functions place
-their arguments and evaluate once, and the optimizer places once per search.
+and the coefficients only, and an evaluation, which sums weights attached to
+the placed keys with `_sum` and builds no distribution: `theorem3_ratio` and
+`prop1_bound` place and evaluate once, and the optimizer once per search.
 The clamped-sum bound takes a resolution parameter r_log = log2(1/r) > 0;
 certified constructions pick the inputs (Theorem 1's W_N from `build_wn`),
 check independence first, and verify the signal/interference entropy split
@@ -34,12 +34,13 @@ from .dist import (
     DEFAULT_ATOM_BUDGET,
     DiscreteDist,
     PlacedSplit,
+    _entropy,
+    _sum,
     check_pair_budget,
     convolve,
     entropy_bits,
     place_step,
     point_mass,
-    reweighted,
     scale,
     uniform_on,
 )
@@ -73,13 +74,13 @@ class BoundReport:
 
 
 def _user_forms(H: ChannelMatrix, W: Sequence[DiscreteDist], budget: int) -> Callable:
-    """The placement of every user's `split_entropies`, a `PlacedSplit` of
-    the terms (h_ij, W_j) of row i: the cross terms, a point mass at 0 when
-    every cross coefficient is zero (as in triangular matrices), and the
-    signal term, none when h_ii is zero. Returns the evaluation, which
-    yields each user's (H(interference_i), H(full_i), |interference_i|,
-    |full_i|) in turn, with W's own weights, or with each input's (weights,
-    denominator) in `inputs`, in W's order, attached to the placed terms.
+    """The placement of every user, a `PlacedSplit` of the terms (h_ij, W_j)
+    of row i: the cross terms, a point mass at 0 when every cross
+    coefficient is zero (as in triangular matrices), and the signal term,
+    none when h_ii is zero. Returns the evaluation, which yields each user's
+    (H(interference_i), H(full_i), |interference_i|, |full_i|) in turn, with
+    W's own weights, or with each input's (weights, denominator) in
+    `inputs`, in W's order, attached to the placed terms' keys.
     A user is placed when an evaluation first reaches it, so every refusal
     comes where enumerating the users in turn puts it: after the steps of
     the users before it, and before its own."""
@@ -100,9 +101,9 @@ def _user_forms(H: ChannelMatrix, W: Sequence[DiscreteDist], budget: int) -> Cal
             if i == len(placed):
                 placed.append(place(i))
             split, sources = placed[i]
-            terms = split.terms if inputs is None else [
-                X if j is None else reweighted(X, *inputs[j]) for X, j in zip(split.terms, sources)]
-            yield split.entropies(terms)
+            yield split.entropies(split.terms if inputs is None else [
+                term if j is None else (dict(zip(term[0], inputs[j][0])), inputs[j][1])
+                for term, j in zip(split.terms, sources)])
 
     return entropies
 
@@ -134,7 +135,7 @@ def prop1_bound(
     """Clamped entropy-difference bound at resolution r_log = log2(1/r).
 
     For each user: min{H(full)/r_log, 1} - min{H(interference)/r_log, 1},
-    summed over users. Each user's entropies come from `split_entropies`.
+    summed over users. Each user's entropies come from a `PlacedSplit`.
     """
     if not (r_log > 0):
         raise ValidationError(f"r_log must be positive, got {r_log}")
@@ -143,7 +144,7 @@ def prop1_bound(
 
 
 def _verify_split(split: tuple, n_signal: int, h_signal: float) -> tuple:
-    """A user's `split_entropies`, once the full output has n_signal times
+    """A user's `PlacedSplit` entropies, once the full output has n_signal times
     the interference's atoms and the entropy identity H(full) = H(signal) +
     H(interference), which that injective sum implies, holds to SPLIT_TOL."""
     h_intf, h_full, n_intf, n_full = split
@@ -304,15 +305,27 @@ def theorem3_form(
     return lambda inputs: _theorem3(users(inputs))
 
 
+def _hlambda(numerator: float, denominator: float) -> float:
+    """2 - H(U+V)/H(U+lam*V) from the two entropies."""
+    if denominator <= 0:
+        raise ValidationError("deterministic inputs: H(U + lambda*V) is zero")
+    return 2 - numerator / denominator
+
+
 def hlambda_bound(
     lam: Fraction | int,
     U: DiscreteDist,
     V: DiscreteDist,
     budget: int = DEFAULT_ATOM_BUDGET,
 ) -> float:
-    """2 - H(U+V)/H(U+lam*V) for independent U, V: `hlambda_form` placed
-    on U and V and evaluated once with their own weights."""
-    return hlambda_form(lam, U, V, budget)()
+    """2 - H(U+V)/H(U+lam*V) for independent U, V: one `convolve` for each
+    sum, which places its step once. `hlambda_form` keeps the placements
+    for objectives scored on many weightings."""
+    lam = Fraction(lam)
+    if lam == 0:
+        raise ValidationError("lambda must be nonzero")
+    numerator = entropy_bits(convolve(U, V, budget))
+    return _hlambda(numerator, entropy_bits(convolve(U, scale(lam, V), budget)))
 
 
 def hlambda_form(
@@ -321,24 +334,21 @@ def hlambda_form(
     V: DiscreteDist,
     budget: int = DEFAULT_ATOM_BUDGET,
 ) -> Callable:
-    """The placement of `hlambda_bound`, which reads keys only: U and V on
-    the lattice of U + V, and U and lam*V on that of U + lam*V, each step
-    refused there as `convolve` refuses it. Returns the evaluation, which
-    runs the two `convolve` steps and the formula with U's and V's own
-    weights, or with the (weights, denominator) of U and of V in `inputs`,
-    each in its key order, attached to the placed keys."""
+    """`hlambda_bound` placed on the keys of U and V: U and V on the lattice
+    of U + V, and U and lam*V on that of U + lam*V, each placed and refused
+    by `place_step`. Returns the evaluation, which takes the (weights,
+    denominator) of U and of V, each in its key order, attaches them to the
+    placed keys, sums each step with `_sum` and returns the bound."""
     lam = Fraction(lam)
     if lam == 0:
         raise ValidationError("lambda must be nonzero")
-    placed = (*place_step(U, V, budget), *place_step(U, scale(lam, V), budget))
+    steps = place_step(U, V, budget), place_step(U, scale(lam, V), budget)
 
-    def bound(inputs: Optional[Sequence] = None) -> float:
-        A, B, C, D = placed if inputs is None else [
-            reweighted(X, *w) for X, w in zip(placed, [*inputs, *inputs])]
-        numerator = entropy_bits(convolve(A, B, budget))
-        denominator = entropy_bits(convolve(C, D, budget))
-        if denominator <= 0:
-            raise ValidationError("deterministic inputs: H(U + lambda*V) is zero")
-        return 2 - numerator / denominator
+    def bound(inputs: Sequence) -> float:
+        entropies = []
+        for u, v, lattice, _ in steps:
+            terms = [(dict(zip(keys, w)), d) for (keys, _), (w, d) in zip((u, v), inputs)]
+            entropies.append(_entropy(*_sum(lattice, terms, budget)))
+        return _hlambda(*entropies)
 
     return bound

@@ -278,7 +278,7 @@ def check_condition_star(
         raise ValidationError(f"need d >= 0, got {d}")
     columns = phi(H.K, d + 1) + phi(H.K, d)
     if columns > budget:
-        shown = decimal(columns, f"phi({H.K}, {d + 1}) + phi({H.K}, {d})")
+        shown = decimal(columns, f"phi({H.K}, {decimal(d + 1)}) + phi({H.K}, {d})")
         raise BudgetExceededError(
             f"independence check needs {shown} family columns, over the budget of {budget}"
         )

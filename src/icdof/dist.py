@@ -5,23 +5,22 @@ Every distribution has one representation: positive integer weights over one
 common denominator, on packed integer keys. A key packs a point's integer
 coordinates over a lattice (a sorted monomial basis and one denominator) into
 one Python int. The terms of one linear form sum_j c_j X_j share one lattice
-whose radix leaves room for every partial sum, so adding keys adds points: a
-`convolve` step is a loop of int additions and integer weight products,
-checked against its budget before it allocates. `_pack` reads c_j*X_j as an
-integer linear map of X_j's digits: each input is decoded once, the lattice
-is fixed before any key exists, and a key is one dot product (one multiply on
-one coordinate, where a rational point's key is its numerator), formed just
-before its term's step. `len` and `entropy_bits` read only the weights, so
-only the entropy is a float, even where `split_entropies` proves a sum
-injective and does not build it. Where a step's atom pairs far outnumber
-the slots of its key range, `convolve` takes it as one product of two
-integers whose fixed-width slots hold the operands' weights (Kronecker
-substitution, `_kronecker`), with the pair loop as its oracle. A sum's atom
-order is deterministic but unspecified: `==`, `sorted_items`, JSON and the
-entropy do not read it. Keys depend on points and coefficients alone, so a
-placement (`place_step`, `PlacedSplit`) forms a sum's operands once, and
-`reweighted` attaches other weights to them in key order: an objective
-scored on many weightings of fixed supports packs nothing again.
+whose radix leaves room for every partial sum, so adding keys adds points.
+`_pack` reads c_j*X_j as an integer linear map of X_j's digits: each input
+is decoded once, the lattice is fixed before any key exists, and a key is
+one dot product (one multiply on one coordinate, where a rational point's
+key is its numerator), formed just before its term's step. A placement
+reads keys only (`place_step` for one step, `PlacedSplit` for one form), and
+a step reads weights only: `_merge` is a loop of int additions and integer
+weight products, checked against its budget before it allocates, or, where
+a step's atom pairs far outnumber the slots of its key range, one product
+of two integers whose fixed-width slots hold the operands' weights
+(Kronecker substitution, `_kronecker`), with the loop as its oracle. So
+`convolve` is `place_step` then `_merge`, and an evaluation attaches weights
+to placed keys and sums them with `_sum`, building and aligning nothing
+again. Only the entropy is a float, even where `PlacedSplit` proves a sum
+injective and does not build it. A sum's atom order is deterministic but
+unspecified: `==`, `sorted_items`, JSON and the entropy do not read it.
 
 A finite set is the support of a packed distribution (`SupportSet`), so a
 sumset is the support of one `convolve` and a progression test sorts integer
@@ -145,27 +144,21 @@ def _pack(
 
 def _rescale(terms: Sequence[tuple[ExactScalar, "DiscreteDist"]]) -> Iterator:
     """The lattice of one-coordinate terms, then each term's (keys, reach)
-    once it is reached. c*key/D is (key*c.numerator/g) * (denom/E), with E =
-    D*c.denominator/g reduced as `_place` reduces it and denom/E the
-    cofactor times how much the running lcm of the E's grew after the term."""
-    steps, denom = [], 1
+    once it is reached. c*key/D is key*c.numerator/g over E' =
+    D*c.denominator/g, reduced as `_place` reduces it; the lattice
+    denominator is the lcm of every term's E', so a key is
+    key*c.numerator/g * (denom/E')."""
+    steps = []
     for c, dist in terms:
         c = c.as_fraction()
         E = dist._lattice.denominator * c.denominator
         g = math.gcd(E, c.numerator * math.gcd(*dist._weights))
-        shared = math.gcd(denom, E // g)
-        growth = E // g // shared
-        steps.append((dist, c.numerator, g, denom // shared, growth))
-        denom *= growth
-    later, total = 1, 0
-    for dist, num, g, cofactor, growth in reversed(steps):
-        total += max(map(abs, dist._weights)) * abs(num) // g * cofactor * later
-        later *= growth
+        steps.append((dist._weights, c.numerator, g, E // g))
+    denom = math.lcm(*(E for *_, E in steps))
+    total = sum(max(map(abs, keys)) * abs(num) // g * (denom // E) for keys, num, g, E in steps)
     yield _Lattice([MONO_ONE] if total else [], denom, 2 * total + 1)
-    upto = 1
-    for dist, num, g, cofactor, growth in steps:
-        upto *= growth
-        keys = [key * num // g * (cofactor * (denom // upto)) for key in dist._weights]
+    for keys, num, g, E in steps:
+        keys = [key * num // g * (denom // E) for key in keys]
         yield keys, max(map(abs, keys))
 
 
@@ -393,13 +386,6 @@ def lowest_weights(weights: Sequence[int], count: int) -> tuple[list[int], int]:
     return [w // g for w in weights], sum(weights) // g
 
 
-def reweighted(placed: DiscreteDist, weights: Iterable[int], denominator: int) -> DiscreteDist:
-    """`placed`'s points with `weights` (positive ints in its key order, summing
-    to `denominator`) in place of its own: an evaluation's input on the keys a
-    placement formed, with nothing packed again."""
-    return _new(placed._lattice, dict(zip(placed._weights, weights)), denominator, placed._reach)
-
-
 def uniform_on(support: Iterable) -> DiscreteDist:
     """Uniform distribution on the given support points; errors as `weighted_on`."""
     points = list(support)
@@ -439,7 +425,7 @@ def check_pair_budget(pairs: int, budget: int, lattice: Optional[_Lattice] = Non
     count still looks small."""
     if pairs > budget:
         raise BudgetExceededError(
-            f"convolution needs {pairs} atom pairs, over the budget of {budget}"
+            f"convolution needs {decimal(pairs)} atom pairs, over the budget of {budget}"
         )
     if lattice is None:
         return
@@ -451,13 +437,14 @@ def check_pair_budget(pairs: int, budget: int, lattice: Optional[_Lattice] = Non
         )
 
 
-def _align(
-    A: DiscreteDist, B: DiscreteDist, budget: int
-) -> tuple[DiscreteDist, DiscreteDist, _Lattice, int]:
-    """A and B on the lattice of A + B, and the sum's reach, once the step
-    A + B is within the budget of `check_pair_budget` on that lattice. Pairs
-    are checked before anything is placed; operands placed afresh are
-    refused on their new lattice before any key is formed."""
+def place_step(A: DiscreteDist, B: DiscreteDist, budget: int) -> tuple:
+    """The placement of the step A + B, which reads keys only: A's and B's
+    (weights, denominator) on the lattice of A + B, that lattice and the
+    sum's reach, once the step is within the budget of `check_pair_budget`
+    on that lattice. Pairs are checked before anything is placed; operands
+    placed afresh are refused on their new lattice before any key is
+    formed. Other weights attached to the placed keys are summed on that
+    lattice by `_sum`, which places nothing again."""
     pairs = len(A) * len(B)
     check_pair_budget(pairs, budget)
     lattice, other = A._lattice, B._lattice
@@ -466,44 +453,43 @@ def _align(
         shared = lattice is other and reach <= lattice.radix // 2
     else:  # one coordinate: keys are numerators over one denominator
         shared = (lattice.basis, lattice.denominator) == (other.basis, other.denominator)
-    if not shared:
+    if not shared:  # `_pack` refuses the step on its new lattice before any key
         A, B = _pack([(ONE, A), (ONE, B)], budget)
-        return A, B, A._lattice, A._reach + B._reach
-    if reach > lattice.radix // 2:
+        lattice, reach = A._lattice, A._reach + B._reach
+    elif reach > lattice.radix // 2:
         lattice = _Lattice(lattice.basis, lattice.denominator, 2 * reach + 1)
     check_pair_budget(pairs, budget, lattice)
-    return A, B, lattice, reach
+    return (A._weights, A._denominator), (B._weights, B._denominator), lattice, reach
 
 
 def convolve(A: DiscreteDist, B: DiscreteDist, budget: int = DEFAULT_ATOM_BUDGET) -> DiscreteDist:
-    """Distribution of X+Y for independent X~A, Y~B, collisions merged exactly,
-    refused as `_align` refuses. The step is one big-integer product where
-    `_kronecker` takes it and a loop over the atom pairs elsewhere, with the
-    same merged weights either way; the atoms come in the loop's insertion
-    order or, from the product, in key order."""
-    A, B, lattice, reach = _align(A, B, budget)
-    if len(A) < len(B):
-        A, B = B, A
-    m, n = len(A), len(B)
+    """Distribution of X+Y for independent X~A, Y~B, collisions merged exactly:
+    the step placed by `place_step`, and refused as it refuses it, then
+    merged by `_merge`."""
+    (a, da), (b, db), lattice, reach = place_step(A, B, budget)
+    return _new(lattice, _merge(a, b), da * db, reach)
+
+
+def _merge(a: dict, b: dict) -> dict:
+    """The merged weights of the key sums of `a` and `b` (keys to weights):
+    one big-integer product where `_kronecker` takes the step and a loop
+    over the atom pairs elsewhere, with the same merged weights either way;
+    the atoms come in the loop's insertion order or, from the product, in
+    key order."""
+    if len(a) < len(b):
+        a, b = b, a
+    m, n = len(a), len(b)
     # under 4(m + n) - 2 pairs, slots >= m + n - 1 and `_kronecker` would decline
-    merged = _kronecker(A._weights, B._weights) if m * n >= 4 * (m + n) - 2 else None
+    merged = _kronecker(a, b) if m * n >= 4 * (m + n) - 2 else None
     if merged is None:
         merged = {}
         get = merged.get
-        inner = list(B._weights.items())
-        for ka, wa in A._weights.items():
+        inner = list(b.items())
+        for ka, wa in a.items():
             for kb, wb in inner:
                 key = ka + kb
                 merged[key] = get(key, 0) + wa * wb
-    return _new(lattice, merged, A._denominator * B._denominator, reach)
-
-
-def place_step(A: DiscreteDist, B: DiscreteDist, budget: int) -> tuple:
-    """The placement of the step A + B, which reads keys only: A and B on the
-    lattice of their sum, refused as `convolve` refuses the step. `convolve`
-    finds them, or copies of them with other weights attached by
-    `reweighted`, on one lattice, and places nothing again."""
-    return _align(A, B, budget)[:2]
+    return merged
 
 
 _SLOT_CODES = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))  # native memoryview formats
@@ -555,13 +541,17 @@ def _kronecker(a: dict, b: dict) -> Optional[dict]:
     return dict(zip(compress(range(lo, lo + g * slots, g), out), filter(None, out)))
 
 
-def _sum(packed: Iterator[DiscreteDist], budget: int) -> DiscreteDist:
-    """The sum of the packed terms of one linear form: one `convolve` step
-    per term after the first, each taken (its keys formed) just before it."""
-    total = next(packed)
-    for term in packed:
-        total = convolve(total, term, budget=budget)
-    return total
+def _sum(lattice: _Lattice, terms: Iterable[tuple[dict, int]], budget: int) -> tuple[dict, int]:
+    """The (weights, denominator) of the sum of placed (weights, denominator)
+    pairs whose keys are on `lattice`: one `_merge` per term after the
+    first, each refused first by `check_pair_budget` on that lattice, as
+    `convolve` refuses the same step. No distribution is built."""
+    terms = iter(terms)
+    total, denominator = next(terms)
+    for weights, d in terms:
+        check_pair_budget(len(total) * len(weights), budget, lattice)
+        total, denominator = _merge(total, weights), denominator * d
+    return total, denominator
 
 
 def linear_combination(
@@ -580,7 +570,11 @@ def linear_combination(
     live = [(c, d) for c, d in live if not c.is_zero()]
     if not live:
         raise ValidationError("degenerate combination: all coefficients are zero")
-    return _sum(_pack(live, budget), budget)
+    packed = _pack(live, budget)
+    total = next(packed)
+    for term in packed:  # each term's keys formed just before its step
+        total = convolve(total, term, budget)
+    return total
 
 
 def _monomials(terms: Sequence[tuple[ExactScalar, DiscreteDist]]) -> set:
@@ -589,40 +583,27 @@ def _monomials(terms: Sequence[tuple[ExactScalar, DiscreteDist]]) -> set:
     return {mono_mul(m, t) for c, dist in terms for m in dist._lattice.basis for t, _ in c.terms()}
 
 
-def split_entropies(
-    cross_terms: Sequence[tuple[ExactScalar, DiscreteDist]],
-    signal_term: Optional[tuple[ExactScalar, DiscreteDist]],
-    budget: int = DEFAULT_ATOM_BUDGET,
-) -> tuple[float, float, int, int]:
+class PlacedSplit:
     """(H(I), H(I + S), |I|, |I + S|) for the interference I = sum_j c_j X_j
     of at least one cross term and the signal S = c X of one linear form
-    (every c nonzero); without a signal term, I + S is I. The terms are
-    placed by `PlacedSplit` and evaluated once with their own weights.
+    (every c nonzero); without a signal term, I + S is I.
 
-    When no monomial S can reach is one that I can reach, the map (t, s) ->
-    t + s on their supports is proved injective: distinct monomials are
-    linearly independent over Q, so t + s = t' + s' forces t = t' and s = s'.
-    Then |I + S| = |I| * |S|, and H(I + S) is `entropy_bits` of the sum, read
-    from the two weight multisets without building it or forming S's keys.
-    Otherwise the sum is enumerated. The steps that are built are `convolve`
-    steps, and every step, built or not, is refused exactly as
+    The placement reads the terms' keys and coefficients only. `terms`
+    holds each term's (weights, denominator) with its keys on one
+    `lattice`, cross terms first; the first step is refused on that lattice
+    as `_pack` refuses it. When no monomial S can reach is one that I can
+    reach, the map (t, s) -> t + s on their supports is proved injective,
+    once: distinct monomials are linearly independent over Q, so t + s =
+    t' + s' forces t = t' and s = s'. Then |I + S| = |I| * |S|, and H(I +
+    S) is read from the two weight multisets without building the sum, so
+    a proved signal is its unscaled distribution's (weights, denominator),
+    whose keys are never read. `entropies` evaluates on `terms`, or on
+    other weights attached to their keys: the steps that are built are
+    `_sum` steps, and every step, built or not, is refused exactly as
     `linear_combination` of the cross terms, then the signal, refuses it.
     """
-    split = PlacedSplit(cross_terms, signal_term, budget)
-    return split.entropies(split.terms)
 
-
-class PlacedSplit:
-    """The placement of `split_entropies`, which reads the terms' keys and
-    coefficients only. `terms` holds the terms packed on one lattice, cross
-    terms first, with their distributions' weights; a proved signal is its
-    unscaled distribution, whose keys are never read. The first step is
-    refused on that lattice as `_pack` refuses it, and the injectivity
-    proof is decided once. `entropies` evaluates: it runs the steps, budget
-    checks and entropies of `split_entropies` on `terms`, or on copies of
-    them with other weights attached by `reweighted`."""
-
-    __slots__ = ("terms", "count", "proved", "budget")
+    __slots__ = ("lattice", "terms", "count", "proved", "budget")
 
     def __init__(
         self,
@@ -634,25 +615,24 @@ class PlacedSplit:
         self.count, self.budget = len(cross_terms), budget
         self.proved = signal_term is not None and _monomials([signal_term]).isdisjoint(
             _monomials(cross_terms))
-        self.terms = list(islice(_pack(terms, budget), len(terms) - self.proved))
+        placed = [*islice(_pack(terms, budget), len(terms) - self.proved)]
         if self.proved:
-            self.terms.append(signal_term[1])
+            placed.append(signal_term[1])
+        self.lattice = placed[0]._lattice
+        self.terms = [(X._weights, X._denominator) for X in placed]
 
-    def entropies(self, terms: Sequence[DiscreteDist]) -> tuple[float, float, int, int]:
-        count, budget = self.count, self.budget
-        interference = _sum(islice(terms, count), budget)
-        h_intf, n_intf = entropy_bits(interference), len(interference)
+    def entropies(self, terms: Sequence[tuple[dict, int]]) -> tuple[float, float, int, int]:
+        count, lattice, budget = self.count, self.lattice, self.budget
+        interference = _sum(lattice, islice(terms, count), budget)
+        h_intf, n_intf = _entropy(*interference), len(interference[0])
         if len(terms) == count:  # no signal
             return h_intf, h_intf, n_intf, n_intf
         if not self.proved:
-            full = convolve(interference, terms[count], budget)
-            return h_intf, entropy_bits(full), n_intf, len(full)
-        # |S|, its weights and its denominator are those of the unscaled X,
-        # and the step's lattice is the interference's
-        signal = terms[count]
-        pairs = n_intf * len(signal)
-        check_pair_budget(pairs, budget, interference._lattice)
-        return h_intf, _product_entropy(interference, signal), n_intf, pairs
+            full = _sum(lattice, [interference, terms[count]], budget)
+            return h_intf, _entropy(*full), n_intf, len(full[0])
+        pairs = n_intf * len(terms[count][0])
+        check_pair_budget(pairs, budget, lattice)
+        return h_intf, _product_entropy(interference, terms[count]), n_intf, pairs
 
 
 # -- entropy ------------------------------------------------------------------
@@ -672,20 +652,26 @@ def _entropy_terms(weights: Iterable[int], total: int) -> dict[int, float]:
 
 def entropy_bits(dist: DiscreteDist) -> float:
     """Shannon entropy -sum p*log2(p), evaluated in double precision."""
-    weights = dist._weights.values()
-    terms = _entropy_terms(set(weights), dist._denominator)
+    return _entropy(dist._weights, dist._denominator)
+
+
+def _entropy(weights: dict, denominator: int) -> float:
+    """`entropy_bits` of the distribution with these (weights, denominator)."""
+    weights = weights.values()
+    terms = _entropy_terms(set(weights), denominator)
     # fsum is correctly rounded, so the result does not depend on term order
     s = math.fsum(map(terms.__getitem__, weights))
     return -s if s else 0.0
 
 
-def _product_entropy(A: DiscreteDist, B: DiscreteDist) -> float:
-    """`entropy_bits` of A + B when every atom pair is its own atom: weight
-    a*b over the product denominator, repeated (number of a in A) * (number of
-    b in B) times."""
-    counted = Counter(B._weights.values()).items()
-    counts = [(a, b, m * n) for a, m in Counter(A._weights.values()).items() for b, n in counted]
-    terms = _entropy_terms({a * b for a, b, _ in counts}, A._denominator * B._denominator)
+def _product_entropy(A: tuple[dict, int], B: tuple[dict, int]) -> float:
+    """`_entropy` of the sum of the (weights, denominator) pairs A and B when
+    every atom pair is its own atom: weight a*b over the product
+    denominator, repeated (number of a in A) * (number of b in B) times."""
+    (wa, da), (wb, db) = A, B
+    counted = Counter(wb.values()).items()
+    counts = [(a, b, m * n) for a, m in Counter(wa.values()).items() for b, n in counted]
+    terms = _entropy_terms({a * b for a, b, _ in counts}, da * db)
     # the exact sum of the repeated terms, each a dyadic rational, over one
     # power of two, divided once: int / int rounds correctly, as fsum does
     ratios = [(terms[a * b].as_integer_ratio(), k) for a, b, k in counts]

@@ -93,20 +93,21 @@ def truncated_dist(ifs: IFSSpec, m: int, budget: int = DEFAULT_ATOM_BUDGET) -> D
     Each X_n is built once, in a memo local to the call, by one two-term
     `linear_combination` refused by its budget before any key is formed:
     about 2*log2(m) steps whose atom pairs add up to about the final atom
-    count. The atoms are not in the left fold's order (`==` ignores order)."""
+    count, in the order of the recursion on n, run on a stack no m overflows.
+    The atoms are not in the left fold's order (`==` ignores order)."""
     if m < 1:
         raise ValidationError(f"need m >= 1, got {m}")
-    return _truncation(ifs.r, m, {1: ifs.offset_dist()}, budget)
-
-
-def _truncation(r: Fraction, n: int, memo: dict, budget: int) -> DiscreteDist:
-    # not a closure: a recursive closure is a reference cycle, and would keep
-    # every X_n alive until the cyclic collector runs
-    if n not in memo:
+    r, memo, stack = ifs.r, {1: ifs.offset_dist()}, [m]
+    while m not in memo:
+        n = stack[-1]
         a = n // 2
-        low, high = _truncation(r, a, memo, budget), _truncation(r, n - a, memo, budget)
-        memo[n] = linear_combination([1, r**a], [low, high], budget=budget)
-    return memo[n]
+        missing = [k for k in (a, n - a) if k not in memo]
+        if missing:
+            stack.append(missing[0])
+        else:
+            memo[n] = linear_combination([1, r**a], [memo[a], memo[n - a]], budget=budget)
+            stack.pop()
+    return memo[m]
 
 
 def _max_offset(ifs: IFSSpec) -> Fraction:

@@ -8,10 +8,10 @@ keys and coefficients only. Each evaluation exponentiates (softmax style),
 rationalizes every weight with a bounded-denominator continued-fraction
 approximation in integer arithmetic, brings the approximations to integer
 weights over their common denominator, and scores those weights through the
-exact engine on the placed keys, so no floating objective value is ever
-reported that the exact path did not produce. No distribution is built per
-candidate; the best candidate's are built once, by `weighted_on`, when the
-search ends.
+exact engine, which attaches them to the placed keys and sums them there, so
+no floating objective value is ever reported that the exact path did not
+produce. No distribution is built, validated or aligned per candidate; the
+best candidate's are built once, by `weighted_on`, when the search ends.
 """
 
 from __future__ import annotations
@@ -86,12 +86,13 @@ def _limit_denominator(n: int, d: int, max_denominator: int) -> tuple[int, int]:
     p0, q0, p1, q1 = 0, 1, 1, 0
     a_n, a_d = n, d
     while True:
-        a = a_n // a_d
+        a, rem = divmod(a_n, a_d)
         q2 = q0 + a * q1
         if q2 > max_denominator:
             break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        a_n, a_d = a_d, a_n - a * a_d
+        p0, p1 = p1, p0 + a * p1
+        q0, q1 = q1, q2
+        a_n, a_d = a_d, rem
     k = (max_denominator - q0) // q1
     p2, q2 = p0 + k * p1, q0 + k * q1
     # |p1/q1 - n/d| <= |p2/q2 - n/d|, both sides multiplied by d*q1*q2

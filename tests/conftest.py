@@ -55,11 +55,12 @@ def random_rational_dist(
     )
 
 
-def counting_convolve(calls: list):
-    """`icdof.dist.convolve` as it is now, recording each step's atom pairs
-    in `calls`; patch it over `icdof.dist.convolve` to see every step."""
-    convolve = icdof.dist.convolve
-    return lambda A, B, budget: calls.append(len(A) * len(B)) or convolve(A, B, budget)
+def counting_merge(calls: list):
+    """`icdof.dist._merge` as it is now, recording each step's atom pairs in
+    `calls`; patch it over `icdof.dist._merge` to see every step, those of
+    `convolve` and of `_sum` alike."""
+    merge = icdof.dist._merge
+    return lambda a, b: calls.append(len(a) * len(b)) or merge(a, b)
 
 
 class PowerSpy(Fraction):

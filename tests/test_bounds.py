@@ -35,7 +35,7 @@ from icdof import (
 )
 from icdof.channel import build_wn
 from icdof.bounds import SPLIT_TOL, BoundReport, _certified_report, _clamped_terms, _user_entropies
-from conftest import counting_convolve, random_rational_dist
+from conftest import counting_merge, random_rational_dist
 
 
 def hlambda_matrix(lam) -> ChannelMatrix:
@@ -118,7 +118,7 @@ def user_dists(H, W, i, budget):
     """Slow twin of a user's entropy routine: user i's (interference, full)
     outputs enumerated with `linear_combination`, the full output first, its
     terms in the order cross terms, then signal, so that its steps are
-    refused as the enumeration before `split_entropies` refused them. The
+    refused as the enumeration before `PlacedSplit` refused them. The
     zero coefficients are dropped, and a row without cross terms has a point
     mass at 0 for interference."""
     row = H.row(i)
@@ -248,7 +248,7 @@ class TestEntropiesMatchEnumeration:
             W = [random_rational_dist(rng, min_support=2, max_support=5) for _ in range(K)]
             calls: list = []
             with monkeypatch.context() as patch:
-                patch.setattr(icdof.dist, "convolve", counting_convolve(calls))
+                patch.setattr(icdof.dist, "_merge", counting_merge(calls))
                 results = [outcome(job) for job in bound_jobs(H, W, 10**6)]
             # per user, the cross step at K = 3 (none at K = 2), and no
             # step of |I| * |W_i| pairs
@@ -276,7 +276,7 @@ class TestEntropiesMatchEnumeration:
         for H, W in [*edge_cases, *random_channels(seed=12, count=60)]:
             steps: list = []
             with monkeypatch.context() as patch:
-                patch.setattr(icdof.dist, "convolve", counting_convolve(steps))
+                patch.setattr(icdof.dist, "_merge", counting_merge(steps))
                 with_oracle(patch, bound_jobs(H, W, 10**6)[0])
             for budget in sorted({b for p in steps for b in (p - 1, p)} - {0}):
                 for job in bound_jobs(H, W, budget):
@@ -323,7 +323,7 @@ class TestCertifiedReport:
         b, c, e, f = map(ExactScalar.generator, "bcef")
         H = ChannelMatrix.from_rows([[b + e, b], [c, f]])
         calls: list = []
-        monkeypatch.setattr(icdof.dist, "convolve", counting_convolve(calls))
+        monkeypatch.setattr(icdof.dist, "_merge", counting_merge(calls))
         job = lambda: theorem1_certified_bound(H, 1, 2)
         result = outcome(job)
         # W's two alphabet steps (2 * 2, 4 * 2), then user 1 only: |I| * |W| = 8 * 8
@@ -349,7 +349,7 @@ class TestCertifiedReport:
 
     def test_generic_theorem1_never_builds_the_full_sum(self, monkeypatch):
         calls: list = []
-        monkeypatch.setattr(icdof.dist, "convolve", counting_convolve(calls))
+        monkeypatch.setattr(icdof.dist, "_merge", counting_merge(calls))
         for K, d, N in ((2, 1, 3), (3, 0, 3), (3, 1, 2), (4, 0, 2)):
             calls.clear()
             size = N ** phi(K, d)

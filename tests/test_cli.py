@@ -1273,3 +1273,93 @@ class TestVerbFuzz:
             (fuzz_dir / f"dist{i}.json").write_text(json.dumps(data.draw(_fuzz_dist())))
             argv += ["--dist", str(fuzz_dir / f"dist{i}.json")]
         _fuzz_run(argv)
+
+
+# integer flag values that are not small: valid ones far past any budget,
+# and ones that are not integers to argparse, digit-limit strings included
+_HUGE_INTS = ["9" * 4300, "-" + "9" * 4300, str(10**30), str(-(10**30)), str(2**63)]
+_BAD_INTS = ["9" * 4301, "-" + "9" * 4301, "x", "", "1e3", "1.5", "0x10", "--1", "1/2"]
+
+
+def _fuzz_int(valid):
+    """Text for an integer flag: one of `valid`, or huge, or not an integer."""
+    return valid.map(str) | st.sampled_from(_HUGE_INTS + _BAD_INTS)
+
+
+# budgets that bound the work of any valid draw below: the inputs of these
+# verbs are sizes, so a budget past them would admit unbounded work
+_SMALL_BUDGETS = _mostly(st.sampled_from(["1", "2", "3", "100", "10000", "100000"]),
+                         st.sampled_from(["0", "-1", "x", "9" * 4301]))
+# budgets for verbs whose work the input files bound, huge ones included
+_ANY_BUDGETS = _FUZZ_BUDGETS | st.sampled_from(["9" * 4300, "9" * 4301])
+
+FUZZ_MATRICES = [
+    {"K": 2, "entries": [["generic", 2], [3, "generic"]]},
+    {"K": 2, "entries": [["generic", "generic"], ["generic", "generic"]]},
+    {"K": 3, "entries": [["generic"] * 3] * 3},
+    {"K": 2, "entries": [["h_1_1", "h_1_2 + 1"], ["h_2_1^2 - 2*h_2_1", "h_2_2"]]},
+]
+
+
+class TestSizeFlagFuzz:
+    """The verbs whose flags are sizes and degrees, on small inputs: any
+    --degree, --k, --d, --n, --m, --quant and --budget, small, huge, past
+    the digit limit or not an integer, exits 0 or 2 with exactly one JSON
+    document on stdout. Valid sizes stay small, and budgets stay small where
+    sizes set the work, so that every admitted run is quick."""
+
+    @settings(max_examples=60)
+    @given(matrix=st.sampled_from(FUZZ_MATRICES), degree=_fuzz_int(st.integers(-1, 3)))
+    def test_condition(self, fuzz_dir, matrix, degree):
+        (fuzz_dir / "condition.json").write_text(json.dumps(matrix))
+        _fuzz_run(["condition", "--matrix", str(fuzz_dir / "condition.json"),
+                   f"--degree={degree}"])
+
+    @settings(max_examples=100)
+    @given(k=_fuzz_int(st.integers(-1, 3)), d=_fuzz_int(st.integers(-1, 1)),
+           n=_fuzz_int(st.integers(-1, 3)), budget=_SMALL_BUDGETS)
+    def test_bound_thm1(self, k, d, n, budget):
+        _fuzz_run(["bound-thm1", f"--k={k}", f"--d={d}", f"--n={n}", f"--budget={budget}"])
+
+    @settings(max_examples=100)
+    @given(k=_fuzz_int(st.integers(-2, 10)), d=_fuzz_int(st.integers(-2, 10)),
+           n=_fuzz_int(st.integers(-2, 10)))
+    def test_bound_floor(self, k, d, n):
+        _fuzz_run(["bound-floor", f"--k={k}", f"--d={d}", f"--n={n}"])
+
+    @settings(max_examples=80)
+    @given(n=_fuzz_int(st.integers(-1, 5)), budget=_SMALL_BUDGETS)
+    def test_bound_integer(self, fuzz_dir, n, budget):
+        path = fuzz_dir / "table.json"
+        path.write_text(json.dumps({"K": 3, "entries": [[0, 2, -1], [3, 0, 1], [-2, 4, 0]]}))
+        _fuzz_run(["bound-integer", "--matrix", str(path), f"--n={n}", f"--budget={budget}"])
+
+    @settings(max_examples=100)
+    @given(ifs=st.sampled_from([("1/3", ["0", "2"]), ("1/2", ["0", "1", "2"])]),
+           m=_fuzz_int(st.integers(-1, 6)), quant=st.none() | _fuzz_int(st.integers(0, 5)),
+           budget=_SMALL_BUDGETS)
+    def test_infodim(self, fuzz_dir, ifs, m, quant, budget):
+        r, w = ifs
+        path = fuzz_dir / "fuzz_ifs.json"
+        path.write_text(json.dumps({"r": r, "w": w, "probs": [f"1/{len(w)}"] * len(w)}))
+        argv = ["infodim", "--ifs", str(path), f"--m={m}", f"--budget={budget}"]
+        _fuzz_run(argv + ([] if quant is None else [f"--quant={quant}"]))
+
+    @settings(max_examples=60)
+    @given(a=st.lists(_FUZZ_VALUES, min_size=1, max_size=4, unique_by=str),
+           b=st.lists(_FUZZ_VALUES, min_size=1, max_size=4, unique_by=str), budget=_ANY_BUDGETS)
+    def test_sumset(self, fuzz_dir, a, b, budget):
+        paths = []
+        for name, elements in (("a.json", a), ("b.json", b)):
+            (fuzz_dir / name).write_text(json.dumps({"elements": [str(x) for x in elements]}))
+            paths.append(str(fuzz_dir / name))
+        _fuzz_run(["sumset", "--a", paths[0], "--b", paths[1], f"--budget={budget}"])
+
+    @settings(max_examples=60)
+    @given(u=_fuzz_dist(), v=_fuzz_dist(), budget=_ANY_BUDGETS)
+    def test_ineq_suite(self, fuzz_dir, u, v, budget):
+        paths = []
+        for name, doc in (("u.json", u), ("v.json", v)):
+            (fuzz_dir / name).write_text(json.dumps(doc))
+            paths.append(str(fuzz_dir / name))
+        _fuzz_run(["ineq-suite", "--u", paths[0], "--v", paths[1], f"--budget={budget}"])

@@ -44,14 +44,22 @@ from icdof import (
     weighted_on,
 )
 from conftest import (
-    counting_convolve,
+    counting_merge,
     random_rational_dist,
     reference_build_wn,
     reference_truncation,
 )
 import icdof.dist
-from icdof.dist import _align, _kronecker, _Lattice, _pack, floor_dist, split_entropies
-from icdof.scalar import mono_mul
+from icdof.dist import (
+    DEFAULT_ATOM_BUDGET,
+    PlacedSplit,
+    _kronecker,
+    _Lattice,
+    _pack,
+    floor_dist,
+    place_step,
+)
+from icdof.scalar import MONO_ONE, mono_mul
 
 G1 = ExactScalar.generator("g1")
 G2 = ExactScalar.generator("g2")
@@ -90,6 +98,21 @@ def reference_place(terms) -> tuple[_Lattice, list[tuple[list[int], int]]]:
         ([sum(v * powers[i] for i, v in point) for point in coordinates], reach)
         for coordinates, reach in placed
     ]
+
+
+def convolve_fold(dists: list[DiscreteDist], budget: int) -> DiscreteDist:
+    """The sum of distributions on one lattice, one `convolve` step per
+    term after the first, each refused as `convolve` refuses it."""
+    total = dists[0]
+    for X in dists[1:]:
+        total = convolve(total, X, budget)
+    return total
+
+
+def split_entropies(cross_terms, signal_term, budget=DEFAULT_ATOM_BUDGET):
+    """A `PlacedSplit` of the terms, evaluated once with their own weights."""
+    split = PlacedSplit(cross_terms, signal_term, budget)
+    return split.entropies(split.terms)
 
 
 def reference_convolve(A: DiscreteDist, B: DiscreteDist) -> dict:
@@ -564,6 +587,33 @@ def rational_dists(draw):
     return A
 
 
+def running_rescale(terms):
+    """`_rescale` as it grew the lattice denominator term by term: the
+    lattice, then each term's (keys, reach). The running lcm of the reduced
+    denominators E/g is kept with, per term, its cofactor and how much it
+    grew the lcm, and a key is scaled by the cofactor times the growth of
+    the terms after it."""
+    steps, denom = [], 1
+    for c, dist in terms:
+        c = c.as_fraction()
+        E = dist._lattice.denominator * c.denominator
+        g = math.gcd(E, c.numerator * math.gcd(*dist._weights))
+        shared = math.gcd(denom, E // g)
+        growth = E // g // shared
+        steps.append((dist, c.numerator, g, denom // shared, growth))
+        denom *= growth
+    later, total = 1, 0
+    for dist, num, g, cofactor, growth in reversed(steps):
+        total += max(map(abs, dist._weights)) * abs(num) // g * cofactor * later
+        later *= growth
+    yield _Lattice([MONO_ONE] if total else [], denom, 2 * total + 1)
+    upto = 1
+    for dist, num, g, cofactor, growth in steps:
+        upto *= growth
+        keys = [key * num // g * (cofactor * (denom // upto)) for key in dist._weights]
+        yield keys, max(map(abs, keys))
+
+
 class TestRationalPacking:
     """The one-coordinate branch of `_pack` against the decoded slow twins,
     and against `reference_place`, which it bypasses: the same lattice, keys and
@@ -597,6 +647,18 @@ class TestRationalPacking:
         assert [d._lattice for d in packed] == [lattice] * size
         assert [(list(d._weights), d._reach) for d in packed] == placed
 
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(_rational_coefficients.map(as_scalar), rational_dists()),
+                    min_size=1, max_size=5))
+    def test_rescale_matches_the_running_lcm(self, terms):
+        # one lcm of the reduced denominators places every term as the
+        # running lcm did: the same lattice and keys, and the radix is twice
+        # the sum of the terms' reaches, plus one
+        placed = list(icdof.dist._rescale(terms))
+        assert placed == list(running_rescale(terms))
+        lattice, *steps = placed
+        assert lattice.radix == 2 * sum(reach for _, reach in steps) + 1
+
     @settings(max_examples=100)
     @given(st.data())
     def test_refused_as_packing_every_term_first(self, data):
@@ -606,7 +668,7 @@ class TestRationalPacking:
         coeffs = [as_scalar(data.draw(_rational_coefficients)) for _ in range(size)]
         budget = data.draw(st.integers(1, 200))
         try:
-            expected = icdof.dist._sum(_pack(list(zip(coeffs, dists))), budget)
+            expected = convolve_fold(list(_pack(list(zip(coeffs, dists)))), budget)
         except BudgetExceededError as exc:
             with pytest.raises(BudgetExceededError) as info:
                 linear_combination(coeffs, dists, budget=budget)
@@ -778,7 +840,7 @@ class TestSymbolicPlacement:
         # the old order: form every term's keys, then let each `convolve` step refuse
         coeffs, dists = zip(*terms)
         try:
-            expected = icdof.dist._sum(iter(reference_packed(terms)), budget)
+            expected = convolve_fold(reference_packed(terms), budget)
         except BudgetExceededError as exc:
             with pytest.raises(BudgetExceededError) as info:
                 linear_combination(coeffs, dists, budget=budget)
@@ -801,7 +863,7 @@ class TestSymbolicPlacement:
         ]:
             terms = [(as_scalar(c), W) for c in coeffs]
             with pytest.raises(BudgetExceededError) as old:
-                icdof.dist._sum(iter(reference_packed(terms)), budget)
+                convolve_fold(reference_packed(terms), budget)
             with pytest.raises(BudgetExceededError, match=message) as new:
                 linear_combination(coeffs, [W, W], budget=budget)
             assert str(new.value) == str(old.value)
@@ -922,8 +984,8 @@ _cross_terms = st.lists(
 
 
 class TestSplitEntropies:
-    """`split_entropies` against the enumerated sums: the entropies must be
-    the same floats, bit for bit."""
+    """`PlacedSplit` evaluated with its terms' own weights against the
+    enumerated sums: the entropies must be the same floats, bit for bit."""
 
     @settings(max_examples=150)
     @given(_cross_terms,
@@ -931,7 +993,7 @@ class TestSplitEntropies:
            weighted_dists(st.one_of(_rational_points, _symbolic_points)))
     def test_proved_split_matches_the_enumerated_sum(self, cross, c, X):
         calls: list = []
-        with mock.patch.object(icdof.dist, "convolve", counting_convolve(calls)):
+        with mock.patch.object(icdof.dist, "_merge", counting_merge(calls)):
             result = split_entropies(cross, (as_scalar(c), X))
         assert len(calls) == len(cross) - 1  # the cross steps; I + S is never built
         coeffs, dists = zip(*cross)
@@ -952,7 +1014,7 @@ class TestSplitEntropies:
         # counted, not proved: a sum that merges atoms reports fewer than
         # |I| * |X| of them instead of raising
         calls: list = []
-        with mock.patch.object(icdof.dist, "convolve", counting_convolve(calls)):
+        with mock.patch.object(icdof.dist, "_merge", counting_merge(calls)):
             result = split_entropies(cross, (q * c0, X))
         coeffs, dists = zip(*cross)
         interference = linear_combination(coeffs, dists)
@@ -985,7 +1047,7 @@ class TestSplitEntropies:
         # a zero diagonal: no signal term, so no step beyond the cross steps
         cross = [(G1, uniform_on([0, 1, 2])), (as_scalar(2), uniform_on([0, 1]))]
         calls: list = []
-        with mock.patch.object(icdof.dist, "convolve", counting_convolve(calls)):
+        with mock.patch.object(icdof.dist, "_merge", counting_merge(calls)):
             result = split_entropies(cross, None, budget=6)
         interference = linear_combination(*zip(*cross))
         h = entropy_bits(interference)
@@ -1127,7 +1189,7 @@ def corpus_steps():
     side = st.builds(dist, st.lists(st.integers(-15, 15), min_size=2, max_size=12, unique=True),
                      st.lists(st.integers(1, 9), min_size=12, max_size=12))
     lam = st.sampled_from([Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-2)])
-    return st.builds(lambda U, V, lam: _align(U, scale(lam, V), 10**9)[:2], side, side, lam)
+    return st.builds(lambda U, V, lam: place_step(U, scale(lam, V), 10**9)[:2], side, side, lam)
 
 
 class TestDeclineBound:
@@ -1138,14 +1200,13 @@ class TestDeclineBound:
     @settings(max_examples=300)
     @given(dense_dists(), dense_dists())
     def test_on_dense_operands(self, A, B):
-        A, B, *_ = _align(A, B, 10**9)
-        taken = _kronecker(A._weights, B._weights) is not None
-        assert taken == full_rule_takes(A._weights, B._weights)
+        (a, _), (b, _), *_ = place_step(A, B, 10**9)
+        assert (_kronecker(a, b) is not None) == full_rule_takes(a, b)
 
     @settings(max_examples=300)
     @given(corpus_steps())
     def test_on_corpus_steps(self, step):
-        a, b = (X._weights for X in step)
+        a, b = (weights for weights, _ in step)
         assert (_kronecker(a, b) is not None) == full_rule_takes(a, b)
 
     @pytest.mark.parametrize("extra, taken", [(0, True), (1, False)])
@@ -1165,7 +1226,7 @@ class TestDensePath:
     @pytest.fixture
     def steps(self):
         calls: list = []
-        with mock.patch.object(icdof.dist, "convolve", counting_convolve(calls)), \
+        with mock.patch.object(icdof.dist, "_merge", counting_merge(calls)), \
                 products() as taken:
             yield calls, taken
 

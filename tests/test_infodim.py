@@ -27,7 +27,7 @@ from icdof import (
     truncated_dist,
 )
 from icdof.infodim import quantized_estimate
-from conftest import PowerSpy, counting_convolve, reference_truncation
+from conftest import PowerSpy, counting_merge, reference_truncation
 
 CANTOR = IFSSpec.create(Fraction(1, 3), [0, 2], [Fraction(1, 2), Fraction(1, 2)])
 DYADIC = IFSSpec.create(Fraction(1, 2), [0, 1], [Fraction(1, 2), Fraction(1, 2)])
@@ -101,7 +101,7 @@ class TestTruncation:
                 yield term
 
         monkeypatch.setattr(icdof.dist, "_pack", spy_pack)
-        monkeypatch.setattr(icdof.dist, "convolve", counting_convolve(steps))
+        monkeypatch.setattr(icdof.dist, "_merge", counting_merge(steps))
         ifs = IFSSpec.create(Fraction(1, 3), [0, 1], [Fraction(1, 2)] * 2)
         budget = 1000
         with pytest.raises(BudgetExceededError) as info:

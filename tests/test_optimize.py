@@ -103,6 +103,14 @@ class TestParametrization:
         assert _limit_denominator(*w.as_integer_ratio(), max_denominator) == (
             expected.numerator, expected.denominator)
 
+    @given(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+           st.integers(2, 10**9))
+    def test_limit_denominator_matches_fraction_on_any_float(self, w, max_denominator):
+        # any sign and exponent, bounds up to 10^9
+        expected = Fraction(w).limit_denominator(max_denominator)
+        assert _limit_denominator(*w.as_integer_ratio(), max_denominator) == (
+            expected.numerator, expected.denominator)
+
     @pytest.mark.parametrize("w, max_denominator", [
         (0.0, 10**6), (5e-324, 10**6), (5e-324, 2), (1.0, 10**6), (1.0, 2),
         # dyadic weights whose denominator is within the bound are kept exactly

@@ -24,6 +24,7 @@ import icdof.optimize
 from icdof import (
     BudgetExceededError,
     ChannelMatrix,
+    DiscreteDist,
     OptConfig,
     ValidationError,
     as_scalar,
@@ -43,7 +44,6 @@ from icdof.dist import (
     _monomials,
     _pack,
     _product_entropy,
-    _sum,
     check_pair_budget,
     convolve,
     entropy_bits,
@@ -59,9 +59,12 @@ G = ExactScalar.generator("g")
 
 
 def parent_split_entropies(cross_terms, signal_term, budget):
-    """`split_entropies` packing its terms afresh on every call."""
+    """A user's split as the parent `split_entropies` took it, packing its
+    terms afresh on every call."""
     packed = _pack([*cross_terms, signal_term] if signal_term else cross_terms, budget)
-    interference = _sum(islice(packed, len(cross_terms)), budget)
+    interference = next(packed)
+    for term in islice(packed, len(cross_terms) - 1):
+        interference = convolve(interference, term, budget)
     h_intf, n_intf = entropy_bits(interference), len(interference)
     if signal_term is None:
         return h_intf, h_intf, n_intf, n_intf
@@ -71,7 +74,8 @@ def parent_split_entropies(cross_terms, signal_term, budget):
     signal = signal_term[1]
     pairs = n_intf * len(signal)
     check_pair_budget(pairs, budget, interference._lattice)
-    return h_intf, _product_entropy(interference, signal), n_intf, pairs
+    return h_intf, _product_entropy((interference._weights, interference._denominator),
+                                    (signal._weights, signal._denominator)), n_intf, pairs
 
 
 def parent_user_entropies(H, W, budget):
@@ -249,6 +253,35 @@ class TestPlacedEvaluations:
                 else:
                     assert outcome(lambda: bound(inputs(weights))) == expected
                 assert outcome(lambda: hlambda_bound(lam, *dists, budget)) == expected
+
+    def test_evaluations_place_and_build_nothing(self, monkeypatch):
+        # an evaluation only attaches weights to placed keys: it places no
+        # step and builds no distribution, validated or not
+        grid = uniform_on(integer_grid(4))
+        hlambda = hlambda_form(Fraction(1, 2), grid, grid)
+        ratio = theorem3_form(ChannelMatrix.from_rows([[1, -2, 3], [2, G, -1], [-3, 2, 1]]),
+                              [grid] * 3)
+        ratio([lowest_weights([1, 2, 3, 4], 4)] * 3)  # a user is placed by the first evaluation
+        U, V = (weighted_on(integer_grid(4), w) for w in ([1, 2, 3, 4], [4, 1, 1, 2]))
+        calls = []
+
+        def spy(name, fn):
+            return lambda *args: calls.append(name) or fn(*args)
+
+        for module in (icdof.bounds, icdof.dist):
+            monkeypatch.setattr(module, "place_step", spy("place_step", module.place_step))
+        monkeypatch.setattr(icdof.dist, "_new", spy("_new", icdof.dist._new))
+        monkeypatch.setattr(DiscreteDist, "__init__", spy("__init__", DiscreteDist.__init__))
+        rng = random.Random(3)
+        for _ in range(5):
+            weights = [lowest_weights([rng.randint(1, 2**70) for _ in range(4)], 4)
+                       for _ in range(3)]
+            hlambda(weights[:2])
+            ratio(weights)
+        assert calls == []
+        # a one-off bound places each of its two steps once
+        hlambda_bound(Fraction(1, 2), U, V)
+        assert calls.count("place_step") == 2
 
     def test_one_placement_serves_every_candidate(self, monkeypatch):
         # a search packs each user's terms once, and scales V and places
