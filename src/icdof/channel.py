@@ -1,11 +1,13 @@
-"""Channel matrices, monomial enumeration, Theorem 1's input distribution
-W_N, and the finite independence checker.
+"""Channel matrices, the monomial basis with its values, Theorem 1's input
+distribution W_N, and the finite independence checker.
 
 A channel is a K x K matrix of exact scalars. "Generic" entries are fresh
 generators (algebraically independent stand-ins), named h_<i>_<j> with
 1-based indices. W_N and the certified bounds build on monomials in the
 K(K-1) off-diagonal positions, substituting whatever each position actually
-holds (a generator, a rational, or a polynomial).
+holds (a generator, a rational, or a polynomial). `monomial_basis` forms
+that basis one monomial at a time, each value from one of the degree below,
+so the checker forms none after its first dependent column.
 """
 
 from __future__ import annotations
@@ -13,14 +15,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Iterator, Optional, Sequence
 
 from .dist import DEFAULT_ATOM_BUDGET, DiscreteDist, linear_combination, uniform_on
 from .errors import BudgetExceededError, ParseError, ValidationError
 from .linalg import first_relations
 from .scalar import (
-    ONE, ExactScalar, Monomial, MONO_ONE, as_scalar, decimal, exact_str, mono_from_pairs, mono_str)
+    ONE, ExactScalar, Monomial, MONO_ONE, as_scalar, decimal, exact_str, mono_str)
 
 
 def off_diagonal_name(i: int, j: int) -> str:
@@ -104,26 +105,6 @@ def phi(K: int, d: int) -> int:
     return math.comb(K * (K - 1) + d, d)
 
 
-def enumerate_monomials(K: int, d: int) -> tuple[Monomial, ...]:
-    """All monomials of degree <= d in the off-diagonal position generators,
-    ordered by degree and then lexicographically; the constant comes first."""
-    count = phi(K, d)  # validates K, d
-    names = sorted(
-        off_diagonal_name(i, j)
-        for i in range(1, K + 1)
-        for j in range(1, K + 1)
-        if i != j
-    )
-    monos: list[Monomial] = [MONO_ONE]
-    for degree in range(1, d + 1):
-        monos.extend(
-            mono_from_pairs((name, 1) for name in combo)
-            for combo in combinations_with_replacement(names, degree)
-        )
-    assert len(monos) == count
-    return tuple(monos)
-
-
 def _position_of(name: str) -> tuple[int, int]:
     _, i, j = name.split("_")
     return int(i), int(j)
@@ -152,28 +133,38 @@ def alphabet_size(count: int, N: int, budget: int) -> int:
     raise BudgetExceededError(f"alphabet would hold {shown} values, over the budget of {budget}")
 
 
-def basis_values(H: ChannelMatrix, monos: Sequence[Monomial]) -> Iterator[ExactScalar]:
-    """The values at H of `monos`, graded and holding every monomial of each
-    degree up to the last (as `enumerate_monomials` does), formed as they are
-    read: a degree-k value is the kept degree-(k-1) value of the monomial
-    less one factor of its last generator, times that generator's entry.
-    Only two degrees are kept. `evaluate_monomial`, which forms a value from
-    the entries alone, is its oracle and re-substitutes witnesses."""
-    entries, kept, layer, degree = {}, {}, {}, 0
-    for mono in monos:
-        if mono[0] > degree:
-            kept, layer, degree = layer, {}, mono[0]
-        if mono[1]:
-            *rest, (name, exp) = mono[1]
-            if name not in entries:
-                i, j = _position_of(name)
-                entries[name] = H.entry(i - 1, j - 1)
-            prefix = (degree - 1, (*rest, (name, exp - 1)) if exp > 1 else tuple(rest))
-            value = kept[prefix] * entries[name]
-        else:
-            value = ONE
-        layer[mono] = value
-        yield value
+def monomial_basis(H: ChannelMatrix, d: int) -> Iterator[tuple[Monomial, ExactScalar]]:
+    """Each monomial of degree <= d in the off-diagonal positions with its
+    value at H, ordered by degree and then lexicographically over the sorted
+    position names; the constant comes first. A degree is grown from the one
+    below: each kept monomial is extended by every generator at or after its
+    last, whose exponent grows or which is appended, and its value is the
+    kept value times that generator's entry. Each pair is formed as it is
+    read, and only two degrees are kept. `evaluate_monomial`, which forms a
+    value from the entries alone, is its oracle and re-substitutes witnesses."""
+    if d < 0:
+        raise ValidationError(f"need d >= 0, got {d}")
+    names = sorted(
+        off_diagonal_name(i, j)
+        for i in range(1, H.K + 1)
+        for j in range(1, H.K + 1)
+        if i != j
+    )
+    entries = [H.entry(i - 1, j - 1) for i, j in map(_position_of, names)]
+    yield MONO_ONE, ONE
+    layer = [(MONO_ONE, ONE, 0)]
+    for degree in range(1, d + 1):
+        kept, layer = layer, []
+        for (_, pairs), value, last in kept:
+            for g in range(last, len(names)):
+                if g == last and pairs:
+                    *rest, (name, exp) = pairs
+                    mono = (degree, (*rest, (name, exp + 1)))
+                else:
+                    mono = (degree, (*pairs, (names[g], 1)))
+                grown = value * entries[g]
+                layer.append((mono, grown, g))
+                yield mono, grown
 
 
 def build_wn(
@@ -184,7 +175,7 @@ def build_wn(
     the N^phi(K,d) coefficient vectors reach has probability k / N^phi(K,d).
     Generic entries reach each value once; callers decide whether a collapse
     is an error. The N^phi(K,d) values and the phi(K,d) basis monomials are
-    counted against the budget before the basis is enumerated, and each
+    counted against the budget before the basis is formed, and each
     convolution step is then refused as `convolve` refuses it.
     """
     if N < 1:
@@ -197,8 +188,8 @@ def build_wn(
             f"over the budget of {budget}"
         )
     coefficient = uniform_on(range(1, N + 1))
-    return linear_combination(
-        list(basis_values(H, enumerate_monomials(H.K, d))), [coefficient] * count, budget=budget)
+    values = [value for _, value in monomial_basis(H, d)]
+    return linear_combination(values, [coefficient] * count, budget=budget)
 
 
 # -- independence checker --------------------------------------------------------
@@ -264,36 +255,37 @@ def check_condition_star(
     and reduced once per call, and each user's diagonal multiples are then
     reduced on their pivots. It is graded with the constant first, so the
     degree-<=d basis is its first phi(K, d) values, kept for those multiples.
-    Columns are built as they are reduced, and none after the first dependent
-    one. That column's relation is the integer witness, tagged by family, so a
-    report shows whether the plain monomials or the diagonal multiples
-    collapsed; `verify_witness` re-substitutes it from H before it is
-    reported.
+    Monomials and their columns are formed one at a time as they are reduced,
+    and none after the first dependent one. That column's relation is the
+    integer witness, tagged by family, so a report shows whether the plain
+    monomials or the diagonal multiples collapsed; `verify_witness`
+    re-substitutes it from H before it is reported.
 
     The phi(K, d+1) + phi(K, d) columns are counted against the budget before
-    the certificate runs or the first monomial is enumerated, so a refusal
+    the certificate runs or the first monomial is formed, so a refusal
     does not depend on which path would decide the check.
     """
     if d < 0:
         raise ValidationError(f"need d >= 0, got {d}")
-    columns = phi(H.K, d + 1) + phi(H.K, d)
-    if columns > budget:
-        shown = decimal(columns, f"phi({H.K}, {decimal(d + 1)}) + phi({H.K}, {d})")
+    n, lo = phi(H.K, d + 1), phi(H.K, d)
+    if n + lo > budget:
+        shown = decimal(n + lo, f"phi({H.K}, {decimal(d + 1)}) + phi({H.K}, {d})")
         raise BudgetExceededError(
             f"independence check needs {shown} family columns, over the budget of {budget}"
         )
     users = [i for i, proved in enumerate(_jacobian_certificate(H)) if not proved]
     if not users:
         return ConditionStarReport("holds-up-to-bound", d)
-    monos = enumerate_monomials(H.K, d + 1)
-    n, lo, prefix = len(monos), phi(H.K, d), []
+    monos, prefix = [], []
 
     def values():
-        # the degree-<=d values are kept for the diagonal multiples, which are
-        # read only once every value has been reduced
-        for c, value in enumerate(basis_values(H, monos)):
-            if c < lo:
+        # the witness names the monomials read so far; the degree-<=d values
+        # are kept for the diagonal multiples, which are read only once every
+        # value has been reduced
+        for mono, value in monomial_basis(H, d + 1):
+            if len(monos) < lo:
                 prefix.append(value)
+            monos.append(mono)
             yield dict(value.terms())
 
     extras = ((dict((H.entry(i, i) * v).terms()) for v in prefix) for i in users)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import settings
@@ -18,9 +19,11 @@ from icdof import (
     DiscreteDist,
     ExactScalar,
     as_scalar,
-    enumerate_monomials,
     evaluate_monomial,
+    off_diagonal_name,
+    phi,
 )
+from icdof.scalar import MONO_ONE, Monomial, mono_from_pairs
 
 # One profile for every property suite: the same examples on every run, no
 # example database, and no per-example deadline on a loaded shared host.
@@ -81,6 +84,29 @@ def reference_truncation(ifs, m: int) -> DiscreteDist:
     """Slow twin of `truncated_dist`: the left fold of one `convolve` step
     per term over one m-term linear form sum_{k<m} r^k W_k."""
     return icdof.dist.linear_combination([ifs.r**k for k in range(m)], [ifs.offset_dist()] * m)
+
+
+def enumerate_monomials(K: int, d: int) -> tuple[Monomial, ...]:
+    """Order oracle of `monomial_basis`: all monomials of degree <= d in the
+    off-diagonal position generators, each degree-k one formed from its k
+    generators as `combinations_with_replacement` draws them over the sorted
+    names, so ordered by degree and then lexicographically; the constant
+    comes first."""
+    count = phi(K, d)  # validates K, d
+    names = sorted(
+        off_diagonal_name(i, j)
+        for i in range(1, K + 1)
+        for j in range(1, K + 1)
+        if i != j
+    )
+    monos: list[Monomial] = [MONO_ONE]
+    for degree in range(1, d + 1):
+        monos.extend(
+            mono_from_pairs((name, 1) for name in combo)
+            for combo in combinations_with_replacement(names, degree)
+        )
+    assert len(monos) == count
+    return tuple(monos)
 
 
 def reference_build_wn(H: ChannelMatrix, d: int, N: int) -> list[ExactScalar]:

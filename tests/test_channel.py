@@ -27,13 +27,12 @@ from icdof import (
     Witness,
     WitnessTerm,
     as_scalar,
-    basis_values,
     build_wn,
     channel_from_json,
     check_condition_star,
-    enumerate_monomials,
     evaluate_monomial,
     is_fully_connected,
+    monomial_basis,
     off_diagonal_name,
     phi,
     support_set,
@@ -41,7 +40,7 @@ from icdof import (
     verify_witness,
 )
 from icdof.channel import alphabet_size
-from conftest import reference_build_wn
+from conftest import enumerate_monomials, reference_build_wn
 from test_linalg import reference_first_kernel_vector
 
 
@@ -254,6 +253,11 @@ class TestChannelMatrix:
             channel_from_json({"entries": []})
 
 
+def basis_monomials(K: int, d: int) -> tuple:
+    """The monomials `monomial_basis` walks for a K-user channel."""
+    return tuple(mono for mono, _ in monomial_basis(ChannelMatrix.generic(K), d))
+
+
 class TestMonomialFamilies:
     def test_phi_values(self):
         assert [phi(3, d) for d in (0, 1, 2)] == [1, 7, 28]
@@ -268,7 +272,7 @@ class TestMonomialFamilies:
 
     def test_enumeration_count_and_order(self):
         for K, d in ((2, 2), (3, 1), (3, 2)):
-            basis = enumerate_monomials(K, d)
+            basis = basis_monomials(K, d)
             assert len(basis) == phi(K, d)
             degrees = [mono[0] for mono in basis]
             assert degrees[0] == 0  # constant first
@@ -278,19 +282,43 @@ class TestMonomialFamilies:
     @pytest.mark.parametrize("K, d", [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (4, 1)])
     def test_lower_degrees_are_a_prefix(self, K, d):
         assert (
-            enumerate_monomials(K, d)
-            == enumerate_monomials(K, d + 1)[: phi(K, d)]
+            basis_monomials(K, d)
+            == basis_monomials(K, d + 1)[: phi(K, d)]
         )
 
     def test_evaluate_monomial_is_a_product(self):
         H = ChannelMatrix.generic(2)
-        basis = enumerate_monomials(2, 2)
-        values = list(basis_values(H, basis))
+        basis, values = zip(*monomial_basis(H, 2))
         h12 = H.entry(0, 1)
         h21 = H.entry(1, 0)
         assert values[0] == ExactScalar.ONE
         assert h12 * h21 in values
         assert all(evaluate_monomial(H, m) == v for m, v in zip(basis, values))
+
+
+class TestMonomialBasis:
+    """`monomial_basis` against two oracles: the conftest enumeration for its
+    monomials and their order, and `evaluate_monomial` for its values."""
+
+    @settings(max_examples=60)
+    @given(st.sampled_from((2, 3, 4)).map(ChannelMatrix.generic) | channels(sizes=(2, 3, 4)),
+           st.data())
+    def test_matches_the_oracles(self, H, data):
+        d = data.draw(st.integers(0, {2: 5, 3: 3, 4: 2}[H.K]), label="d")
+        walked = list(monomial_basis(H, d))
+        assert walked == [(m, evaluate_monomial(H, m)) for m in enumerate_monomials(H.K, d)]
+
+    def test_two_digit_names_sort_as_strings(self):
+        H = ChannelMatrix.generic(11)
+        walked = list(monomial_basis(H, 1))
+        assert walked == [(m, evaluate_monomial(H, m)) for m in enumerate_monomials(11, 1)]
+        names = [mono[1][0][0] for mono, _ in walked[1:]]
+        assert names.index("h_10_1") < names.index("h_1_10") < names.index("h_1_2")
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValidationError) as info:
+            next(monomial_basis(ChannelMatrix.generic(2), -1))
+        assert str(info.value) == "need d >= 0, got -1"
 
 
 # (channel, degrees) pairs for the slow twin of `build_wn`
@@ -397,7 +425,7 @@ class TestBuildWn:
         def fail(*args):
             raise AssertionError("monomials enumerated for a refused alphabet")
 
-        monkeypatch.setattr(icdof.channel, "enumerate_monomials", fail)
+        monkeypatch.setattr(icdof.channel, "monomial_basis", fail)
         with pytest.raises(BudgetExceededError) as refused:
             build_wn(H, 1, 1, budget=6)
         assert str(refused.value) == (
@@ -430,7 +458,7 @@ class TestConditionStar:
         def fail(*args):
             raise AssertionError("monomials enumerated for a refused check")
 
-        monkeypatch.setattr(icdof.channel, "enumerate_monomials", fail)
+        monkeypatch.setattr(icdof.channel, "monomial_basis", fail)
         with pytest.raises(BudgetExceededError) as refused:
             check_condition_star(H, 1, budget=34)
         assert str(refused.value) == (
@@ -559,23 +587,23 @@ class TestOneElimination:
         `verify_witness`) and the indices of the columns reduced."""
         built, reduced = [], []
         evaluate, reduce = icdof.channel.evaluate_monomial, icdof.linalg._reduce
-        columns = icdof.channel.basis_values
+        columns = icdof.channel.monomial_basis
 
         def evaluate_spy(H, mono):
             built.append(mono)
             return evaluate(H, mono)
 
-        def columns_spy(H, monos):
-            for mono, value in zip(monos, columns(H, monos)):
+        def columns_spy(H, d):
+            for mono, value in columns(H, d):
                 built.append(mono)
-                yield value
+                yield mono, value
 
         def reduce_spy(row, relation, pivots):
             reduced.append(max(relation))  # a column enters as its own relation
             return reduce(row, relation, pivots)
 
         monkeypatch.setattr(icdof.channel, "evaluate_monomial", evaluate_spy)
-        monkeypatch.setattr(icdof.channel, "basis_values", columns_spy)
+        monkeypatch.setattr(icdof.channel, "monomial_basis", columns_spy)
         monkeypatch.setattr(icdof.linalg, "_reduce", reduce_spy)
         return built, reduced
 
@@ -622,6 +650,25 @@ class TestOneElimination:
         assert reduced[-1] == last and sorted(set(reduced)) == list(range(last + 1))
 
 
+def test_degree_1000_reads_only_the_columns_up_to_the_dependent_one(monkeypatch):
+    # h_1_2 = 2 is the constant's multiple at every degree; forming the whole
+    # degree-1001 basis first took 38 s at d = 1000
+    H = channel_from_json({"K": 2, "entries": [["generic", 2], [3, "generic"]]})
+    low = check_condition_star(H, 0).to_json()
+    walk, yielded = icdof.channel.monomial_basis, []
+
+    def walk_spy(H, d):
+        for pair in walk(H, d):
+            yielded.append(pair)
+            yield pair
+
+    monkeypatch.setattr(icdof.channel, "monomial_basis", walk_spy)
+    high = check_condition_star(H, 1000).to_json()
+    # the same witness terms, at degree 1000
+    assert high == {**low, "degree": 1000, "witness": {**low["witness"], "degree": 1000}}
+    assert len(yielded) <= 3
+
+
 # channels the rank certificate leaves to the elimination, at degrees where
 # it decides them: rank drops of polynomial entries, and rational violations
 KEPT_VALUE_CHANNELS = [
@@ -647,18 +694,19 @@ class TestKeptValues:
     @pytest.mark.parametrize("H, d", KEPT_VALUE_CHANNELS)
     def test_values_match_evaluate_monomial(self, H, d):
         basis = enumerate_monomials(H.K, d + 1)
-        assert list(basis_values(H, basis)) == [evaluate_monomial(H, m) for m in basis]
+        assert list(monomial_basis(H, d + 1)) == [(m, evaluate_monomial(H, m)) for m in basis]
 
     @pytest.mark.parametrize("H, d", KEPT_VALUE_CHANNELS)
     def test_witnesses_are_byte_identical(self, monkeypatch, H, d):
         report = json.dumps(check_condition_star(H, d).to_json())
-        monkeypatch.setattr(icdof.channel, "basis_values",
-                            lambda H, monos: (evaluate_monomial(H, m) for m in monos))
+        monkeypatch.setattr(icdof.channel, "monomial_basis", lambda H, d: (
+            (m, evaluate_monomial(H, m)) for m in enumerate_monomials(H.K, d)))
         assert json.dumps(check_condition_star(H, d).to_json()) == report
 
 
 def test_self_check_rejects_a_non_kernel_vector(monkeypatch):
     def not_a_kernel_vector(base, extras):
+        next(iter(base))  # the column its relation names is read, as an elimination reads it
         return ([1] for _ in extras)  # the constant alone, which never vanishes
 
     monkeypatch.setattr(icdof.channel, "first_relations", not_a_kernel_vector)
@@ -694,7 +742,7 @@ class TestRankCertificate:
             raise AssertionError("elimination ran for a certified channel")
 
         monkeypatch.setattr(icdof.channel, "evaluate_monomial", fail)
-        monkeypatch.setattr(icdof.channel, "enumerate_monomials", fail)
+        monkeypatch.setattr(icdof.channel, "monomial_basis", fail)
         report = check_condition_star(ChannelMatrix.generic(2), 200)
         assert report.to_json() == {"status": "holds-up-to-bound", "degree": 200}
         for K, d in ((3, 10), (4, 5)):
