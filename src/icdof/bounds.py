@@ -58,7 +58,7 @@ class BoundReport:
     r_log: float
     params: dict = field(default_factory=dict)
     closed_form: Optional[float] = None
-    caveat: str = NON_EXCEPTIONAL_CAVEAT
+    caveat = NON_EXCEPTIONAL_CAVEAT  # a class constant, not a field
 
     def to_json(self) -> dict:
         out = {
@@ -108,12 +108,6 @@ def _user_forms(H: ChannelMatrix, W: Sequence[DiscreteDist], budget: int) -> Cal
     return entropies
 
 
-def _user_entropies(H: ChannelMatrix, W: Sequence[DiscreteDist], budget: int) -> Iterator[tuple]:
-    """Each user's entropies from `_user_forms`, evaluated once with W's own
-    weights."""
-    yield from _user_forms(H, W, budget)()
-
-
 def _clamped_terms(entropies: Iterable[tuple], r_log: float) -> tuple[tuple, float]:
     """The clamped terms of (H(interference), H(full), ...) per user, and their sum."""
     terms = []
@@ -139,7 +133,7 @@ def prop1_bound(
     """
     if not (r_log > 0):
         raise ValidationError(f"r_log must be positive, got {r_log}")
-    terms, bound = _clamped_terms(_user_entropies(H, W, budget), r_log)
+    terms, bound = _clamped_terms(_user_forms(H, W, budget)(), r_log)
     return BoundReport(bound, terms, r_log, params={"K": H.K, "r_log": r_log})
 
 
@@ -171,7 +165,7 @@ def _certified_report(
     W's size and entropy."""
     n_signal, h_signal = len(W_dist), entropy_bits(W_dist)
     entropies = [_verify_split(split, n_signal, h_signal)
-                 for split in _user_entropies(H, [W_dist] * H.K, budget)]
+                 for split in _user_forms(H, [W_dist] * H.K, budget)()]
     terms, bound = _clamped_terms(entropies, r_log)
     return BoundReport(bound, terms, r_log, params=params, closed_form=closed_form)
 
@@ -275,34 +269,35 @@ def integer_example_bound(
     )
 
 
-def _theorem3(entropies: Iterable[tuple]) -> float:
-    """The Theorem 3 ratio of the users' (H(interference), H(full), ...)."""
-    entropies = list(entropies)
-    denom = max(h_full for _, h_full, _, _ in entropies)
-    if denom <= 0:
-        raise ValidationError("deterministic inputs: every output entropy is zero")
-    return math.fsum(h_full - h_intf for h_intf, h_full, _, _ in entropies) / denom
-
-
 def theorem3_ratio(
     H: ChannelMatrix, W: Sequence[DiscreteDist], budget: int = DEFAULT_ATOM_BUDGET
 ) -> float:
-    """sum_i [H(full_i) - H(interference_i)] / max_i H(full_i).
+    """sum_i [H(full_i) - H(interference_i)] / max_i H(full_i): `theorem3_form`
+    evaluated once on W's own weights.
 
     Scale-free: depends only on the distributions of the K linear forms.
     Errors when every full entropy is zero (deterministic inputs).
     """
-    return _theorem3(_user_entropies(H, W, budget))
+    return theorem3_form(H, W, budget)(None)
 
 
 def theorem3_form(
     H: ChannelMatrix, W: Sequence[DiscreteDist], budget: int = DEFAULT_ATOM_BUDGET
 ) -> Callable:
-    """`theorem3_ratio` placed on the keys of W by `_user_forms`. Returns the
-    evaluation, which takes each input's (weights, denominator), in W's
-    order and each in its input's key order, and returns the ratio."""
+    """The Theorem 3 ratio placed on the keys of W by `_user_forms`. Returns
+    the evaluation, which takes each input's (weights, denominator), in W's
+    order and each in its input's key order, or None for W's own weights,
+    and returns the ratio."""
     users = _user_forms(H, W, budget)
-    return lambda inputs: _theorem3(users(inputs))
+
+    def ratio(inputs: Optional[Sequence]) -> float:
+        entropies = list(users(inputs))
+        denom = max(h_full for _, h_full, _, _ in entropies)
+        if denom <= 0:
+            raise ValidationError("deterministic inputs: every output entropy is zero")
+        return math.fsum(h_full - h_intf for h_intf, h_full, _, _ in entropies) / denom
+
+    return ratio
 
 
 def _hlambda(numerator: float, denominator: float) -> float:

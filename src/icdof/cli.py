@@ -29,10 +29,11 @@ from .dist import DEFAULT_ATOM_BUDGET, dist_from_json, dist_to_json, entropy_bit
 from .errors import BudgetExceededError, IcdofError, ParseError, NotRationalError
 from .infodim import (
     NON_EXCEPTIONAL_CAVEAT,
+    empirical_infodim,
     ifs_from_json,
     infodim_formula,
     log2_inverse_contraction,
-    quantized_estimate,
+    recommended_quantization,
 )
 from .optimize import OptConfig, optimize_hlambda, optimize_theorem3
 from .scalar import exact_str, parse_rational
@@ -177,9 +178,10 @@ def _cmd_infodim(args) -> dict:
         "caveat": NON_EXCEPTIONAL_CAVEAT,
     }
     if args.m is not None:
-        report["empirical"], k = quantized_estimate(ifs, args.m, args.quant, args.budget)
+        report["empirical"] = empirical_infodim(ifs, args.m, args.quant, args.budget)
         report["m"] = args.m
-        report["quantization"] = k
+        report["quantization"] = (
+            recommended_quantization(ifs, args.m) if args.quant is None else args.quant)
     return report
 
 

@@ -123,10 +123,11 @@ def recommended_quantization(ifs: IFSSpec, m: int) -> int:
 
 
 def empirical_infodim(
-    ifs: IFSSpec, m: int, k: int, budget: int = DEFAULT_ATOM_BUDGET
+    ifs: IFSSpec, m: int, k: Optional[int] = None, budget: int = DEFAULT_ATOM_BUDGET
 ) -> float:
     """Quantization-based estimate H(floor(k * X~_m)) / log2(k), where X~_m is
-    the m-term truncation contracted once: sum_{j=1}^{m} r^j W_j.
+    the m-term truncation contracted once: sum_{j=1}^{m} r^j W_j. When k is
+    None, the factor is `recommended_quantization(ifs, m)`.
 
     The single contraction aligns the quantization grid with the digits the
     truncation pins down; quantizing the uncontracted sum would add one
@@ -135,22 +136,10 @@ def empirical_infodim(
 
     The guard k * r^m * max|w| / (1-r) <= 1 keeps the truncation error below
     one quantization cell; a violation only warns, because the estimate is
-    still defined, just less trustworthy.
+    still defined, just less trustworthy. The truncation is built, or
+    refused, before r^m is formed, which at m = 10^7 has millions of digits.
     """
-    return quantized_estimate(ifs, m, k, budget)[0]
-
-
-def quantized_estimate(
-    ifs: IFSSpec, m: int, k: Optional[int], budget: int = DEFAULT_ATOM_BUDGET
-) -> tuple[float, int]:
-    """`empirical_infodim` at quantization factor k, or at
-    `recommended_quantization` when k is None, and the factor used. The
-    checks come in the order of `recommended_quantization` (when k is None),
-    then `empirical_infodim`; the truncation is then built, or refused,
-    before r^m is formed, which at m = 10^7 has millions of digits."""
-    if k is None:
-        _max_offset(ifs)  # a symbolic offset is refused as the recommendation refuses it
-    elif k < 2:
+    if k is not None and k < 2:
         raise ValidationError(f"need a quantization factor k >= 2, got {k}")
     if m < 1:  # before the guard below can warn
         raise ValidationError(f"need m >= 1, got {m}")
@@ -167,6 +156,6 @@ def quantized_estimate(
         warnings.warn(
             "quantization factor is finer than the truncation error; "
             "increase m or lower k",
-            stacklevel=3,
+            stacklevel=2,
         )
-    return entropy_bits(floor_dist(k * ifs.r, X)) / math.log2(k), k
+    return entropy_bits(floor_dist(k * ifs.r, X)) / math.log2(k)

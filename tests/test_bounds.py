@@ -34,7 +34,7 @@ from icdof import (
     uniform_on,
 )
 from icdof.channel import build_wn
-from icdof.bounds import SPLIT_TOL, BoundReport, _certified_report, _clamped_terms, _user_entropies
+from icdof.bounds import SPLIT_TOL, BoundReport, _certified_report, _clamped_terms, _user_forms
 from conftest import counting_merge, random_rational_dist
 
 
@@ -135,7 +135,7 @@ class TestUserDists:
         g = ExactScalar.generator("g")
         H = ChannelMatrix.from_rows([[g, 2, 0], [0, 0, 0], [1, g + 1, Fraction(-1, 3)]])
         W = [random_rational_dist(rng, min_support=2, max_support=5) for _ in range(3)]
-        splits = list(_user_entropies(H, W, 10**6))
+        splits = list(_user_forms(H, W, 10**6)())
         for i in range(3):
             row = H.row(i)
             cross = [(c, d) for j, (c, d) in enumerate(zip(row, W)) if j != i and c != 0]
@@ -152,12 +152,22 @@ class TestUserDists:
 
 
 def reference_user_entropies(H, W, budget):
-    """Slow twin of `_user_entropies`, enumerated with `user_dists`."""
+    """Slow twin of `_user_forms(H, W, budget)()`, enumerated with `user_dists`."""
     if len(W) != H.K:
         raise ValidationError(f"{len(W)} input distributions for K={H.K} users")
     for i in range(H.K):
         interference, full = user_dists(H, W, i, budget)
         yield entropy_bits(interference), entropy_bits(full), len(interference), len(full)
+
+
+def reference_user_forms(H, W, budget):
+    """Slow twin of `_user_forms`, evaluated on W's own weights only."""
+
+    def entropies(inputs=None):
+        assert inputs is None
+        return reference_user_entropies(H, W, budget)
+
+    return entropies
 
 
 def reference_certified_report(H, W_dist, r_log, budget, params, closed_form) -> BoundReport:
@@ -190,10 +200,10 @@ def outcome(job) -> dict:
 
 
 def with_oracle(monkeypatch, job) -> dict:
-    """The outcome of `job` with the per-user entropies and the certified
+    """The outcome of `job` with the per-user placement and the certified
     driver replaced by their twins."""
     with monkeypatch.context() as patch:
-        patch.setattr(icdof.bounds, "_user_entropies", reference_user_entropies)
+        patch.setattr(icdof.bounds, "_user_forms", reference_user_forms)
         patch.setattr(icdof.bounds, "_certified_report", reference_certified_report)
         return outcome(job)
 

@@ -789,6 +789,27 @@ class TestExitCodes:
             result = run_json(capsys, ["infodim", "--ifs", ifs, "--m", "0"])
         assert result == (2, {"code": "invalid-input", "message": "need m >= 1, got 0"})
 
+    def test_infodim_quant_flag_changes_no_refusal(self, capsys, files):
+        # one estimator: the default factor is refused exactly as a given one
+        ifs = files("symbolic.json", {"r": "1/2", "w": ["0", "g1"], "probs": ["1/2", "1/2"]})
+        for m, code in (("4", "not-rational"), ("0", "invalid-input")):
+            outputs = []
+            for quant in ([], ["--quant", "16"]):
+                assert run(["infodim", "--ifs", ifs, "--m", m, *quant]) == 2
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1]
+            assert json.loads(outputs[0])["code"] == code
+
+    def test_infodim_reports_the_default_factor(self, capsys, files):
+        # (1 - r) / r^8 = 4374 on r = 1/3, w = {0, 1}
+        ifs = files("cantor01.json", {"r": "1/3", "w": ["0", "1"], "probs": ["1/2", "1/2"]})
+        outputs = []
+        for quant in ([], ["--quant", "4374"]):
+            assert run(["infodim", "--ifs", ifs, "--m", "8", *quant]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["quantization"] == 4374
+
     def test_infodim_deep_truncation_is_refused_at_once(self, capsys, files):
         # an m-term lattice at m = 10^6 died with MemoryError; by doubling,
         # X_30 = X_15 + r^15 X_15 is refused after six small steps

@@ -26,7 +26,6 @@ from icdof import (
     support_set,
     truncated_dist,
 )
-from icdof.infodim import quantized_estimate
 from conftest import PowerSpy, counting_merge, reference_truncation
 
 CANTOR = IFSSpec.create(Fraction(1, 3), [0, 2], [Fraction(1, 2), Fraction(1, 2)])
@@ -167,12 +166,21 @@ class TestEmpirical:
             value = empirical_infodim(CANTOR, 2, 1000)
         assert math.isfinite(value)
 
+    def test_guard_warning_points_at_the_caller(self):
+        with pytest.warns(UserWarning) as record:
+            empirical_infodim(CANTOR, 2, 1000)
+        assert [w.filename for w in record] == [__file__]
+
     def test_symbolic_offsets_rejected(self):
         g = ExactScalar.generator("g1")
         symbolic = IFSSpec.create(Fraction(1, 2), [ExactScalar.ZERO, g], [Fraction(1, 2), Fraction(1, 2)])
         assert math.isfinite(infodim_formula(symbolic))
-        with pytest.raises(NotRationalError):
-            empirical_infodim(symbolic, 4, 16)
+        for k in (16, None):  # one refusal, whether or not the factor is given
+            with pytest.raises(NotRationalError, match="the empirical path requires rational"):
+                empirical_infodim(symbolic, 4, k)
+            with pytest.raises(ValidationError, match="need m >= 1, got 0") as info:
+                empirical_infodim(symbolic, 0, k)
+            assert type(info.value) is ValidationError
 
     @pytest.mark.parametrize("k", [3, 2**64, None])  # None: the recommended factor
     def test_refused_before_r_to_the_m(self, k):
@@ -183,14 +191,15 @@ class TestEmpirical:
         ifs = IFSSpec(r, (as_scalar(0), as_scalar(1)), (Fraction(1, 2),) * 2)
         m = 10**7
         with pytest.raises(BudgetExceededError) as info:
-            quantized_estimate(ifs, m, k)
+            empirical_infodim(ifs, m, k)
         assert str(info.value) == (
             "convolution needs 274877906944 atom pairs, over the budget of 5000000")
         assert r.exponents and max(r.exponents) < m
 
     def test_recommended_factor_is_reported(self):
-        assert quantized_estimate(CANTOR, 8, None) == (
-            empirical_infodim(CANTOR, 8, 2187), recommended_quantization(CANTOR, 8))
+        # without k the estimate is taken at the recommended factor
+        assert recommended_quantization(CANTOR, 8) == 2187
+        assert empirical_infodim(CANTOR, 8, k=None) == empirical_infodim(CANTOR, 8, 2187)
 
     def test_quantization_floor(self):
         with pytest.raises(ValidationError):
