@@ -18,7 +18,8 @@ of two integers whose fixed-width slots hold the operands' weights
 (Kronecker substitution, `_kronecker`), with the loop as its oracle. So
 `convolve` is `place_step` then `_merge`, and an evaluation attaches weights
 to placed keys and sums them with `_sum`, building and aligning nothing
-again. Only the entropy is a float, even where `PlacedSplit` proves a sum
+again; `floor_dist` can floor one placed step as it sums it, so the sum is
+never held. Only the entropy is a float, even where `PlacedSplit` proves a sum
 injective and does not build it. A sum's atom order is deterministic but
 unspecified: `==`, `sorted_items`, JSON and the entropy do not read it.
 
@@ -402,20 +403,51 @@ def scale(c, dist: DiscreteDist) -> DiscreteDist:
     return next(_pack([(c, dist)]))
 
 
-def floor_dist(s: Fraction, dist: DiscreteDist) -> DiscreteDist:
-    """Distribution of floor(s*X) for a rational s and a rational-valued X."""
-    try:
-        numerators = _numerators(dist)
-    except NotRationalError:
-        raise NotRationalError("floor needs rational support points") from None
+def floor_dist(
+    s: Fraction,
+    dist: DiscreteDist,
+    other: Optional[DiscreteDist] = None,
+    budget: int = DEFAULT_ATOM_BUDGET,
+) -> DiscreteDist:
+    """Distribution of floor(s*X) for a rational s and a rational-valued X,
+    or, given `other`, of floor(s*(X + Y)) for independent X ~ dist and Y ~
+    other, the step X + Y placed and refused as `convolve` places and
+    refuses it. On a one-coordinate lattice that sum is floored as it is
+    summed and never held: the atoms of `_kronecker`'s product where it
+    takes the step, as `_merge` would, and each atom pair straight into its
+    cell elsewhere."""
+    if other is None:
+        try:
+            numerators = _numerators(dist)
+        except NotRationalError:
+            raise NotRationalError("floor needs rational support points") from None
+        atoms = zip(numerators, dist._weights.values())
+        den, denominator = s.denominator * dist._lattice.denominator, dist._denominator
+    else:
+        (a, da), (b, db), lattice, reach = place_step(dist, other, budget)
+        if not lattice.is_rational():  # its points can still be rational: decode the sum
+            return floor_dist(s, _new(lattice, _merge(a, b), da * db, reach))
+        m, n = len(a), len(b)
+        merged = _kronecker(a, b) if m * n >= 4 * (m + n) - 2 else None  # as `_merge` decides
+        atoms = None if merged is None else merged.items()
+        den, denominator = s.denominator * lattice.denominator, da * db
     # the points are x = v / D, so each floor(s*x) is one integer floor division
-    num, den = s.numerator, s.denominator * dist._lattice.denominator
+    num = s.numerator
     cells: dict[int, int] = {}
-    for v, w in zip(numerators, dist._weights.values()):
-        cell = v * num // den
-        cells[cell] = cells.get(cell, 0) + w
+    get = cells.get
+    if atoms is None:  # `_merge`'s pair loop, summing into cells: B's keys scaled once
+        inner = [(kb * num, wb) for kb, wb in b.items()]
+        for ka, wa in a.items():
+            ka *= num
+            for kb, wb in inner:
+                cell = (ka + kb) // den
+                cells[cell] = get(cell, 0) + wa * wb
+    else:
+        for v, w in atoms:
+            cell = v * num // den
+            cells[cell] = get(cell, 0) + w
     reach = max(map(abs, cells))
-    return _new(_Lattice([MONO_ONE], 1, 2 * reach + 1), cells, dist._denominator, reach)
+    return _new(_Lattice([MONO_ONE], 1, 2 * reach + 1), cells, denominator, reach)
 
 
 def check_pair_budget(pairs: int, budget: int, lattice: Optional[_Lattice] = None) -> None:

@@ -18,6 +18,8 @@ from typing import Optional, Sequence
 from .dist import (
     DEFAULT_ATOM_BUDGET,
     DiscreteDist,
+    _pack,
+    convolve,
     entropy_bits,
     floor_dist,
     json_list,
@@ -25,7 +27,7 @@ from .dist import (
     parse_probability,
 )
 from .errors import NotRationalError, ParseError, ValidationError
-from .scalar import ExactScalar, as_scalar, parse_rational
+from .scalar import ONE, ExactScalar, as_scalar, parse_rational
 
 NON_EXCEPTIONAL_CAVEAT = "valid for non-exceptional r"
 
@@ -90,24 +92,36 @@ def truncated_dist(ifs: IFSSpec, m: int, budget: int = DEFAULT_ATOM_BUDGET) -> D
     """Exact distribution of the m-term truncation X_m = sum_{k<m} r^k W_k
     with the W_k independent copies of the offset variable, built by
     doubling: X_n = X_a + r^a X'_{n-a}, a = n // 2, X' an independent copy.
-    Each X_n is built once, in a memo local to the call, by one two-term
-    `linear_combination` refused by its budget before any key is formed:
-    about 2*log2(m) steps whose atom pairs add up to about the final atom
-    count, in the order of the recursion on n, run on a stack no m overflows.
-    The atoms are not in the left fold's order (`==` ignores order)."""
+    The last step is the one `_last_step` places, summed by `convolve`. The
+    atoms are not in the left fold's order (`==` ignores order)."""
     if m < 1:
         raise ValidationError(f"need m >= 1, got {m}")
+    if m == 1:
+        return ifs.offset_dist()
+    return convolve(*_last_step(ifs, m, budget), budget)
+
+
+def _last_step(ifs: IFSSpec, m: int, budget: int) -> tuple[DiscreteDist, DiscreteDist]:
+    """X_a and r^a X'_{m-a}, a = m // 2, for m >= 2: the operands of the last
+    doubling step of X_m on the lattice of their sum, refused as
+    `linear_combination` refuses that step, before any key is formed.
+    Each X_n on the way is built once, in a memo local to the call, by one
+    two-term `linear_combination` refused by its budget in the same way:
+    about 2*log2(m) steps whose atom pairs add up to about the final atom
+    count, in the order of the recursion on n, run on a stack no m
+    overflows."""
     r, memo, stack = ifs.r, {1: ifs.offset_dist()}, [m]
-    while m not in memo:
+    while True:
         n = stack[-1]
         a = n // 2
         missing = [k for k in (a, n - a) if k not in memo]
         if missing:
             stack.append(missing[0])
+        elif n == m:
+            return tuple(_pack([(ONE, memo[a]), (as_scalar(r**a), memo[m - a])], budget))
         else:
             memo[n] = linear_combination([1, r**a], [memo[a], memo[n - a]], budget=budget)
             stack.pop()
-    return memo[m]
 
 
 def _max_offset(ifs: IFSSpec) -> Fraction:
@@ -136,8 +150,12 @@ def empirical_infodim(
 
     The guard k * r^m * max|w| / (1-r) <= 1 keeps the truncation error below
     one quantization cell; a violation only warns, because the estimate is
-    still defined, just less trustworthy. The truncation is built, or
-    refused, before r^m is formed, which at m = 10^7 has millions of digits.
+    still defined, just less trustworthy. X_m itself is never held: the
+    doubling builds X_a and X'_{m-a} as `truncated_dist` does and places
+    the last step, or refuses it, before r^m is formed (at m = 10^7 it has
+    millions of digits); `floor_dist` then floors that step as its atom
+    pairs are summed, so the estimate's memory is bounded by its halves
+    and its cells, not by the atoms of X_m.
     """
     if k is not None and k < 2:
         raise ValidationError(f"need a quantization factor k >= 2, got {k}")
@@ -149,7 +167,7 @@ def empirical_infodim(
         raise NotRationalError(
             "the empirical path requires rational offsets (exact floors need ordered values)"
         ) from None
-    X = truncated_dist(ifs, m, budget=budget)
+    step = (ifs.offset_dist(),) if m == 1 else _last_step(ifs, m, budget)
     if k is None:
         k = recommended_quantization(ifs, m)
     if k * ifs.r**m * max_w / (1 - ifs.r) > 1:
@@ -158,4 +176,4 @@ def empirical_infodim(
             "increase m or lower k",
             stacklevel=2,
         )
-    return entropy_bits(floor_dist(k * ifs.r, X)) / math.log2(k)
+    return entropy_bits(floor_dist(k * ifs.r, *step, budget=budget)) / math.log2(k)

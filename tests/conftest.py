@@ -6,6 +6,7 @@ exactly, and the corpora are cheap enough to regenerate per module.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -19,6 +20,7 @@ from icdof import (
     DiscreteDist,
     ExactScalar,
     as_scalar,
+    entropy_bits,
     evaluate_monomial,
     off_diagonal_name,
     phi,
@@ -84,6 +86,17 @@ def reference_truncation(ifs, m: int) -> DiscreteDist:
     """Slow twin of `truncated_dist`: the left fold of one `convolve` step
     per term over one m-term linear form sum_{k<m} r^k W_k."""
     return icdof.dist.linear_combination([ifs.r**k for k in range(m)], [ifs.offset_dist()] * m)
+
+
+def reference_empirical_infodim(ifs, m: int, k: int) -> float:
+    """Slow twin of `empirical_infodim`: floor k*r*x on the decoded
+    truncation of the left fold, one `Fraction` per atom."""
+    cells: dict = {}
+    kr = k * ifs.r
+    for x, p in reference_truncation(ifs, m).items():
+        cell = math.floor(kr * x.as_fraction())
+        cells[cell] = cells.get(cell, 0) + p
+    return entropy_bits(DiscreteDist({as_scalar(c): p for c, p in cells.items()})) / math.log2(k)
 
 
 def enumerate_monomials(K: int, d: int) -> tuple[Monomial, ...]:

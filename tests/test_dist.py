@@ -46,6 +46,7 @@ from icdof import (
 from conftest import (
     counting_merge,
     random_rational_dist,
+    reference_empirical_infodim,
     reference_build_wn,
     reference_truncation,
 )
@@ -59,7 +60,7 @@ from icdof.dist import (
     floor_dist,
     place_step,
 )
-from icdof.scalar import MONO_ONE, mono_mul
+from icdof.scalar import MONO_ONE, ONE, mono_mul
 
 G1 = ExactScalar.generator("g1")
 G2 = ExactScalar.generator("g2")
@@ -153,17 +154,6 @@ def reference_combination(coeffs, dists) -> DiscreteDist:
     for term in live[1:]:
         result = DiscreteDist(reference_convolve(result, term))
     return result
-
-
-def reference_empirical_infodim(ifs, m: int, k: int) -> float:
-    """Slow twin of `empirical_infodim`: floor k*r*x on the decoded
-    truncation of the left fold, one `Fraction` per atom."""
-    cells: dict = {}
-    kr = k * ifs.r
-    for x, p in reference_truncation(ifs, m).items():
-        cell = math.floor(kr * x.as_fraction())
-        cells[cell] = cells.get(cell, 0) + p
-    return entropy_bits(DiscreteDist({as_scalar(c): p for c, p in cells.items()})) / math.log2(k)
 
 
 G3 = ExactScalar.generator("g3")
@@ -930,6 +920,58 @@ class TestFloor:
         X = convolve(uniform_on([g1, g1 + 1]), uniform_on([-g1, 0]))
         with pytest.raises(NotRationalError, match="^floor needs rational support points$"):
             floor_dist(Fraction(1, 2), X)
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_two_operands_match_the_floor_of_the_sum(self, data):
+        # the halves of a truncation's last doubling step: a dense digit set,
+        # whose steps `_kronecker` takes, and Cantor sets, whose it declines
+        r, digits = data.draw(st.sampled_from([
+            (Fraction(1, 2), range(4)), (Fraction(1, 3), (0, 2)), (Fraction(2, 5), (1, 3, 4))]))
+        weights = [data.draw(st.integers(1, 9)) for _ in digits]
+        ifs = IFSSpec.create(r, digits, [Fraction(w, sum(weights)) for w in weights])
+        a, b = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        A, B, c = truncated_dist(ifs, a), truncated_dist(ifs, b), as_scalar(r**a)
+        s = Fraction(data.draw(st.integers(-400, 400)), data.draw(st.integers(1, 9)))
+        expected = floor_dist(s, linear_combination([1, c], [A, B]))
+        assert floor_dist(s, *_pack([(ONE, A), (c, B)])) == expected
+        assert floor_dist(s, A, scale(c, B)) == expected  # placed afresh by `place_step`
+
+    @pytest.mark.parametrize("r, digits, taken", [
+        (Fraction(1, 2), range(4), True), (Fraction(1, 3), (0, 2), False)])
+    def test_two_operands_take_the_product_where_merge_does(self, r, digits, taken):
+        ifs = IFSSpec.create(r, digits, [Fraction(1, len(digits))] * len(digits))
+        X = truncated_dist(ifs, 4)
+        A, B = _pack([(ONE, X), (as_scalar(r**4), X)])
+        products = []
+
+        def spy(a, b):
+            products.append(_kronecker(a, b))
+            return products[-1]
+
+        with mock.patch.object(icdof.dist, "_kronecker", spy), \
+                mock.patch.object(icdof.dist, "_merge", side_effect=AssertionError):
+            floored = floor_dist(Fraction(-7, 3), A, B)
+        assert [product is not None for product in products] == [taken]
+        assert floored == floor_dist(Fraction(-7, 3), convolve(A, B))
+
+    def test_two_operands_on_a_symbolic_lattice(self):
+        g1 = ExactScalar.generator("g1")
+        A, B = uniform_on([g1, g1 + 1]), uniform_on([-g1, 1 - g1])
+        for s in (Fraction(1, 2), Fraction(-5, 3)):
+            assert floor_dist(s, A, B) == floor_dist(s, convolve(A, B))
+        with pytest.raises(NotRationalError, match="^floor needs rational support points$"):
+            floor_dist(Fraction(1, 2), A, uniform_on([0, 1]))
+
+    def test_two_operands_are_refused_as_the_step(self):
+        A, B = uniform_on(range(0, 40, 2)), uniform_on(range(0, 30, 3))
+        message = "convolution needs 200 atom pairs, over the budget of 199"
+        with pytest.raises(BudgetExceededError, match=message):
+            convolve(A, B, budget=199)
+        with pytest.raises(BudgetExceededError, match=message):
+            floor_dist(Fraction(1, 3), A, B, budget=199)
+        assert floor_dist(Fraction(1, 3), A, B, budget=200) == floor_dist(
+            Fraction(1, 3), convolve(A, B))
 
 
 class TestEntropy:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import gc
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -26,11 +27,15 @@ from icdof import (
     support_set,
     truncated_dist,
 )
-from conftest import PowerSpy, counting_merge, reference_truncation
+from icdof.dist import floor_dist
+from conftest import PowerSpy, counting_merge, reference_empirical_infodim, reference_truncation
 
 CANTOR = IFSSpec.create(Fraction(1, 3), [0, 2], [Fraction(1, 2), Fraction(1, 2)])
 DYADIC = IFSSpec.create(Fraction(1, 2), [0, 1], [Fraction(1, 2), Fraction(1, 2)])
 G1 = ExactScalar.generator("g1")
+OVERLAP = IFSSpec.create(Fraction(1, 3), [0, 1, 3], [Fraction(1, 3)] * 3)  # Kenyon's {0, 1, 3}
+DENSE = IFSSpec.create(Fraction(1, 2), [0, 1, 2, 3], [Fraction(1, 10), Fraction(2, 10),
+                                                      Fraction(3, 10), Fraction(4, 10)])
 
 
 class TestSpec:
@@ -195,6 +200,58 @@ class TestEmpirical:
         assert str(info.value) == (
             "convolution needs 274877906944 atom pairs, over the budget of 5000000")
         assert r.exponents and max(r.exponents) < m
+
+    @pytest.mark.parametrize("ifs", [CANTOR, OVERLAP, DENSE], ids=["cantor", "overlap", "dense"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 7])
+    def test_matches_the_fraction_floors(self, ifs, m):
+        # the last step floored pair by pair, or as `_kronecker`'s product
+        # (the dense set), reads the same float as flooring each atom of X_m
+        for k in (recommended_quantization(ifs, m), 3**m + 1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert empirical_infodim(ifs, m, k) == reference_empirical_infodim(ifs, m, k)
+
+    def test_never_holds_the_truncation(self, monkeypatch):
+        # X_16 of the Cantor set has 2^16 atoms; the estimator holds its two
+        # halves of 2^8 atoms and the cells, never a weights dict of X_16
+        sizes = []
+        new, merge = icdof.dist._new, icdof.dist._merge
+
+        def spy_new(lattice, weights, denominator, reach):
+            sizes.append(len(weights))
+            return new(lattice, weights, denominator, reach)
+
+        def spy_merge(a, b):
+            sizes.append(len(merged := merge(a, b)))
+            return merged
+
+        monkeypatch.setattr(icdof.dist, "_new", spy_new)
+        monkeypatch.setattr(icdof.dist, "_merge", spy_merge)
+        k = recommended_quantization(CANTOR, 16)
+        estimate = empirical_infodim(CANTOR, 16, k)
+        assert sizes and max(sizes) < 2**16
+        X = truncated_dist(CANTOR, 16)  # the spies see the truncation itself
+        assert len(X) == max(sizes) == 2**16
+        assert estimate == entropy_bits(floor_dist(k * CANTOR.r, X)) / math.log2(k)
+
+    @pytest.mark.parametrize("k", [3, None])
+    @pytest.mark.parametrize("r, budget, message", [
+        (Fraction(1, 3), 1000, "convolution needs 4096 atom pairs, over the budget of 1000"),
+        (Fraction(1, 3**20), 5000,  # 4096 pairs, each of a 6-word key
+         "convolution needs 4096 atom pairs of 6-word keys, over the budget of 5000"),
+    ])
+    def test_last_step_refused_before_r_to_the_m(self, k, r, budget, message):
+        # X_12 = X_6 + r^6 X'_6 is the first step over the budget: it is
+        # refused, as `truncated_dist` refuses it, before any r^j with j >= m
+        ifs = IFSSpec(PowerSpy(r), (as_scalar(0), as_scalar(1)), (Fraction(1, 2),) * 2)
+        m = 12
+        with pytest.raises(BudgetExceededError) as info:
+            empirical_infodim(ifs, m, k, budget)
+        assert str(info.value) == message
+        assert ifs.r.exponents and max(ifs.r.exponents) < m
+        with pytest.raises(BudgetExceededError) as info:
+            truncated_dist(ifs, m, budget)
+        assert str(info.value) == message
 
     def test_recommended_factor_is_reported(self):
         # without k the estimate is taken at the recommended factor
