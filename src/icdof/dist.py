@@ -349,20 +349,13 @@ def weighted_on(support: Iterable, weights: Sequence[int]) -> DiscreteDist:
     """Distribution on the given support points with probabilities in the
     ratios of positive integer weights.
 
-    A `SupportSet` lends its lattice and keys, so nothing is packed again; its
-    points take the weights in the set's iteration order.
-    Other supports error when empty and on duplicates (exact canonical
-    equality), since silently merging would change the intended
-    probabilities.
+    Errors when empty and on duplicates (exact canonical equality), since
+    silently merging would change the intended probabilities.
     """
-    if isinstance(support, SupportSet):  # distinct by construction
-        dist = support.dist
-        lattice, keys, reach = dist._lattice, list(dist._weights), dist._reach
-    else:
-        points = [as_scalar(x) for x in support]
-        if not points:
-            raise ValidationError("empty support")
-        lattice, keys, reach = _born(points)
+    points = [as_scalar(x) for x in support]
+    if not points:
+        raise ValidationError("empty support")
+    lattice, keys, reach = _born(points)
     weights, denominator = lowest_weights(weights, len(keys))
     packed = dict(zip(keys, weights))
     if len(packed) < len(keys):
@@ -412,10 +405,8 @@ def floor_dist(
     """Distribution of floor(s*X) for a rational s and a rational-valued X,
     or, given `other`, of floor(s*(X + Y)) for independent X ~ dist and Y ~
     other, the step X + Y placed and refused as `convolve` places and
-    refuses it. On a one-coordinate lattice that sum is floored as it is
-    summed and never held: the atoms of `_kronecker`'s product where it
-    takes the step, as `_merge` would, and each atom pair straight into its
-    cell elsewhere."""
+    refuses it. On a one-coordinate lattice that sum is never held: each
+    atom pair is floored straight into its cell."""
     if other is None:
         try:
             numerators = _numerators(dist)
@@ -427,25 +418,22 @@ def floor_dist(
         (a, da), (b, db), lattice, reach = place_step(dist, other, budget)
         if not lattice.is_rational():  # its points can still be rational: decode the sum
             return floor_dist(s, _new(lattice, _merge(a, b), da * db, reach))
-        m, n = len(a), len(b)
-        merged = _kronecker(a, b) if m * n >= 4 * (m + n) - 2 else None  # as `_merge` decides
-        atoms = None if merged is None else merged.items()
         den, denominator = s.denominator * lattice.denominator, da * db
     # the points are x = v / D, so each floor(s*x) is one integer floor division
     num = s.numerator
     cells: dict[int, int] = {}
     get = cells.get
-    if atoms is None:  # `_merge`'s pair loop, summing into cells: B's keys scaled once
+    if other is None:
+        for v, w in atoms:
+            cell = v * num // den
+            cells[cell] = get(cell, 0) + w
+    else:  # `_merge`'s pair loop, summing into cells: B's keys scaled once
         inner = [(kb * num, wb) for kb, wb in b.items()]
         for ka, wa in a.items():
             ka *= num
             for kb, wb in inner:
                 cell = (ka + kb) // den
                 cells[cell] = get(cell, 0) + wa * wb
-    else:
-        for v, w in atoms:
-            cell = v * num // den
-            cells[cell] = get(cell, 0) + w
     reach = max(map(abs, cells))
     return _new(_Lattice([MONO_ONE], 1, 2 * reach + 1), cells, denominator, reach)
 

@@ -27,10 +27,8 @@ from .channel import ChannelMatrix
 from .dist import (
     DEFAULT_ATOM_BUDGET,
     DiscreteDist,
-    SupportSet,
     check_pair_budget,
     lowest_weights,
-    support_set,
     uniform_on,
     weighted_on,
 )
@@ -139,7 +137,7 @@ class _Tracker:
             self.value = value
             self.candidate = candidate
 
-    def dists(self, support: SupportSet) -> tuple[DiscreteDist, ...]:
+    def dists(self, support: Sequence[ExactScalar]) -> tuple[DiscreteDist, ...]:
         return tuple(block if isinstance(block, DiscreteDist) else weighted_on(support, block)
                      for block in self.candidate)
 
@@ -306,7 +304,7 @@ def _search(
         raise ValidationError("objective was degenerate at every candidate")
     return OptResult(
         best_value=best.value,
-        dists=best.dists(support_set(grid)),
+        dists=best.dists(integer_grid(n)),
         trace=tuple(trace),
         seed=config.seed,
     )

@@ -204,9 +204,7 @@ class TestConstruction:
     def test_weighted_on_a_support_set(self, points):
         grid = support_set(uniform_on(points))
         weights = [6, 2, 10, 4]
-        D = weighted_on(grid, weights)
-        # the set's own lattice and keys, its points weighted in insertion order
-        assert D._lattice is grid.dist._lattice and list(D._weights) == list(grid.dist._weights)
+        D = weighted_on(grid, weights)  # its points weighted in the set's insertion order
         assert D == weighted_on(points, weights)
         assert dict(D.items()) == {as_scalar(x): Fraction(w, 22) for x, w in zip(points, weights)}
         for bad, message in (([1, 2, 3], "3 weights for 4 support points"),
@@ -939,21 +937,18 @@ class TestFloor:
 
     @pytest.mark.parametrize("r, digits, taken", [
         (Fraction(1, 2), range(4), True), (Fraction(1, 3), (0, 2), False)])
-    def test_two_operands_take_the_product_where_merge_does(self, r, digits, taken):
+    def test_two_operands_sum_pair_by_pair(self, r, digits, taken):
+        # the dense step is one `_merge` takes as `_kronecker`'s product; the
+        # floor sums its atom pairs into cells all the same, merging nothing
         ifs = IFSSpec.create(r, digits, [Fraction(1, len(digits))] * len(digits))
         X = truncated_dist(ifs, 4)
         A, B = _pack([(ONE, X), (as_scalar(r**4), X)])
-        products = []
-
-        def spy(a, b):
-            products.append(_kronecker(a, b))
-            return products[-1]
-
-        with mock.patch.object(icdof.dist, "_kronecker", spy), \
+        assert (_kronecker(A._weights, B._weights) is not None) is taken
+        expected = floor_dist(Fraction(-7, 3), convolve(A, B))
+        with mock.patch.object(icdof.dist, "_kronecker", side_effect=AssertionError), \
                 mock.patch.object(icdof.dist, "_merge", side_effect=AssertionError):
             floored = floor_dist(Fraction(-7, 3), A, B)
-        assert [product is not None for product in products] == [taken]
-        assert floored == floor_dist(Fraction(-7, 3), convolve(A, B))
+        assert floored == expected
 
     def test_two_operands_on_a_symbolic_lattice(self):
         g1 = ExactScalar.generator("g1")

@@ -204,18 +204,22 @@ class TestEmpirical:
     @pytest.mark.parametrize("ifs", [CANTOR, OVERLAP, DENSE], ids=["cantor", "overlap", "dense"])
     @pytest.mark.parametrize("m", [1, 2, 3, 7])
     def test_matches_the_fraction_floors(self, ifs, m):
-        # the last step floored pair by pair, or as `_kronecker`'s product
-        # (the dense set), reads the same float as flooring each atom of X_m
+        # the last step floored pair by pair reads the same float as flooring
+        # each atom of X_m
         for k in (recommended_quantization(ifs, m), 3**m + 1):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 assert empirical_infodim(ifs, m, k) == reference_empirical_infodim(ifs, m, k)
 
-    def test_never_holds_the_truncation(self, monkeypatch):
-        # X_16 of the Cantor set has 2^16 atoms; the estimator holds its two
-        # halves of 2^8 atoms and the cells, never a weights dict of X_16
+    @pytest.mark.parametrize("ifs, atoms", [(CANTOR, 2**16), (DENSE, 3 * 2**16 - 2)],
+                             ids=["cantor", "dense"])
+    def test_never_holds_the_truncation(self, monkeypatch, ifs, atoms):
+        # X_16 has 2^16 atoms on the Cantor set and 196606 on the dense one,
+        # where `_merge` takes its steps as `_kronecker`'s product; the
+        # estimator holds the two halves of X_16 and the cells, never a
+        # weights dict of X_16
         sizes = []
-        new, merge = icdof.dist._new, icdof.dist._merge
+        new, merge, kronecker = icdof.dist._new, icdof.dist._merge, icdof.dist._kronecker
 
         def spy_new(lattice, weights, denominator, reach):
             sizes.append(len(weights))
@@ -225,14 +229,20 @@ class TestEmpirical:
             sizes.append(len(merged := merge(a, b)))
             return merged
 
+        def spy_kronecker(a, b):
+            merged = kronecker(a, b)
+            sizes.append(0 if merged is None else len(merged))
+            return merged
+
         monkeypatch.setattr(icdof.dist, "_new", spy_new)
         monkeypatch.setattr(icdof.dist, "_merge", spy_merge)
-        k = recommended_quantization(CANTOR, 16)
-        estimate = empirical_infodim(CANTOR, 16, k)
-        assert sizes and max(sizes) < 2**16
-        X = truncated_dist(CANTOR, 16)  # the spies see the truncation itself
-        assert len(X) == max(sizes) == 2**16
-        assert estimate == entropy_bits(floor_dist(k * CANTOR.r, X)) / math.log2(k)
+        monkeypatch.setattr(icdof.dist, "_kronecker", spy_kronecker)
+        k = recommended_quantization(ifs, 16)
+        estimate = empirical_infodim(ifs, 16, k)
+        assert sizes and max(sizes) < atoms
+        X = truncated_dist(ifs, 16)  # the spies see the truncation itself
+        assert len(X) == max(sizes) == atoms
+        assert estimate == entropy_bits(floor_dist(k * ifs.r, X)) / math.log2(k)
 
     @pytest.mark.parametrize("k", [3, None])
     @pytest.mark.parametrize("r, budget, message", [
