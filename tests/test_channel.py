@@ -40,7 +40,7 @@ from icdof import (
     verify_witness,
 )
 from icdof.channel import alphabet_size
-from conftest import enumerate_monomials, reference_build_wn
+from conftest import counting_merge, enumerate_monomials, reference_build_wn
 from test_linalg import reference_first_kernel_vector
 
 
@@ -371,6 +371,18 @@ class TestBuildWn:
             build_wn(ChannelMatrix.generic(2), 4, 2, budget=40000)
         assert str(refused.value) == (
             "convolution needs 32768 atom pairs of 2-word keys, over the budget of 40000")
+
+    def test_generic_steps_are_refused_before_the_first(self, monkeypatch):
+        # generic values share no monomial, so no atoms merge: step 20's 2^20 * 2
+        # pairs of 3-word keys are refused before any of the 19 steps below
+        # it runs, as they would be once it was reached
+        steps: list = []
+        monkeypatch.setattr(icdof.dist, "_merge", counting_merge(steps))
+        with pytest.raises(BudgetExceededError) as refused:
+            build_wn(ChannelMatrix.generic(2), 5, 2)
+        assert str(refused.value) == (
+            "convolution needs 2097152 atom pairs of 3-word keys, over the budget of 5000000")
+        assert steps == []
 
     def test_no_scalar_sum_forms_the_alphabet(self, monkeypatch):
         def fail(*args):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import warnings
@@ -34,6 +35,7 @@ from icdof import (
     linear_combination,
     parse_probability,
     point_mass,
+    recommended_quantization,
     scale,
     sorted_items,
     sumset,
@@ -56,6 +58,7 @@ from icdof.dist import (
     PlacedSplit,
     _kronecker,
     _Lattice,
+    _monomials,
     _pack,
     floor_dist,
     place_step,
@@ -837,6 +840,26 @@ class TestSymbolicPlacement:
             assert list(linear_combination(coeffs, dists, budget=budget).items()) == (
                 list(expected.items()))
 
+    @pytest.mark.parametrize("budget", [8, 53, 54, 161, 162, 485, 486, 1457, 1458])
+    def test_merge_free_chain_is_refused_before_its_first_step(self, budget):
+        # no two terms share a monomial: 3^k * 3 pairs at step k, each pair
+        # of 6-word keys on the lattice 2^70 g3 widens; the chain's first
+        # refusal comes before any step runs
+        X = uniform_on(range(1, 4))
+        terms = [(G1, X), (G2, X), (G1 * G2, X), (2**70 * G3, X), (G3 * G3, X)]
+        assert [len(_monomials([term])) for term in terms] == [1] * 5
+        calls: list = []
+        try:
+            expected = convolve_fold(reference_packed(terms), budget)
+        except BudgetExceededError as exc:
+            with mock.patch.object(icdof.dist, "_merge", counting_merge(calls)), \
+                    pytest.raises(BudgetExceededError) as info:
+                linear_combination(*zip(*terms), budget=budget)
+            assert str(info.value) == str(exc)
+            assert calls == []
+        else:
+            assert linear_combination(*zip(*terms), budget=budget) == expected
+
     def test_first_step_is_refused_before_any_key_is_formed(self, monkeypatch):
         H = ChannelMatrix.generic(2)
         W = uniform_on(reference_build_wn(H, 1, 2))  # 8 points on 3 coordinates
@@ -937,18 +960,21 @@ class TestFloor:
 
     @pytest.mark.parametrize("r, digits, taken", [
         (Fraction(1, 2), range(4), True), (Fraction(1, 3), (0, 2), False)])
-    def test_two_operands_sum_pair_by_pair(self, r, digits, taken):
+    def test_two_operands_are_floored_without_merging(self, r, digits, taken):
         # the dense step is one `_merge` takes as `_kronecker`'s product; the
-        # floor sums its atom pairs into cells all the same, merging nothing
+        # floor merges neither step, and floors both one window per atom:
+        # r^4 X meets at most two cells at s = -7/3
         ifs = IFSSpec.create(r, digits, [Fraction(1, len(digits))] * len(digits))
         X = truncated_dist(ifs, 4)
         A, B = _pack([(ONE, X), (as_scalar(r**4), X)])
         assert (_kronecker(A._weights, B._weights) is not None) is taken
         expected = floor_dist(Fraction(-7, 3), convolve(A, B))
         with mock.patch.object(icdof.dist, "_kronecker", side_effect=AssertionError), \
-                mock.patch.object(icdof.dist, "_merge", side_effect=AssertionError):
+                mock.patch.object(icdof.dist, "_merge", side_effect=AssertionError), \
+                floor_paths() as paths:
             floored = floor_dist(Fraction(-7, 3), A, B)
         assert floored == expected
+        assert paths == [(True, 2)]
 
     def test_two_operands_on_a_symbolic_lattice(self):
         g1 = ExactScalar.generator("g1")
@@ -1363,6 +1389,151 @@ class TestEveryCallerTakesTheProduct:
         with loop_only():
             assert X == truncated_dist(ifs, 10)
         assert entropy_bits(X) == entropy_bits(reference_truncation(ifs, 10))
+
+
+@contextmanager
+def floor_paths():
+    """Record, for each two-operand floor on one coordinate, whether
+    `_floor_windows` took it and how many times it called `sorted`."""
+    paths: list = []
+    windows = icdof.dist._floor_windows
+
+    def spy(*args):
+        sorts = []
+
+        def counting_sorted(*items, **kwargs):
+            sorts.append(1)
+            return sorted(*items, **kwargs)
+
+        with mock.patch.object(icdof.dist, "sorted", counting_sorted, create=True):
+            cells = windows(*args)
+        paths.append((cells is not None, len(sorts)))
+        return cells
+
+    with mock.patch.object(icdof.dist, "_floor_windows", spy):
+        yield paths
+
+
+def floor_both_ways(s: Fraction, A: DiscreteDist, B: DiscreteDist, budget: int = 10**9):
+    """Assert that the two-operand floor gives the pair loop's cells (the
+    floor with `_floor_windows` declining) and the floor of each point of
+    A + B; return whether the windows took the step."""
+    with floor_paths() as paths:
+        floored = floor_dist(s, A, B, budget)
+    with mock.patch.object(icdof.dist, "_floor_windows", lambda *args: None):
+        loop = floor_dist(s, A, B, budget)
+    assert floored._weights == loop._weights
+    assert (floored._lattice, floored._reach, floored._denominator) == (
+        loop._lattice, loop._reach, loop._denominator)
+    expected: dict = {}
+    for (x, p), (y, q) in itertools.product(A.items(), B.items()):
+        cell = math.floor(s * (x + y).as_fraction())
+        expected[cell] = expected.get(cell, 0) + p * q
+    assert floored == DiscreteDist(expected)
+    (taken, _), = paths
+    return taken
+
+
+@st.composite
+def floor_steps(draw):
+    """(s, A, B) for a two-operand floor: B points lo + stride*i over a
+    denominator of 1-3, i from a window twice as wide as B, so that B meets
+    few cells at small |s|; A's points apart by gaps from one to far past a
+    window; weights sized for every slot width and past the widest; s of
+    either sign, or 0."""
+    top = draw(st.sampled_from([1, 9, 2**12, 2**28, 2**40]))
+    n = draw(st.integers(1, 10))
+    lo, stride = draw(st.integers(-40, 40)), draw(st.integers(1, 3))
+    picked = draw(st.lists(st.integers(0, 2 * n), min_size=n, max_size=n, unique=True))
+    denom = draw(st.integers(1, 3))
+    B = weighted_on([Fraction(lo + stride * i, denom) for i in picked],
+                    draw(st.lists(st.integers(1, top), min_size=n, max_size=n)))
+    gaps = draw(st.lists(st.sampled_from([1, 2, 3, 5, 40, 10**4]), max_size=10))
+    start, denom = draw(st.integers(-10**4, 10**4)), draw(st.integers(1, 3))
+    points = [*itertools.accumulate(gaps, initial=start)]
+    A = weighted_on([Fraction(x, denom) for x in points],
+                    draw(st.lists(st.integers(1, top), min_size=len(points),
+                                  max_size=len(points))))
+    s = Fraction(draw(st.integers(-12, 12)), draw(st.integers(1, 9)))
+    return s, A, B
+
+
+class TestFloorWindows:
+    """The two-operand floor one window per atom (`_floor_windows`) against
+    its oracle, the pair loop, and the floor of each point of the sum."""
+
+    @settings(max_examples=300)
+    @given(floor_steps())
+    def test_matches_the_pair_loop(self, step):
+        floor_both_ways(*step)
+
+    def test_exact_carries(self):
+        # at s = 1/3 the residues of 1 and 2 sum to the denominator exactly,
+        # so the pair 1 + 2 is one cell up from 0 + 0: floor(3/3) = 1
+        A, B = uniform_on([1, 4, 7]), uniform_on([2, 5])
+        assert floor_both_ways(Fraction(1, 3), A, B)
+        assert floor_dist(Fraction(1, 3), A, B) == weighted_on([1, 2, 3, 4], [1, 2, 2, 1])
+        for s in (Fraction(-1, 3), Fraction(0), Fraction(2, 3)):
+            assert floor_both_ways(s, A, B)
+
+    @pytest.mark.parametrize("total, width", [
+        (2**8 - 2, 1), (2**8, 2), (2**16 - 2, 2), (2**16, 4), (2**32 - 2, 4), (2**32, 8),
+        (2**64 - 2, 8), (2**64, None)])
+    def test_slot_widths(self, total, width):
+        # da * db is `total`, and every pair lands in cell 0, which holds it
+        A = weighted_on(range(20), [1] * 19 + [total // 2 - 19])
+        B = uniform_on([0, 1])
+        codes, slot_code = [], icdof.dist._slot_code
+        with mock.patch.object(icdof.dist, "_slot_code",
+                               lambda top: codes.append((top, slot_code(top))) or codes[-1][1]):
+            assert floor_both_ways(Fraction(1, 100), A, B) is (width is not None)
+        assert [(top, code and code[0]) for top, code in codes] == [(total, width)]
+        assert floor_dist(Fraction(1, 100), A, B)._weights == {0: total}
+
+    @pytest.mark.parametrize("s, cells", [
+        (Fraction(1), 10), (Fraction(2), 19), (Fraction(-2), 19), (Fraction(21, 10), 19),
+        (Fraction(23, 10), 21), (Fraction(-3), 28)])
+    def test_span_decline(self, s, cells):
+        # B's keys 0..9 meet the cells floor(s*0) to floor(s*9): taken up to 2 * 10
+        A, B = uniform_on([0, 3, 100]), uniform_on(range(10))
+        assert abs(math.floor(s * 9)) + 1 == cells
+        assert floor_both_ways(s, A, B) is (cells <= 20)
+
+    def test_gaps_wider_than_a_window(self):
+        # A's atoms far apart, alone and in runs: the accumulator is read up
+        # to its end and moved over each gap without a slot of it
+        A = uniform_on([-10**9, 0, 1, 2, 3, 40, 10**6, 10**6 + 1, 10**12])
+        B = weighted_on([0, 1, 3, 4], [1, 2, 3, 4])
+        for s in (Fraction(1), Fraction(2, 3), Fraction(-1, 2)):
+            assert floor_both_ways(s, A, B)
+
+    @pytest.mark.parametrize("A, B", [
+        (point_mass(-7), uniform_on(range(3))),
+        (uniform_on(range(-60, 0, 7)), point_mass(5)),
+        (point_mass(Fraction(2, 3)), point_mass(-3)),
+    ])
+    def test_one_atom_operands(self, A, B):
+        for s in (Fraction(1, 3), Fraction(-5, 2), Fraction(0)):
+            assert floor_both_ways(s, A, B)
+
+    def test_windows_fit_the_budget(self):
+        # B's keys 0..9 meet cells 0 and 1 at s = 1/5: 11 windows of 3
+        # one-byte slots, 33 bytes, which fit 5 words and not 4
+        a = b = dict.fromkeys(range(10), 1)
+        assert icdof.dist._floor_windows(a, b, 1, 5, 100, 5) is not None
+        assert icdof.dist._floor_windows(a, b, 1, 5, 100, 4) is None
+
+    @pytest.mark.parametrize("r, digits, m, taken, sorts", [
+        (Fraction(1, 2), (0, 1, 2), 11, True, 2), (Fraction(1, 3), (0, 2), 13, False, 0)])
+    def test_estimator_steps(self, r, digits, m, taken, sorts):
+        # the dimension benchmark's overlap shape takes the windows; the
+        # Cantor step's 128 atoms of B meet 365 cells, and it is declined
+        # from B's extreme keys, before B is sorted
+        ifs = IFSSpec.create(r, digits, [Fraction(1, len(digits))] * len(digits))
+        with floor_paths() as paths:
+            estimate = empirical_infodim(ifs, m)
+        assert paths == [(taken, sorts)]
+        assert estimate == reference_empirical_infodim(ifs, m, recommended_quantization(ifs, m))
 
 
 class TestJson:
