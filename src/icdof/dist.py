@@ -18,14 +18,14 @@ of two integers whose fixed-width slots hold the operands' weights
 (Kronecker substitution, `_kronecker`), with the loop as its oracle. So
 `convolve` is `place_step` then `_merge`, and an evaluation attaches weights
 to placed keys and sums them with `_sum`, building and aligning nothing
-again. `floor_dist` floors one placed step without holding its sum: where
-the second operand's keys meet at most two cells per atom, one window of
-its weights per atom of the first, as integers whose fixed-width slots are
-the cells (`_floor_windows`, no larger than the budget in words), and
-elsewhere pair by pair, the windows' oracle. Only the entropy is a float,
-even where `PlacedSplit` proves a sum injective and does not build it. A
-sum's atom order is deterministic but unspecified: `==`, `sorted_items`,
-JSON and the entropy do not read it.
+again. `floor_dist` floors one placed step on one coordinate without
+holding its sum: where the second operand's keys meet at most two cells per
+atom, one window of its weights per atom of the first, as integers whose
+fixed-width slots are the cells (`_floor_windows`, no larger than the
+budget in words), and elsewhere pair by pair, the windows' oracle. Only the
+entropy is a float, even where `PlacedSplit` proves a sum injective and does
+not build it. A sum's atom order is deterministic but unspecified: `==`,
+`sorted_items`, JSON and the entropy do not read it.
 
 A finite set is the support of a packed distribution (`SupportSet`), so a
 sumset is the support of one `convolve` and a progression test sorts integer
@@ -317,27 +317,21 @@ class SupportSet(Set):
         return f"SupportSet({{{body}}})"
 
     def rational_grid(self) -> tuple[list[int], int]:
-        """The points as sorted integer numerators over one common
-        denominator. Raises NotRationalError if a point is symbolic."""
-        return sorted(_numerators(self.dist)), self.dist._lattice.denominator
-
-
-def _numerators(dist: DiscreteDist) -> Iterable[int]:
-    """The numerators of the points over the lattice denominator, in key
-    order: the keys themselves on a rational lattice, digit 0 otherwise
-    (rational points can sit on a symbolic lattice: g1 + (-g1)). Raises
-    NotRationalError if a point is symbolic."""
-    lattice, keys = dist._lattice, dist._weights
-    if lattice.is_rational():
-        return keys.keys()
-    constant = lattice.basis[0] == MONO_ONE  # first in the graded order
-    numerators = []
-    for key in keys:
-        digits = lattice.digits(key)
-        if any(digits[constant:]):
-            raise NotRationalError(f"'{lattice.point(key)}' is symbolic, not a rational")
-        numerators.append(digits[0] if constant else 0)
-    return numerators
+        """The points as sorted integer numerators over the lattice
+        denominator: the keys themselves on a rational lattice, digit 0
+        otherwise (rational points can sit on a symbolic lattice: g1 +
+        (-g1)). Raises NotRationalError if a point is symbolic."""
+        lattice, keys = self.dist._lattice, self.dist._weights
+        if lattice.is_rational():
+            return sorted(keys), lattice.denominator
+        constant = lattice.basis[0] == MONO_ONE  # first in the graded order
+        numerators = []
+        for key in keys:
+            digits = lattice.digits(key)
+            if any(digits[constant:]):
+                raise NotRationalError(f"'{lattice.point(key)}' is symbolic, not a rational")
+            numerators.append(digits[0] if constant else 0)
+        return sorted(numerators), lattice.denominator
 
 
 def support_set(dist: DiscreteDist) -> SupportSet:
@@ -407,36 +401,31 @@ def floor_dist(
     other: Optional[DiscreteDist] = None,
     budget: int = DEFAULT_ATOM_BUDGET,
 ) -> DiscreteDist:
-    """Distribution of floor(s*X) for a rational s and a rational-valued X,
-    or, given `other`, of floor(s*(X + Y)) for independent X ~ dist and Y ~
-    other, the step X + Y placed and refused as `convolve` places and
-    refuses it. On a one-coordinate lattice that sum is never held. Where
-    Y's keys meet at most 2*|Y| cells, the step is floored one window per
-    atom of X by `_floor_windows`, whose windows take no more than the
-    budget in 64-bit words; elsewhere each atom pair is floored straight
-    into its cell, the windows' oracle. On r = 1/2, w = {0..15}, whose last
-    step at m = 14 is 1906 x 1906 pairs with Y meeting 64 cells, the whole
-    `empirical_infodim` took 0.56 s pair by pair and takes 0.015 s."""
+    """Distribution of floor(s*X) for a rational s and X ~ dist, or, given
+    `other`, of floor(s*(X + Y)) for independent X ~ dist and Y ~ other,
+    the step X + Y placed and refused as `convolve` places and refuses it.
+    The points, or the placed step, must lie on a one-coordinate lattice,
+    whose keys are numerators over one denominator; any other lattice is
+    refused with NotRationalError, even where its points are rational. The
+    sum X + Y is never held. Where Y's keys meet at most 2*|Y| cells, the
+    step is floored one window per atom of X by `_floor_windows`, whose
+    windows take no more than the budget in 64-bit words; elsewhere each
+    atom pair is floored straight into its cell, the windows' oracle."""
     if other is None:
-        try:
-            numerators = _numerators(dist)
-        except NotRationalError:
-            raise NotRationalError("floor needs rational support points") from None
-        atoms = zip(numerators, dist._weights.values())
-        den, denominator = s.denominator * dist._lattice.denominator, dist._denominator
+        a, lattice, denominator = dist._weights, dist._lattice, dist._denominator
     else:
-        (a, da), (b, db), lattice, reach = place_step(dist, other, budget)
-        if not lattice.is_rational():  # its points can still be rational: decode the sum
-            return floor_dist(s, _new(lattice, _merge(a, b), da * db, reach))
-        den, denominator = s.denominator * lattice.denominator, da * db
+        (a, da), (b, db), lattice, _ = place_step(dist, other, budget)
+        denominator = da * db
+    if not lattice.is_rational():
+        raise NotRationalError("floor needs rational support points")
     # the points are x = v / D, so each floor(s*x) is one integer floor division
-    num = s.numerator
+    num, den = s.numerator, s.denominator * lattice.denominator
     cells = None if other is None else _floor_windows(a, b, num, den, denominator, budget)
     if cells is None:
         cells = {}
         get = cells.get
         if other is None:
-            for v, w in atoms:
+            for v, w in a.items():
                 cell = v * num // den
                 cells[cell] = get(cell, 0) + w
         else:  # `_merge`'s pair loop, summing into cells: B's keys scaled once

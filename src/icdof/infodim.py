@@ -110,6 +110,8 @@ def _last_step(ifs: IFSSpec, m: int, budget: int) -> tuple[DiscreteDist, Discret
     about 2*log2(m) steps whose atom pairs add up to about the final atom
     count, in the order of the recursion on n, run on a stack no m
     overflows."""
+    if not isinstance(m, (int, Fraction)) or m % 1:  # a fractional m halves forever
+        raise ValidationError(f"need an integer m, got {m}")
     r, memo, stack = ifs.r, {1: ifs.offset_dist()}, [m]
     while True:
         n = stack[-1]
@@ -153,14 +155,14 @@ def empirical_infodim(
     still defined, just less trustworthy. X_m itself is never held: the
     doubling builds X_a and X'_{m-a} as `truncated_dist` does and places
     the last step, or refuses it, before r^m is formed (at m = 10^7 it has
-    millions of digits); `floor_dist` then floors that step without
-    merging it, so the estimate's memory is bounded by its halves, its
-    cells and, where the scaled half r^a X'_{m-a} meets at most two cells
-    per atom, the windows it floors the step in, which the budget bounds
-    in words. Those windows take each atom of X_a at once instead of atom
-    pair by pair: at r = 1/2, w = {0..3}, m = 20, budget 10^7, `infodim`
-    took 2.2-2.7 s and takes 0.5-0.6 s, at the same 136 MB peak RSS.
+    millions of digits); `floor_dist` then floors that step, which lies on
+    one coordinate, without merging it, so the estimate's memory is bounded
+    by its halves, its cells and, where the scaled half r^a X'_{m-a} meets
+    at most two cells per atom, the windows it floors the step in, which
+    the budget bounds in words.
     """
+    if k is not None and not isinstance(k, (int, Fraction)):
+        raise ValidationError(f"need an integer or Fraction quantization factor k, got {k!r}")
     if k is not None and k < 2:
         raise ValidationError(f"need a quantization factor k >= 2, got {k}")
     if m < 1:  # before the guard below can warn

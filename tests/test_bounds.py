@@ -312,6 +312,13 @@ class TestCertifiedReport:
         with pytest.raises(RuntimeError, match="does not factor"):
             _certified_report(H, uniform_on([0, 1]), 1.0, 100, params={}, closed_form=0.0)
 
+    def test_split_off_by_more_than_its_tolerance_is_refused(self, monkeypatch):
+        product_entropy = icdof.dist._product_entropy
+        monkeypatch.setattr(icdof.dist, "_product_entropy",
+                            lambda A, B: product_entropy(A, B) + 1e-9)
+        with pytest.raises(RuntimeError, match=r"^entropy split off by 1\.000e-09 despite"):
+            integer_example_bound(3, [[0, 1, 1], [1, 0, 1], [1, 1, 0]], 2)
+
     @pytest.mark.parametrize("K, d, N", [
         (2, 0, 2), (2, 0, 3), (2, 0, 4), (2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 2, 2), (2, 2, 3),
         (2, 2, 4), (3, 0, 2), (3, 0, 3), (3, 0, 4), (3, 0, 5), (3, 0, 6), (3, 1, 2),

@@ -30,6 +30,7 @@ from icdof import (
     empirical_infodim,
     entropy_bits,
     entropy_inequality_suite,
+    finite_set,
     hlambda_bound,
     integer_example_bound,
     linear_combination,
@@ -202,6 +203,11 @@ class TestConstruction:
         D = uniform_on([3, -1, 2])
         values = [v.as_fraction() for v, _ in sorted_items(D)]
         assert values == sorted(values)
+
+    def test_repr(self):
+        assert repr(uniform_on([1, 0])) == "DiscreteDist({'0': 1/2, '1': 1/2})"
+        assert repr(uniform_on(range(7))) == "DiscreteDist(<7 atoms>)"
+        assert repr(finite_set([2, 0])) == "SupportSet({0, 2})"
 
     @pytest.mark.parametrize("points", [[3, -1, 2, 0], [G1, 1, G1 + G2, Fraction(-1, 2)]])
     def test_weighted_on_a_support_set(self, points):
@@ -917,12 +923,13 @@ class TestScaleAndCombine:
 
 class TestFloor:
     def test_rational_points_on_a_symbolic_lattice(self):
+        # the floor reads keys as numerators, so only a one-coordinate lattice is floored
         g1 = ExactScalar.generator("g1")
         X = convolve(uniform_on([g1, g1 + 1]), uniform_on([-g1]))
         assert len(X._lattice.basis) > 1  # the points are rational, the lattice is not
-        assert floor_dist(Fraction(1, 2), X) == point_mass(0)
-        assert floor_dist(Fraction(3, 2), X) == uniform_on([0, 1])
-        assert floor_dist(Fraction(-1, 3), X) == uniform_on([0, -1])
+        for s in (Fraction(1, 2), Fraction(3, 2), Fraction(-1, 3)):
+            with pytest.raises(NotRationalError, match="^floor needs rational support points$"):
+                floor_dist(s, X)
 
     def test_matches_floor_of_each_point(self, rng):
         for _ in range(20):
@@ -945,8 +952,9 @@ class TestFloor:
     @settings(max_examples=60)
     @given(st.data())
     def test_two_operands_match_the_floor_of_the_sum(self, data):
-        # the halves of a truncation's last doubling step: a dense digit set,
-        # whose steps `_kronecker` takes, and Cantor sets, whose it declines
+        # the halves of a truncation's last doubling step, for a dense digit set
+        # and two Cantor sets: `_floor_windows` takes each step unless s spreads
+        # B over more than 2*|B| cells, which it declines to the pair loop
         r, digits = data.draw(st.sampled_from([
             (Fraction(1, 2), range(4)), (Fraction(1, 3), (0, 2)), (Fraction(2, 5), (1, 3, 4))]))
         weights = [data.draw(st.integers(1, 9)) for _ in digits]
@@ -977,10 +985,12 @@ class TestFloor:
         assert paths == [(True, 2)]
 
     def test_two_operands_on_a_symbolic_lattice(self):
+        # the placed step is refused whether or not its points are rational
         g1 = ExactScalar.generator("g1")
         A, B = uniform_on([g1, g1 + 1]), uniform_on([-g1, 1 - g1])
         for s in (Fraction(1, 2), Fraction(-5, 3)):
-            assert floor_dist(s, A, B) == floor_dist(s, convolve(A, B))
+            with pytest.raises(NotRationalError, match="^floor needs rational support points$"):
+                floor_dist(s, A, B)
         with pytest.raises(NotRationalError, match="^floor needs rational support points$"):
             floor_dist(Fraction(1, 2), A, uniform_on([0, 1]))
 

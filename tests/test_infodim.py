@@ -272,6 +272,20 @@ class TestEmpirical:
         with pytest.raises(ValidationError):
             empirical_infodim(CANTOR, 4, 1)
 
+    def test_fractional_m_and_float_k_are_refused(self):
+        # a fractional m halves towards 0 forever; a float k cannot be floored exactly
+        for call, message in (
+            (lambda: truncated_dist(CANTOR, 2.5), "need an integer m, got 2.5"),
+            (lambda: truncated_dist(CANTOR, 4.0), "need an integer m, got 4.0"),
+            (lambda: empirical_infodim(CANTOR, Fraction(5, 2)), "need an integer m, got 5/2"),
+            (lambda: empirical_infodim(CANTOR, 4, 2.5),
+             "need an integer or Fraction quantization factor k, got 2.5"),
+        ):
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                call()
+        assert truncated_dist(CANTOR, Fraction(4)) == truncated_dist(CANTOR, 4)
+        assert empirical_infodim(CANTOR, 4, Fraction(9)) == empirical_infodim(CANTOR, 4, 9)
+
 
 class TestRecommendedQuantization:
     def test_cantor_values(self):
