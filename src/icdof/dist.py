@@ -22,10 +22,14 @@ again. `floor_dist` floors one placed step on one coordinate without
 holding its sum: where the second operand's keys meet at most two cells per
 atom, one window of its weights per atom of the first, as integers whose
 fixed-width slots are the cells (`_floor_windows`, no larger than the
-budget in words), and elsewhere pair by pair, the windows' oracle. Only the
-entropy is a float, even where `PlacedSplit` proves a sum injective and does
-not build it. A sum's atom order is deterministic but unspecified: `==`,
-`sorted_items`, JSON and the entropy do not read it.
+budget in words), and elsewhere pair by pair, the windows' oracle.
+`floor_entropy` is its entropy: where the first operand's atoms lie too far
+apart to share a cell, it is read from counts of weight products and no
+cell is built (`_disjoint_counts`); elsewhere, and as its oracle, it is
+`floor_dist`'s. Only the entropy is a float, even where `PlacedSplit`
+proves a sum injective and does not build it. A sum's atom order is
+deterministic but unspecified: `==`, `sorted_items`, JSON and the entropy
+do not read it.
 
 A finite set is the support of a packed distribution (`SupportSet`), so a
 sumset is the support of one `convolve` and a progression test sorts integer
@@ -401,30 +405,24 @@ def floor_dist(
     other: Optional[DiscreteDist] = None,
     budget: int = DEFAULT_ATOM_BUDGET,
 ) -> DiscreteDist:
-    """Distribution of floor(s*X) for a rational s and X ~ dist, or, given
-    `other`, of floor(s*(X + Y)) for independent X ~ dist and Y ~ other,
-    the step X + Y placed and refused as `convolve` places and refuses it.
-    The points, or the placed step, must lie on a one-coordinate lattice,
-    whose keys are numerators over one denominator; any other lattice is
-    refused with NotRationalError, even where its points are rational. The
-    sum X + Y is never held. Where Y's keys meet at most 2*|Y| cells, the
-    step is floored one window per atom of X by `_floor_windows`, whose
-    windows take no more than the budget in 64-bit words; elsewhere each
-    atom pair is floored straight into its cell, the windows' oracle."""
-    if other is None:
-        a, lattice, denominator = dist._weights, dist._lattice, dist._denominator
-    else:
-        (a, da), (b, db), lattice, _ = place_step(dist, other, budget)
-        denominator = da * db
-    if not lattice.is_rational():
-        raise NotRationalError("floor needs rational support points")
-    # the points are x = v / D, so each floor(s*x) is one integer floor division
-    num, den = s.numerator, s.denominator * lattice.denominator
-    cells = None if other is None else _floor_windows(a, b, num, den, denominator, budget)
+    """Distribution of floor(s*X) for a rational s (an int or a Fraction)
+    and X ~ dist, or, given `other`, of floor(s*(X + Y)) for independent X
+    ~ dist and Y ~ other, the step X + Y placed and refused as `convolve`
+    places and refuses it. The points, or the placed step, must lie on a
+    one-coordinate lattice, whose keys are numerators over one denominator;
+    any other lattice is refused with NotRationalError, even where its
+    points are rational. The sum X + Y is never held. Where Y's keys meet
+    at most 2*|Y| cells, the step is floored one window per atom of X by
+    `_floor_windows`, whose windows take no more than the budget in 64-bit
+    words; elsewhere each atom pair is floored straight into its cell, the
+    windows' oracle. `floor_entropy` reads its entropy, and it is that
+    function's oracle."""
+    a, b, num, den, denominator = _floor_step(s, dist, other, budget)
+    cells = None if b is None else _floor_windows(a, b, num, den, denominator, budget)
     if cells is None:
         cells = {}
         get = cells.get
-        if other is None:
+        if b is None:
             for v, w in a.items():
                 cell = v * num // den
                 cells[cell] = get(cell, 0) + w
@@ -437,6 +435,106 @@ def floor_dist(
                     cells[cell] = get(cell, 0) + wa * wb
     reach = max(map(abs, cells))
     return _new(_Lattice([MONO_ONE], 1, 2 * reach + 1), cells, denominator, reach)
+
+
+def floor_entropy(
+    s: Fraction,
+    dist: DiscreteDist,
+    other: Optional[DiscreteDist] = None,
+    budget: int = DEFAULT_ATOM_BUDGET,
+) -> float:
+    """`entropy_bits(floor_dist(s, dist, other, budget))`, the same float,
+    refused alike. Where no two atoms of X share a cell of the step X + Y
+    (`_disjoint_counts`), the floored weights are each atom's weight times
+    the cell weights of one window of Y, and the entropy is read from the
+    counts of those products without building a cell. Elsewhere
+    `floor_dist` builds the cells; it places the step again, at no cost
+    where the operands already share the step's lattice, as the
+    estimator's do."""
+    if other is not None:
+        a, b, num, den, denominator = _floor_step(s, dist, other, budget)
+        counts = _disjoint_counts(a, b, num, den)
+        if counts is not None:
+            return _count_entropy(counts, denominator)
+    return entropy_bits(floor_dist(s, dist, other, budget))
+
+
+def _floor_step(s, dist: DiscreteDist, other: Optional[DiscreteDist], budget: int) -> tuple:
+    """(a, b, num, den, denominator) for the floor of s times `dist`, or of
+    s times the step `dist` + `other` as `place_step` places it: the keys
+    to weights of each operand (b None without `other`), with floor(s*x) =
+    key*num // den, and the denominator of the weights' products. Refused
+    unless s is an int or a Fraction and the keys lie on one coordinate."""
+    if not isinstance(s, (int, Fraction)):
+        raise ValidationError(f"need an integer or Fraction scale s, got {s!r}")
+    if other is None:
+        a, b, lattice, denominator = dist._weights, None, dist._lattice, dist._denominator
+    else:
+        (a, da), (b, db), lattice, _ = place_step(dist, other, budget)
+        denominator = da * db
+    if not lattice.is_rational():
+        raise NotRationalError("floor needs rational support points")
+    # the points are x = v / D, so each floor(s*x) is one integer floor division
+    return a, b, s.numerator, s.denominator * lattice.denominator, denominator
+
+
+def _cell_range(b: dict, num: int, den: int) -> tuple[int, int]:
+    """The lowest and highest qb of B's keys, read from its extreme keys."""
+    ends = min(b) * num // den, max(b) * num // den
+    return min(ends), max(ends)
+
+
+def _by_residue(b: dict, num: int, den: int, lo: int) -> list[tuple[int, int, int]]:
+    """B's atoms as (r, q - lo, w), k*num = q*den + r, sorted by r."""
+    split = (divmod(k * num, den) for k in b)
+    return sorted((r, q - lo, w) for (q, r), w in zip(split, b.values()))
+
+
+def _disjoint_counts(a: dict, b: dict, num: int, den: int) -> Optional[dict]:
+    """The floored weights of the key sums of `a` and `b` as counts
+    {weight: multiplicity}, or None where two atoms of A can share a cell.
+
+    With k*num = q*den + r as in `_floor_windows`, atom a's cells are qa
+    plus the cells of window j(a) of B: B sorted by r, its atoms from j(a)
+    on one cell up. They lie in [qa + lo, qa + hi + 1], so atoms of A whose
+    qa are at least hi - lo + 2 apart share no cell, which A's sorted qa and
+    B's extreme keys decide. The floored multiset is then the union over j
+    of Counter(wa : j(a) = j) times Counter(window j's cell weights): one
+    walk from the least j that A uses to the greatest moves one atom of B
+    from its cell q + 1 down to q per step, in a dict of at most |B| cells,
+    and is counted at each j that A uses."""
+    lo, hi = _cell_range(b, num, den)
+    span = hi - lo + 2
+    placed = [divmod(k * num, den) for k in a]
+    qa = sorted(q for q, _ in placed)
+    if any(y - x < span for x, y in zip(qa, islice(qa, 1, None))):
+        return None
+    inner = _by_residue(b, num, den, lo)
+    residues = [r for r, _, _ in inner]
+    used: dict[int, list] = {}
+    windows = (bisect_left(residues, den - r) for _, r in placed)
+    for (j, wa), m in Counter(zip(windows, a.values())).items():
+        used.setdefault(j, []).append((wa, m))
+    start, window = min(used), {}
+    for i, (_, q, w) in enumerate(inner):  # window `start`: B from there on one cell up
+        cell = q + (i >= start)
+        window[cell] = window.get(cell, 0) + w
+    counts: dict[int, int] = {}
+    get = counts.get
+    for j in range(start, max(used) + 1):
+        if j in used:
+            cells = Counter(window.values()).items()
+            for wa, m in used[j]:
+                for wc, n in cells:
+                    w = wa * wc
+                    counts[w] = get(w, 0) + m * n
+        if j < len(inner):
+            _, q, w = inner[j]
+            up = window.pop(q + 1) - w
+            if up:
+                window[q + 1] = up
+            window[q] = window.get(q, 0) + w
+    return counts
 
 
 def _floor_windows(a: dict, b: dict, num: int, den: int, total: int, budget: int) -> Optional[dict]:
@@ -456,15 +554,14 @@ def _floor_windows(a: dict, b: dict, num: int, den: int, total: int, budget: int
     read by `compress`/`filter` as the product of `_kronecker` is, once qa
     has moved a window's width past them, and a gap in A costs nothing.
     Every check reads B's extreme keys only, before B is sorted."""
-    ends = min(b) * num // den, max(b) * num // den
-    lo, hi = min(ends), max(ends)
+    lo, hi = _cell_range(b, num, den)
     span = hi - lo + 2  # the slots of one window: B's cells and one carry
     slot = _slot_code(total)
     if span > 2 * len(b) + 1 or slot is None or (len(b) + 1) * span * slot[0] > 8 * budget:
         return None
     width, code = slot
     bits = 8 * width
-    placed = sorted((r, q - lo, w) for (q, r), w in zip((divmod(k * num, den) for k in b), b.values()))
+    placed = _by_residue(b, num, den, lo)
     residues = [r for r, _, _ in placed]
     windows, suffix = [0] * (len(placed) + 1), 0
     for j in range(len(placed) - 1, -1, -1):
@@ -772,11 +869,22 @@ def _product_entropy(A: tuple[dict, int], B: tuple[dict, int]) -> float:
     denominator, repeated (number of a in A) * (number of b in B) times."""
     (wa, da), (wb, db) = A, B
     counted = Counter(wb.values()).items()
-    counts = [(a, b, m * n) for a, m in Counter(wa.values()).items() for b, n in counted]
-    terms = _entropy_terms({a * b for a, b, _ in counts}, da * db)
-    # the exact sum of the repeated terms, each a dyadic rational, over one
-    # power of two, divided once: int / int rounds correctly, as fsum does
-    ratios = [(terms[a * b].as_integer_ratio(), k) for a, b, k in counts]
+    counts: dict[int, int] = {}
+    get = counts.get
+    for a, m in Counter(wa.values()).items():
+        for b, n in counted:
+            w = a * b
+            counts[w] = get(w, 0) + m * n
+    return _count_entropy(counts, da * db)
+
+
+def _count_entropy(counts: Mapping[int, int], total: int) -> float:
+    """`_entropy` of weights over `total` given as counts {weight:
+    multiplicity}: the exact sum of the repeated terms, each a dyadic
+    rational, over one power of two, divided once. int / int rounds
+    correctly, as fsum does, so the float is `_entropy`'s."""
+    terms = _entropy_terms(counts, total)
+    ratios = [(terms[w].as_integer_ratio(), k) for w, k in counts.items()]
     unit = max(q for (_, q), _ in ratios)
     s = sum(p * (unit // q) * k for (p, q), k in ratios) / unit
     return -s if s else 0.0

@@ -21,7 +21,7 @@ from .dist import (
     _pack,
     convolve,
     entropy_bits,
-    floor_dist,
+    floor_entropy,
     json_list,
     linear_combination,
     parse_probability,
@@ -155,11 +155,13 @@ def empirical_infodim(
     still defined, just less trustworthy. X_m itself is never held: the
     doubling builds X_a and X'_{m-a} as `truncated_dist` does and places
     the last step, or refuses it, before r^m is formed (at m = 10^7 it has
-    millions of digits); `floor_dist` then floors that step, which lies on
-    one coordinate, without merging it, so the estimate's memory is bounded
-    by its halves, its cells and, where the scaled half r^a X'_{m-a} meets
-    at most two cells per atom, the windows it floors the step in, which
-    the budget bounds in words.
+    millions of digits); `floor_entropy` then reads the entropy of that
+    step, which lies on one coordinate, floored, without merging it. Where
+    no two atoms of X_a share a cell, as on Cantor-type offsets, it counts
+    weight products and builds no cell, so the estimate's memory is bounded
+    by its halves; elsewhere by its halves, its cells and, where the scaled
+    half r^a X'_{m-a} meets at most two cells per atom, the windows it
+    floors the step in, which the budget bounds in words.
     """
     if k is not None and not isinstance(k, (int, Fraction)):
         raise ValidationError(f"need an integer or Fraction quantization factor k, got {k!r}")
@@ -182,4 +184,4 @@ def empirical_infodim(
             "increase m or lower k",
             stacklevel=2,
         )
-    return entropy_bits(floor_dist(k * ifs.r, *step, budget=budget)) / math.log2(k)
+    return floor_entropy(k * ifs.r, *step, budget=budget) / math.log2(k)

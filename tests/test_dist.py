@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import warnings
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
@@ -54,6 +55,7 @@ from conftest import (
     reference_truncation,
 )
 import icdof.dist
+from icdof.infodim import _last_step
 from icdof.dist import (
     DEFAULT_ATOM_BUDGET,
     PlacedSplit,
@@ -62,6 +64,7 @@ from icdof.dist import (
     _monomials,
     _pack,
     floor_dist,
+    floor_entropy,
     place_step,
 )
 from icdof.scalar import MONO_ONE, ONE, mono_mul
@@ -994,6 +997,17 @@ class TestFloor:
         with pytest.raises(NotRationalError, match="^floor needs rational support points$"):
             floor_dist(Fraction(1, 2), A, uniform_on([0, 1]))
 
+    @pytest.mark.parametrize("s", [0.5, "1/2", None, as_scalar(Fraction(1, 2))])
+    def test_scale_is_an_int_or_a_fraction(self, s):
+        # refused before it is read: a float once died on its missing numerator
+        X = uniform_on([0, 1, 5])
+        for floor in (floor_dist, floor_entropy):
+            for operands in ((X,), (X, X)):
+                with pytest.raises(ValidationError, match="^need an integer or Fraction scale s"):
+                    floor(s, *operands)
+        assert floor_dist(2, X, X) == floor_dist(Fraction(2), X, X)
+        assert floor_entropy(2, X) == entropy_bits(floor_dist(Fraction(2), X))
+
     def test_two_operands_are_refused_as_the_step(self):
         A, B = uniform_on(range(0, 40, 2)), uniform_on(range(0, 30, 3))
         message = "convolution needs 200 atom pairs, over the budget of 199"
@@ -1424,6 +1438,41 @@ def floor_paths():
         yield paths
 
 
+@contextmanager
+def disjoint_paths():
+    """Record, for each two-operand `floor_entropy`, whether it read the
+    entropy from weight counts (`_disjoint_counts` took the step)."""
+    paths: list = []
+    counts = icdof.dist._disjoint_counts
+
+    def spy(*args):
+        taken = counts(*args)
+        paths.append(taken is not None)
+        return taken
+
+    with mock.patch.object(icdof.dist, "_disjoint_counts", spy):
+        yield paths
+
+
+def entropy_both_ways(s: Fraction, A: DiscreteDist, B=None, budget: int = 10**9):
+    """Assert that `floor_entropy` is the entropy of `floor_dist`, as the
+    same float, and, where the step's atoms of A share no cell, that the
+    weight counts are those of the floored cells; return whether the
+    counts took the step (None for one operand)."""
+    with disjoint_paths() as paths:
+        h = floor_entropy(s, A, B, budget)
+    floored = floor_dist(s, A, B, budget)
+    assert h == entropy_bits(floored)
+    if B is None:
+        assert paths == []
+        return None
+    counts = icdof.dist._disjoint_counts(*icdof.dist._floor_step(s, A, B, budget)[:4])
+    assert paths == [counts is not None]
+    if counts is not None:
+        assert counts == Counter(floored._weights.values())
+    return paths[0]
+
+
 def floor_both_ways(s: Fraction, A: DiscreteDist, B: DiscreteDist, budget: int = 10**9):
     """Assert that the two-operand floor gives the pair loop's cells (the
     floor with `_floor_windows` declining) and the floor of each point of
@@ -1533,17 +1582,99 @@ class TestFloorWindows:
         assert icdof.dist._floor_windows(a, b, 1, 5, 100, 5) is not None
         assert icdof.dist._floor_windows(a, b, 1, 5, 100, 4) is None
 
-    @pytest.mark.parametrize("r, digits, m, taken, sorts", [
+    @pytest.mark.parametrize("r, digits, m, windows, sorts", [
         (Fraction(1, 2), (0, 1, 2), 11, True, 2), (Fraction(1, 3), (0, 2), 13, False, 0)])
-    def test_estimator_steps(self, r, digits, m, taken, sorts):
-        # the dimension benchmark's overlap shape takes the windows; the
-        # Cantor step's 128 atoms of B meet 365 cells, and it is declined
-        # from B's extreme keys, before B is sorted
+    def test_estimator_steps(self, r, digits, m, windows, sorts):
+        # the dimension benchmark's overlap shape takes the windows, which
+        # sort A and B once each; on the Cantor step the atoms of A lie
+        # further apart than B's cells, so the estimator reads its entropy
+        # from weight counts and never reaches the windows
         ifs = IFSSpec.create(r, digits, [Fraction(1, len(digits))] * len(digits))
-        with floor_paths() as paths:
+        with floor_paths() as paths, disjoint_paths() as disjoint:
             estimate = empirical_infodim(ifs, m)
-        assert paths == [(taken, sorts)]
+        assert paths == ([(True, sorts)] if windows else [])
+        assert disjoint == [not windows]
         assert estimate == reference_empirical_infodim(ifs, m, recommended_quantization(ifs, m))
+
+
+class TestFloorEntropy:
+    """The estimator's entropy of a floored step (`floor_entropy`) against
+    its oracle, the entropy of `floor_dist`, compared with `==`."""
+
+    @settings(max_examples=300)
+    @given(floor_steps())
+    def test_matches_the_floored_cells(self, step):
+        # A's gaps run from 1 to past any window, so both paths are drawn
+        entropy_both_ways(*step)
+
+    def test_atoms_of_b_sharing_a_cell(self):
+        # at s = 1/3 the keys 0, 1, 2 of B share cell 0 and 5 is alone in
+        # cell 1; A's residues 0, 1 and 2 take three windows: none, 2 and 5
+        # up, and everything but 0 up
+        A = weighted_on([0, 100, 203], [1, 2, 4])
+        B = weighted_on([0, 1, 2, 5], [1, 2, 3, 4])
+        assert entropy_both_ways(Fraction(1, 3), A, B)
+        for s in (Fraction(-1, 3), Fraction(-7, 2), Fraction(5, 7)):
+            assert entropy_both_ways(s, A, B)
+
+    def test_zero_scale(self):
+        # every cell is 0: a single atom of A is alone in it, two are not
+        B = uniform_on([0, 1, 2])
+        assert entropy_both_ways(Fraction(0), point_mass(4), B)
+        assert not entropy_both_ways(Fraction(0), uniform_on([0, 10**6]), B)
+        assert floor_entropy(0, uniform_on([0, 10**6]), B) == 0.0
+
+    @pytest.mark.parametrize("A, B", [
+        (point_mass(-7), uniform_on(range(3))),
+        (uniform_on(range(-60, 0, 7)), point_mass(5)),
+        (point_mass(Fraction(2, 3)), point_mass(-3)),
+    ])
+    def test_one_atom_operands(self, A, B):
+        for s in (Fraction(1, 3), Fraction(-5, 2), Fraction(0)):
+            entropy_both_ways(s, A, B)
+        assert entropy_both_ways(Fraction(1, 3), A, B)  # no two atoms of A share a cell
+
+    def test_one_operand(self):
+        A = weighted_on([Fraction(x, 3) for x in (-8, -1, 0, 2, 11)], [5, 1, 2, 2, 3])
+        for s in (Fraction(1), Fraction(3, 2), Fraction(-1, 4), Fraction(0), 2):
+            entropy_both_ways(s, A)
+
+    def test_some_windows_overlap(self):
+        # the atoms 0 and 1 of A share cells and 10^3 lies far from both:
+        # one close pair sends the whole step back to the cells
+        A, B = weighted_on([0, 1, 1000], [1, 2, 3]), uniform_on([0, 1, 4, 9])
+        for s in (Fraction(1), Fraction(1, 2), Fraction(-2, 3)):
+            assert not entropy_both_ways(s, A, B)
+        assert entropy_both_ways(Fraction(1), uniform_on([0, 11, 1000]), B)
+
+    def test_refused_as_the_step(self):
+        A, B = uniform_on(range(0, 40, 2)), uniform_on(range(0, 30, 3))
+        message = "convolution needs 200 atom pairs, over the budget of 199"
+        with pytest.raises(BudgetExceededError, match=message):
+            floor_entropy(Fraction(1, 3), A, B, budget=199)
+        g1 = ExactScalar.generator("g1")
+        with pytest.raises(NotRationalError, match="^floor needs rational support points$"):
+            floor_entropy(Fraction(1, 2), uniform_on([g1, g1 + 1]), uniform_on([-g1, 1 - g1]))
+
+    @pytest.mark.parametrize("r, digits, probs, m", [
+        (Fraction(1, 3), (1, 2), (3, 4), 13),
+        (Fraction(1, 5), (1, 2, 4), (2, 4, 5), 8),
+        (Fraction(1, 6), (1, 3, 4, 5), (1, 3, 4, 5), 6),
+    ])
+    def test_cantor_steps_build_no_cell(self, r, digits, probs, m):
+        # the dimension benchmark's Cantor shapes (scaled offsets, weights
+        # over a prime total): neither the windows nor `floor_dist`'s pair
+        # loop runs
+        ifs = IFSSpec.create(r, [Fraction(2 * d, 3) for d in digits],
+                             [Fraction(p, sum(probs)) for p in probs])
+        k = recommended_quantization(ifs, m)
+        with mock.patch.object(icdof.dist, "_floor_windows", side_effect=AssertionError), \
+                mock.patch.object(icdof.dist, "floor_dist", side_effect=AssertionError), \
+                disjoint_paths() as paths:
+            estimate = empirical_infodim(ifs, m, k)
+        assert paths == [True]
+        step = _last_step(ifs, m, DEFAULT_ATOM_BUDGET)
+        assert estimate == entropy_bits(floor_dist(k * ifs.r, *step)) / math.log2(k)
 
 
 class TestJson:
