@@ -2,11 +2,13 @@
 
 Everything here reduces to exact distributions of linear forms sum_j h_ij W_j
 and their entropies: every bound reads each user's H(interference) and
-H(full) from a `PlacedSplit`, which proves their sum injective or enumerates
-it. The objectives are split into a placement, which reads the inputs' keys
-and the coefficients only, and an evaluation, which sums weights attached to
-the placed keys with `_sum` and builds no distribution: `theorem3_ratio` and
-`prop1_bound` place and evaluate once, and the optimizer once per search.
+H(full) from a `PlacedSplit`, which groups the terms by the monomials they
+reach, proves the sum across groups injective and enumerates only groups of
+two or more terms. The objectives are split into a placement, which reads
+the inputs' keys and the coefficients only, and an evaluation, which sums
+weights attached to the placed keys and builds no distribution:
+`theorem3_ratio` and `prop1_bound` place and evaluate once, and the
+optimizer once per search.
 The clamped-sum bound takes a resolution parameter r_log = log2(1/r) > 0;
 certified constructions pick the inputs (Theorem 1's W_N from `build_wn`),
 check independence first, and verify the signal/interference entropy split
@@ -18,6 +20,7 @@ zero-dimensional exceptional set, which cannot be tested per instance.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -29,6 +32,7 @@ from .channel import (
     check_condition_star,
     is_fully_connected,
     phi,
+    require_int,
 )
 from .dist import (
     DEFAULT_ATOM_BUDGET,
@@ -46,7 +50,7 @@ from .dist import (
 )
 from .errors import ConditionStarViolationError, ValidationError
 from .infodim import NON_EXCEPTIONAL_CAVEAT
-from .scalar import ONE, ExactScalar
+from .scalar import ONE, ExactScalar, decimal
 
 SPLIT_TOL = 1e-12
 
@@ -131,8 +135,10 @@ def prop1_bound(
     For each user: min{H(full)/r_log, 1} - min{H(interference)/r_log, 1},
     summed over users. Each user's entropies come from a `PlacedSplit`.
     """
-    if not (r_log > 0):
-        raise ValidationError(f"r_log must be positive, got {r_log}")
+    if isinstance(r_log, bool) or not isinstance(r_log, (int, float)):
+        raise ValidationError(f"r_log must be a number, got {r_log!r}")
+    if not 0 < r_log <= sys.float_info.max:
+        raise ValidationError(f"r_log must be positive and finite, got {decimal(r_log)}")
     terms, bound = _clamped_terms(_user_forms(H, W, budget)(), r_log)
     return BoundReport(bound, terms, r_log, params={"K": H.K, "r_log": r_log})
 
@@ -197,6 +203,8 @@ def theorem1_certified_bound(
     The closed-form floor for the same (K, d, N) is reported alongside for
     comparison; it is often loose at small parameters.
     """
+    require_int("d", d)
+    require_int("N", N)
     if N < 2:
         raise ValidationError(f"need N >= 2, got {N} (the floor formula needs log N > 0)")
     if not is_fully_connected(H):
@@ -236,6 +244,7 @@ def integer_example_bound(
         raise ValidationError(f"K must be an integer, got {K!r}")
     if K < 2:
         raise ValidationError(f"need K >= 2, got {K}")
+    require_int("N", N)
     if N < 1:
         raise ValidationError(f"need N >= 1, got {N}")
     if not isinstance(offdiag, list) or len(offdiag) != K or any(
@@ -307,6 +316,16 @@ def _hlambda(numerator: float, denominator: float) -> float:
     return 2 - numerator / denominator
 
 
+def checked_lambda(lam) -> Fraction:
+    """lam as a Fraction, refused unless it is a nonzero int or Fraction (a
+    bool is not one, and a float is not read as the nearest rational)."""
+    if isinstance(lam, bool) or not isinstance(lam, (int, Fraction)):
+        raise ValidationError(f"lambda must be an integer or a Fraction, got {lam!r}")
+    if lam == 0:
+        raise ValidationError("lambda must be nonzero")
+    return Fraction(lam)
+
+
 def hlambda_bound(
     lam: Fraction | int,
     U: DiscreteDist,
@@ -316,9 +335,7 @@ def hlambda_bound(
     """2 - H(U+V)/H(U+lam*V) for independent U, V: one `convolve` for each
     sum, which places its step once. `hlambda_form` keeps the placements
     for objectives scored on many weightings."""
-    lam = Fraction(lam)
-    if lam == 0:
-        raise ValidationError("lambda must be nonzero")
+    lam = checked_lambda(lam)
     numerator = entropy_bits(convolve(U, V, budget))
     return _hlambda(numerator, entropy_bits(convolve(U, scale(lam, V), budget)))
 
@@ -334,9 +351,7 @@ def hlambda_form(
     by `place_step`. Returns the evaluation, which takes the (weights,
     denominator) of U and of V, each in its key order, attaches them to the
     placed keys, sums each step with `_sum` and returns the bound."""
-    lam = Fraction(lam)
-    if lam == 0:
-        raise ValidationError("lambda must be nonzero")
+    lam = checked_lambda(lam)
     steps = place_step(U, V, budget), place_step(U, scale(lam, V), budget)
 
     def bound(inputs: Sequence) -> float:

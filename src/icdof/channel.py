@@ -24,6 +24,12 @@ from .scalar import (
     ONE, ExactScalar, Monomial, MONO_ONE, as_scalar, decimal, exact_str, mono_str)
 
 
+def require_int(name: str, value) -> None:
+    """Refuse a size or degree unless it is an int; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"need an integer {name}, got {value!r}")
+
+
 def off_diagonal_name(i: int, j: int) -> str:
     """Generator id for the off-diagonal position (i, j), 1-based."""
     return f"h_{i}_{j}"
@@ -178,6 +184,8 @@ def build_wn(
     counted against the budget before the basis is formed, and each
     convolution step is then refused as `convolve` refuses it.
     """
+    require_int("d", d)
+    require_int("N", N)
     if N < 1:
         raise ValidationError(f"need N >= 1, got {N}")
     count = phi(H.K, d)
@@ -265,6 +273,7 @@ def check_condition_star(
     the certificate runs or the first monomial is formed, so a refusal
     does not depend on which path would decide the check.
     """
+    require_int("d", d)
     if d < 0:
         raise ValidationError(f"need d >= 0, got {d}")
     n, lo = phi(H.K, d + 1), phi(H.K, d)

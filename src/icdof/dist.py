@@ -27,9 +27,10 @@ budget in words), and elsewhere pair by pair, the windows' oracle.
 apart to share a cell, it is read from counts of weight products and no
 cell is built (`_disjoint_counts`); elsewhere, and as its oracle, it is
 `floor_dist`'s. Only the entropy is a float, even where `PlacedSplit`
-proves a sum injective and does not build it. A sum's atom order is
-deterministic but unspecified: `==`, `sorted_items`, JSON and the entropy
-do not read it.
+proves a form's sum injective across groups of terms that share no
+monomial, and builds only the groups of two or more terms. A sum's atom
+order is deterministic but unspecified: `==`, `sorted_items`, JSON and the
+entropy do not read it.
 
 A finite set is the support of a packed distribution (`SupportSet`), so a
 sumset is the support of one `convolve` and a progression test sorts integer
@@ -49,7 +50,7 @@ from collections import Counter
 from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, repeat
 from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -133,29 +134,46 @@ def _born(points: Sequence[ExactScalar]) -> tuple[_Lattice, list[int], int]:
 
 
 def _pack(
-    terms: Sequence[tuple[ExactScalar, "DiscreteDist"]], budget: Optional[int] = None
-) -> Iterator["DiscreteDist"]:
+    terms: Sequence[tuple[ExactScalar, "DiscreteDist"]],
+    budget: Optional[int] = None,
+    keyed: Optional[Sequence[bool]] = None,
+) -> Iterator[Optional["DiscreteDist"]]:
     """c_j*X_j for the terms of one linear form (every c_j nonzero) on one
-    lattice, each formed when the iterator reaches it. A placement yields the
+    lattice, each formed when the iterator reaches it, or None for a term
+    that `keyed` (one flag per term) leaves out. A placement yields the
     lattice first, so with a `budget` the first step is refused by
-    `check_pair_budget` on that lattice before any key is formed. `_place`
-    would place one-coordinate terms too, but `_rescale` stays beside it
-    because the many tiny rational forms of sums and sumsets pay for
-    `_place`'s per-term images: through `_place` alone, the corpus
-    benchmark's `wall_s` went from 0.38-0.49 s to 0.61 s on a 2-vCPU host."""
-    rational = all(c.is_rational() and dist._lattice.is_rational() for c, dist in terms)
-    placed = (_rescale if rational else _place)(terms)
+    `check_pair_budget` on that lattice before any key is formed."""
+    placed = _placed(terms, keyed)
     lattice = next(placed)
     if budget is not None and len(terms) > 1:
         check_pair_budget(len(terms[0][1]) * len(terms[1][1]), budget, lattice)
-    for (_, dist), (keys, reach) in zip(terms, placed):
+    for (_, dist), item in zip(terms, placed):
+        if item is None:
+            yield None
+            continue
+        keys, reach = item
         yield _new(lattice, dict(zip(keys, dist._weights.values())), dist._denominator, reach)
 
 
-def _rescale(terms: Sequence[tuple[ExactScalar, "DiscreteDist"]]) -> Iterator:
-    """The lattice of one-coordinate terms, then each term's (keys, reach)
-    once it is reached. c*key/D is key*c.numerator/g over E' =
-    D*c.denominator/g, reduced as `_place` reduces it; the lattice
+def _placed(
+    terms: Sequence[tuple[ExactScalar, "DiscreteDist"]], keyed: Optional[Sequence[bool]] = None
+) -> Iterator:
+    """The lattice of the terms of one linear form, then each term's (keys,
+    reach) once it is reached, or None for a term that `keyed` (one flag per
+    term) leaves out. `_place` would place one-coordinate terms too, but
+    `_rescale` stays beside it because the many tiny rational forms of sums
+    and sumsets pay for `_place`'s per-term images: through `_place` alone,
+    the corpus benchmark's `wall_s` went from 0.38-0.49 s to 0.61 s on a
+    2-vCPU host."""
+    rational = all(c.is_rational() and dist._lattice.is_rational() for c, dist in terms)
+    return (_rescale if rational else _place)(terms, keyed)
+
+
+def _rescale(
+    terms: Sequence[tuple[ExactScalar, "DiscreteDist"]], keyed: Optional[Sequence[bool]] = None
+) -> Iterator:
+    """`_placed` for one-coordinate terms. c*key/D is key*c.numerator/g over
+    E' = D*c.denominator/g, reduced as `_place` reduces it; the lattice
     denominator is the lcm of every term's E', so a key is
     key*c.numerator/g * (denom/E')."""
     steps = []
@@ -167,18 +185,24 @@ def _rescale(terms: Sequence[tuple[ExactScalar, "DiscreteDist"]]) -> Iterator:
     denom = math.lcm(*(E for *_, E in steps))
     total = sum(max(map(abs, keys)) * abs(num) // g * (denom // E) for keys, num, g, E in steps)
     yield _Lattice([MONO_ONE] if total else [], denom, 2 * total + 1)
-    for keys, num, g, E in steps:
+    for (keys, num, g, E), wanted in zip(steps, keyed or repeat(True)):
+        if not wanted:
+            yield None
+            continue
         keys = [key * num // g * (denom // E) for key in keys]
         yield keys, max(map(abs, keys))
 
 
-def _place(terms: Sequence[tuple[ExactScalar, "DiscreteDist"]]) -> Iterator:
-    """The lattice of the points c_j*x, radix 2*sum(reach) + 1, then each
-    term's (keys, reach) once it is reached. Over E = D*q, q the lcm of c_j's
-    denominators, X_j's digit for monomial m maps to a*m*t for each term a*t
-    of q*c_j. Each distinct X_j is decoded once, into the gcd, largest
-    |value| and live coordinates of its digits, which fix a one-term c_j's
-    image; several terms' images can collide and are summed point by point."""
+def _place(
+    terms: Sequence[tuple[ExactScalar, "DiscreteDist"]], keyed: Optional[Sequence[bool]] = None
+) -> Iterator:
+    """`_placed` for any terms: the lattice of the points c_j*x, radix
+    2*sum(reach) + 1, then each keyed term's (keys, reach). Over E = D*q, q
+    the lcm of c_j's denominators, X_j's digit for monomial m maps to a*m*t
+    for each term a*t of q*c_j. Each distinct X_j is decoded once, into the
+    gcd, largest |value| and live coordinates of its digits, which fix a
+    one-term c_j's image; several terms' images can collide and are summed
+    point by point."""
     sources, maps, denom = {}, [], 1
     for c, dist in terms:
         lattice = dist._lattice
@@ -210,11 +234,31 @@ def _place(terms: Sequence[tuple[ExactScalar, "DiscreteDist"]]) -> Iterator:
     radix = 2 * sum(top * denom // E for _, _, E, top, _ in maps) + 1
     power = {mono: radix**i for i, mono in enumerate(basis)}  # a dead image packs as 0
     yield _Lattice(basis, denom, radix)
-    for rows, images, E, top, _ in maps:  # a key is one dot product, times denom/E
+    for (rows, images, E, top, _), wanted in zip(maps, keyed or repeat(True)):
+        if not wanted:
+            yield None
+            continue
+        # a key is one dot product, times denom/E
         n, d = denom // math.gcd(denom, E), E // math.gcd(denom, E)
         M = [n * sum(a * power.get(mono, 0) for mono, a in image) for image in images]
         keys = [v * M[0] for v, in rows] if len(M) == 1 else [sum(map(mul, r, M)) for r in rows]
         yield (keys if d == 1 else [key // d for key in keys]), top * denom // E
+
+
+def _words_bound(terms: Sequence[tuple[ExactScalar, "DiscreteDist"]], monomials: set) -> int:
+    """At least the key words `check_pair_budget` reads off the lattice
+    `_placed` forms for `terms`, without decoding a key: the basis lies in
+    `monomials`, and term j's coordinates over E_j = D_j*q_j are at most
+    its reach times the sum of |a| over the terms a*t of q_j*c_j, where the
+    lattice denominator divides the lcm of every E_j."""
+    scaled = []
+    for c, dist in terms:
+        q = math.lcm(*(a.denominator for _, a in c.terms()))
+        top = dist._reach * sum(abs(a.numerator) * (q // a.denominator) for _, a in c.terms())
+        scaled.append((dist._lattice.denominator * q, top))
+    denom = math.lcm(*(E for E, _ in scaled))
+    radix = 2 * sum(top * (denom // E) for E, top in scaled) + 1
+    return max(1, -(-len(monomials) * radix.bit_length() // 64))
 
 
 class DiscreteDist:
@@ -782,27 +826,49 @@ def _monomials(terms: Sequence[tuple[ExactScalar, DiscreteDist]]) -> set:
     return {mono_mul(m, t) for c, dist in terms for m in dist._lattice.basis for t, _ in c.terms()}
 
 
+def _groups(monomials: Sequence[set]) -> list[int]:
+    """Each term's group, named by its first term, given the monomials each
+    term can reach: terms whose monomials meet share a group, and so do
+    terms joined through others."""
+    group = list(range(len(monomials)))
+
+    def root(k: int) -> int:
+        while group[k] != k:
+            k = group[k]
+        return k
+
+    first: dict = {}  # the first term that reaches each monomial
+    for k, monos in enumerate(monomials):
+        for mono in monos:
+            a, b = sorted((root(first.setdefault(mono, k)), root(k)))
+            group[b] = a  # a root is the first term of its group
+    return [root(k) for k in range(len(group))]
+
+
 class PlacedSplit:
     """(H(I), H(I + S), |I|, |I + S|) for the interference I = sum_j c_j X_j
     of at least one cross term and the signal S = c X of one linear form
     (every c nonzero); without a signal term, I + S is I.
 
-    The placement reads the terms' keys and coefficients only. `terms`
-    holds each term's (weights, denominator) with its keys on one
-    `lattice`, cross terms first; the first step is refused on that lattice
-    as `_pack` refuses it. When no monomial S can reach is one that I can
-    reach, the map (t, s) -> t + s on their supports is proved injective,
-    once: distinct monomials are linearly independent over Q, so t + s =
-    t' + s' forces t = t' and s = s'. Then |I + S| = |I| * |S|, and H(I +
-    S) is read from the two weight multisets without building the sum, so
-    a proved signal is its unscaled distribution's (weights, denominator),
-    whose keys are never read. `entropies` evaluates on `terms`, or on
-    other weights attached to their keys: the steps that are built are
-    `_sum` steps, and every step, built or not, is refused exactly as
-    `linear_combination` of the cross terms, then the signal, refuses it.
+    The terms, cross terms first, are grouped by the monomials they can
+    reach (`_groups`). Distinct monomials are linearly independent over Q,
+    so the sum across groups is injective: its size is the product of the
+    groups' sizes and its entropy is read from their weight counts
+    (`_product_entropy`). A group of two or more terms is placed on the
+    lattice of every term and summed in term order; a one-term group keeps
+    its own (weights, denominator) and forms no key. `entropies` evaluates
+    on `terms`, or on other weights attached to their keys.
+
+    Every step is refused as `linear_combination` of the cross terms, then
+    the signal, refuses it: step k pairs the product of the groups' sizes
+    so far with |X_k|, on keys of that lattice. Where a group is summed,
+    `_pack` refuses the first step before any key is formed and the
+    evaluation checks each step; where none is, every step is checked at
+    placement, and the lattice is formed only if `_words_bound` cannot
+    rule a refusal out.
     """
 
-    __slots__ = ("lattice", "terms", "count", "proved", "budget")
+    __slots__ = ("lattice", "terms", "group", "count", "checked", "budget")
 
     def __init__(
         self,
@@ -810,28 +876,48 @@ class PlacedSplit:
         signal_term: Optional[tuple[ExactScalar, DiscreteDist]],
         budget: int,
     ):
-        terms = [*cross_terms, signal_term] if signal_term else cross_terms
-        self.count, self.budget = len(cross_terms), budget
-        self.proved = signal_term is not None and _monomials([signal_term]).isdisjoint(
-            _monomials(cross_terms))
-        placed = [*islice(_pack(terms, budget), len(terms) - self.proved)]
-        if self.proved:
-            placed.append(signal_term[1])
-        self.lattice = placed[0]._lattice
-        self.terms = [(X._weights, X._denominator) for X in placed]
+        terms = [*cross_terms, signal_term] if signal_term else list(cross_terms)
+        monomials = [_monomials([term]) for term in terms]
+        self.group = group = _groups(monomials)
+        keyed = [group.count(g) > 1 for g in group]
+        self.count, self.budget, self.lattice, self.checked = len(cross_terms), budget, None, 0
+        placed = [None] * len(terms)
+        if any(keyed):  # the first step is refused on the lattice before any key is formed
+            placed = list(_pack(terms, budget, keyed))
+            self.lattice = next(X._lattice for X in placed if X is not None)
+        else:  # no step is summed, so every step's pairs are known now
+            words, pairs = _words_bound(terms, set().union(*monomials)), len(terms[0][1])
+            for _, X in terms[1:]:
+                pairs *= len(X)
+                check_pair_budget(pairs, budget)
+                if pairs * words > budget:
+                    self.lattice = self.lattice or next(_placed(terms))
+                    check_pair_budget(pairs, budget, self.lattice)
+            self.checked = len(terms) - 1
+        self.terms = [((X if P is None else P)._weights, X._denominator)
+                      for (_, X), P in zip(terms, placed)]
 
     def entropies(self, terms: Sequence[tuple[dict, int]]) -> tuple[float, float, int, int]:
-        count, lattice, budget = self.count, self.lattice, self.budget
-        interference = _sum(lattice, islice(terms, count), budget)
-        h_intf, n_intf = _entropy(*interference), len(interference[0])
-        if len(terms) == count:  # no signal
+        parts: dict = {}  # each group's (weights, denominator) so far, by its first term
+        interference = None
+        for k, term in enumerate(terms):
+            if k == self.count:
+                interference = list(parts.values())
+            if k > self.checked:
+                pairs = math.prod(len(weights) for weights, _ in parts.values()) * len(term[0])
+                check_pair_budget(pairs, self.budget, self.lattice)
+            g = self.group[k]
+            if g in parts:
+                (wa, da), (wb, db) = parts[g], term
+                parts[g] = _merge(wa, wb), da * db
+            else:
+                parts[g] = term
+        full = list(parts.values())
+        h_intf, n_intf = _injective_entropy(interference or full)
+        if interference is None:  # no signal
             return h_intf, h_intf, n_intf, n_intf
-        if not self.proved:
-            full = _sum(lattice, [interference, terms[count]], budget)
-            return h_intf, _entropy(*full), n_intf, len(full[0])
-        pairs = n_intf * len(terms[count][0])
-        check_pair_budget(pairs, budget, lattice)
-        return h_intf, _product_entropy(interference, terms[count]), n_intf, pairs
+        h_full, n_full = _injective_entropy(full)
+        return h_intf, h_full, n_intf, n_full
 
 
 # -- entropy ------------------------------------------------------------------
@@ -863,19 +949,29 @@ def _entropy(weights: dict, denominator: int) -> float:
     return -s if s else 0.0
 
 
-def _product_entropy(A: tuple[dict, int], B: tuple[dict, int]) -> float:
-    """`_entropy` of the sum of the (weights, denominator) pairs A and B when
-    every atom pair is its own atom: weight a*b over the product
-    denominator, repeated (number of a in A) * (number of b in B) times."""
-    (wa, da), (wb, db) = A, B
-    counted = Counter(wb.values()).items()
-    counts: dict[int, int] = {}
-    get = counts.get
-    for a, m in Counter(wa.values()).items():
-        for b, n in counted:
-            w = a * b
-            counts[w] = get(w, 0) + m * n
-    return _count_entropy(counts, da * db)
+def _injective_entropy(parts: Sequence[tuple[dict, int]]) -> tuple[float, int]:
+    """The entropy and size of the sum of the (weights, denominator) parts
+    when every combination of one atom per part is its own atom."""
+    h = _entropy(*parts[0]) if len(parts) == 1 else _product_entropy(*parts)
+    return h, math.prod(len(weights) for weights, _ in parts)
+
+
+def _product_entropy(*parts: tuple[dict, int]) -> float:
+    """`_entropy` of the sum of the (weights, denominator) parts when every
+    combination of one atom per part is its own atom: the product of their
+    weights over the product of their denominators, repeated the product of
+    their multiplicities."""
+    counts, total = {1: 1}, 1
+    for weights, denominator in parts:
+        counted = Counter(weights.values()).items()
+        product: dict[int, int] = {}
+        get = product.get
+        for a, m in counts.items():
+            for b, n in counted:
+                w = a * b
+                product[w] = get(w, 0) + m * n
+        counts, total = product, total * denominator
+    return _count_entropy(counts, total)
 
 
 def _count_entropy(counts: Mapping[int, int], total: int) -> float:

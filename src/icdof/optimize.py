@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .bounds import hlambda_bound, hlambda_form, theorem3_form
+from .bounds import checked_lambda, hlambda_bound, hlambda_form, theorem3_form
 from .channel import ChannelMatrix
 from .dist import (
     DEFAULT_ATOM_BUDGET,
@@ -330,9 +330,7 @@ def optimize_hlambda(
     published construction, evaluated exactly, so its value is never
     regressed by rationalization noise.
     """
-    lam = Fraction(lam)
-    if lam == 0:
-        raise ValidationError("lambda must be nonzero")
+    lam = checked_lambda(lam)
     if n >= 2:  # a smaller n is refused by `_search`
         check_pair_budget(n * n, DEFAULT_ATOM_BUDGET)  # the first evaluation's U + V
     warm = None

@@ -33,8 +33,10 @@ from icdof import (
     theorem3_ratio,
     uniform_on,
 )
-from icdof.channel import build_wn
-from icdof.bounds import SPLIT_TOL, BoundReport, _certified_report, _clamped_terms, _user_forms
+from icdof.channel import build_wn, check_condition_star
+from icdof.bounds import (
+    SPLIT_TOL, BoundReport, _certified_report, _clamped_terms, _user_forms, hlambda_form)
+from icdof.optimize import optimize_hlambda
 from conftest import counting_merge, random_rational_dist
 
 
@@ -260,11 +262,10 @@ class TestEntropiesMatchEnumeration:
             with monkeypatch.context() as patch:
                 patch.setattr(icdof.dist, "_merge", counting_merge(calls))
                 results = [outcome(job) for job in bound_jobs(H, W, 10**6)]
-            # per user, the cross step at K = 3 (none at K = 2), and no
-            # step of |I| * |W_i| pairs
-            sizes = [[len(W[j]) for j in range(K) if j != i] for i in range(K)]
-            cross_steps = [a * b for a, b in sizes] if K == 3 else []
-            assert calls == cross_steps * 2  # prop1_bound, then theorem3_ratio
+            # the cross terms h_ij*W_j and the signal reach one generator
+            # each, so every term is a group of its own: no cross step and
+            # no step of |I| * |W_i| pairs is merged
+            assert calls == []
             assert results == [with_oracle(monkeypatch, job) for job in bound_jobs(H, W, 10**6)]
 
     def test_random_channels_match_enumeration(self, monkeypatch):
@@ -372,25 +373,30 @@ class TestCertifiedReport:
             size = N ** phi(K, d)
             theorem1_certified_bound(ChannelMatrix.generic(K), d, N)
             # W's phi - 1 alphabet steps, then per user the K - 2 cross steps
-            # (no merging yet in these cases) and no step of |I| * |W| pairs
+            # (no merging yet in these cases) and no step of |I| * |W| pairs.
+            # At d = 0, W is rational and the cross terms h_ij*W reach one
+            # generator each, so they are one-term groups and merge nothing
             alphabet = [N ** k * N for k in range(1, phi(K, d))]
-            assert calls == alphabet + [size ** k * size for k in range(1, K - 1)] * K
+            cross = [size ** k * size for k in range(1, K - 1)] if d else []
+            assert calls == alphabet + cross * K
         for K, table, N in integer_tables(seed=5, count=3):
             calls.clear()
             integer_example_bound(K, table, N)
             assert len(calls) == K * (K - 2)  # the cross steps only
 
     def test_generic_theorem1_forms_no_signal_key(self, monkeypatch):
-        # a proved split reads the signal's weights, never its keys: each of
-        # the K users forms the keys of its K - 1 cross terms, one product
-        # per alphabet point and coordinate, and none of its signal term
+        # a proved split reads the signal's weights, never its keys. At K = 3
+        # the K - 1 cross terms share the monomial h_1_2*h_1_3, so each user
+        # forms their keys, one product per alphabet point and coordinate; at
+        # K = 2 the one cross term is a group of its own and has no key either
         formed = []
         monkeypatch.setattr(icdof.dist, "mul", lambda a, b: formed.append(a) or a * b)
         for K, d, N in ((2, 1, 3), (3, 1, 2)):
             formed.clear()
             W = build_wn(ChannelMatrix.generic(K), d, N)
             theorem1_certified_bound(ChannelMatrix.generic(K), d, N)
-            assert len(formed) == K * (K - 1) * len(W) * len(W._lattice.basis)
+            keyed = K - 1 if K > 2 else 0
+            assert len(formed) == K * keyed * len(W) * len(W._lattice.basis)
 
     @pytest.mark.parametrize("K, d, N", [(2, 1, 2), (3, 0, 3), (3, 1, 2)])
     def test_full_step_refused_as_enumeration_refuses_it(self, monkeypatch, K, d, N):
@@ -407,6 +413,65 @@ class TestCertifiedReport:
             assert "error" in result
             assert result == with_oracle(monkeypatch, job)
         assert "report" in outcome(lambda: theorem1_certified_bound(H, d, N, budget=pairs * words))
+
+
+class TestArgumentTypes:
+    """Sizes, degrees, resolutions and lambdas of the wrong type are refused
+    with ValidationError before anything is built, instead of dying in the
+    arithmetic they reach (`bit_length` of a float, `math.comb` of a float,
+    `range` of a float, `>` between a str and an int)."""
+
+    H = ChannelMatrix.generic(2)
+    U = uniform_on([0, 1])
+
+    @pytest.mark.parametrize("job, message", [
+        (lambda H: theorem1_certified_bound(H, 0, 4.0), "need an integer N, got 4.0"),
+        (lambda H: theorem1_certified_bound(H, 1.0, 2), "need an integer d, got 1.0"),
+        (lambda H: theorem1_certified_bound(H, 0, True), "need an integer N, got True"),
+        (lambda H: build_wn(H, 0, 2.0), "need an integer N, got 2.0"),
+        (lambda H: build_wn(H, 1.0, 2), "need an integer d, got 1.0"),
+        (lambda H: check_condition_star(H, 1.0), "need an integer d, got 1.0"),
+        (lambda H: integer_example_bound(3, [[0, 1, 1], [1, 0, 1], [1, 1, 0]], 2.0),
+         "need an integer N, got 2.0"),
+    ])
+    def test_sizes_and_degrees_must_be_ints(self, job, message):
+        with pytest.raises(ValidationError) as info:
+            job(self.H)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("r_log, message", [
+        ("2", "r_log must be a number, got '2'"),
+        (True, "r_log must be a number, got True"),
+        (math.inf, "r_log must be positive and finite, got inf"),
+        (math.nan, "r_log must be positive and finite, got nan"),
+        (10**400, "r_log must be positive and finite, got 1" + "0" * 400),
+        (-1, "r_log must be positive and finite, got -1"),
+    ])
+    def test_resolution_must_be_a_positive_finite_number(self, r_log, message):
+        with pytest.raises(ValidationError) as info:
+            prop1_bound(self.H, [self.U] * 2, r_log)
+        assert str(info.value) == message
+        assert prop1_bound(self.H, [self.U] * 2, 3) == prop1_bound(self.H, [self.U] * 2, 3.0)
+
+    @pytest.mark.parametrize("lam", [0.1, 0.5, -1.0, True, False, "1/2"])
+    def test_lambda_must_be_an_int_or_a_fraction(self, lam):
+        # 0.1 was read as 3602879701896397/36028797018963968 and True as 1
+        message = f"lambda must be an integer or a Fraction, got {lam!r}"
+        jobs = (lambda: hlambda_bound(lam, self.U, self.U),
+                lambda: hlambda_form(lam, self.U, self.U),
+                lambda: optimize_hlambda(lam, 3))
+        for job in jobs:
+            with pytest.raises(ValidationError) as info:
+                job()
+            assert str(info.value) == message
+
+    def test_int_and_fraction_lambdas_are_scored(self):
+        assert hlambda_bound(-1, self.U, self.U) == hlambda_bound(Fraction(-1), self.U, self.U)
+        assert hlambda_form(Fraction(1, 2), self.U, self.U)(
+            [(list(self.U._weights.values()), self.U._denominator)] * 2) == hlambda_bound(
+                Fraction(1, 2), self.U, self.U)
+        with pytest.raises(ValidationError, match="lambda must be nonzero"):
+            hlambda_bound(Fraction(0), self.U, self.U)
 
 
 class TestFloor:

@@ -54,15 +54,19 @@ from conftest import (
     reference_build_wn,
     reference_truncation,
 )
+from test_placement import parent_split_entropies
+import icdof.bounds
 import icdof.dist
 from icdof.infodim import _last_step
 from icdof.dist import (
     DEFAULT_ATOM_BUDGET,
     PlacedSplit,
+    _groups,
     _kronecker,
     _Lattice,
     _monomials,
     _pack,
+    _words_bound,
     floor_dist,
     floor_entropy,
     place_step,
@@ -1082,7 +1086,9 @@ class TestSplitEntropies:
         calls: list = []
         with mock.patch.object(icdof.dist, "_merge", counting_merge(calls)):
             result = split_entropies(cross, (as_scalar(c), X))
-        assert len(calls) == len(cross) - 1  # the cross steps; I + S is never built
+        # one step per cross term summed into an earlier one's group; a
+        # one-term group is never merged, and I + S is never built
+        assert len(calls) == len(cross) - len(term_groups(cross))
         coeffs, dists = zip(*cross)
         interference = linear_combination(coeffs, dists)
         full = linear_combination([*coeffs, c], [*dists, X])
@@ -1095,7 +1101,9 @@ class TestSplitEntropies:
            weighted_dists(_rational_points))
     def test_overlapping_terms_are_enumerated(self, cross, q, first, X):
         # the signal q*c_0*X and the first cross term c_0*first, both on
-        # rational points, reach the same monomials, so the sum is counted
+        # rational points, reach the same monomials, so the signal's group
+        # is counted: its step is merged with the sum of the cross terms in
+        # that group
         (c0, _), *rest = cross
         cross = [(c0, first), *rest]
         # counted, not proved: a sum that merges atoms reports fewer than
@@ -1106,7 +1114,9 @@ class TestSplitEntropies:
         coeffs, dists = zip(*cross)
         interference = linear_combination(coeffs, dists)
         full = linear_combination([*coeffs, q * c0], [*dists, X])
-        assert calls[-1] == len(interference) * len(X)
+        group = next(g for g in term_groups([*cross, (q * c0, X)]) if len(cross) in g)
+        shared = linear_combination(*zip(*(cross[k] for k in sorted(group - {len(cross)}))))
+        assert calls[-1] == len(shared) * len(X)
         assert result == (entropy_bits(interference), entropy_bits(full),
                           len(interference), len(full))
 
@@ -1131,14 +1141,120 @@ class TestSplitEntropies:
         assert split_entropies(cross, signal, budget=32) == (2.0, 4.0, 4, 16)
 
     def test_without_a_signal_the_output_is_the_interference(self):
-        # a zero diagonal: no signal term, so no step beyond the cross steps
+        # a zero diagonal: no signal term. The cross terms reach g1 and 1
+        # only, so each is a group of its own and no step is merged
         cross = [(G1, uniform_on([0, 1, 2])), (as_scalar(2), uniform_on([0, 1]))]
         calls: list = []
         with mock.patch.object(icdof.dist, "_merge", counting_merge(calls)):
             result = split_entropies(cross, None, budget=6)
         interference = linear_combination(*zip(*cross))
         h = entropy_bits(interference)
-        assert (calls, result) == ([6], (h, h, 6, 6))
+        assert (calls, result) == ([], (h, h, 6, 6))
+        with pytest.raises(BudgetExceededError, match="needs 6 atom pairs"):
+            split_entropies(cross, None, budget=5)
+
+
+def term_groups(terms) -> list[set]:
+    """Slow twin of `_groups`: the terms' indices, two groups joined while
+    the monomials they reach meet."""
+    groups = [({k}, _monomials([term])) for k, term in enumerate(terms)]
+    joined = True
+    while joined:
+        joined = False
+        for a, b in itertools.combinations(range(len(groups)), 2):
+            if not groups[a][1].isdisjoint(groups[b][1]):
+                groups[a] = (groups[a][0] | groups[b][0], groups[a][1] | groups[b][1])
+                del groups[b]
+                joined = True
+                break
+    return [members for members, _ in groups]
+
+
+def exact_outcome(job):
+    """job() with its floats as their hex forms, or a refusal's type and text."""
+    try:
+        return [x.hex() if isinstance(x, float) else x for x in job()]
+    except BudgetExceededError as exc:
+        return type(exc), str(exc)
+
+
+# generators, polynomials and rationals, so that one-term groups, several
+# groups and one group all occur
+_split_coefficients = st.one_of(
+    _nonzero, st.sampled_from([G1, G2, G3, GS, G1 + 1, G1 * G2, 2 * G2 - G1, GS * G3]))
+_split_terms = st.tuples(_split_coefficients,
+                         weighted_dists(st.one_of(_rational_points, _symbolic_points), max_size=4))
+
+
+class TestGroupedSplit:
+    """`PlacedSplit`, which sums only the terms that share a monomial group,
+    against the split as it was placed before: every term on one lattice,
+    the cross terms summed step by step and only a signal on monomials of
+    its own proved apart."""
+
+    @settings(max_examples=200)
+    @given(st.lists(_split_terms, min_size=1, max_size=4), st.one_of(st.none(), _split_terms))
+    def test_matches_the_parent_split(self, cross, signal):
+        terms = [*cross, signal] if signal else cross
+        assert [sorted(g) for g in term_groups(terms)] == [
+            [k for k, g in enumerate(_groups([_monomials([t]) for t in terms])) if g == first]
+            for first in sorted(set(_groups([_monomials([t]) for t in terms])))]
+        packed = list(_pack(terms))
+        lattice = packed[0]._lattice
+        words = max(1, -(-len(lattice.basis) * lattice.radix.bit_length() // 64))
+        assert _words_bound(terms, _monomials(terms)) >= words
+        steps, total = [], packed[0]
+        for X in packed[1:]:
+            steps.append(len(total) * len(X))
+            total = convolve(total, X, 10**9)
+        budgets = {b for p in steps for b in (p - 1, p, p * words - 1)} - {0}
+        for budget in sorted(budgets | {DEFAULT_ATOM_BUDGET}):
+            expected = exact_outcome(lambda: parent_split_entropies(cross, signal, budget))
+            assert exact_outcome(lambda: split_entropies(cross, signal, budget)) == expected
+
+    def test_one_term_groups_are_held_unplaced(self):
+        # g1*X and (g1 + 1)*Y share g1, gs*Z reaches gs alone: the first two
+        # are placed and merged, Z keeps its own weights and forms no key
+        X, Y, Z = uniform_on([0, 1]), uniform_on([0, 2, 5]), weighted_on([0, G2], [1, 3])
+        cross = [(G1, X), (G1 + 1, Y)]
+        calls: list = []
+        with mock.patch.object(icdof.dist, "_merge", counting_merge(calls)):
+            split = PlacedSplit(cross, (GS, Z), 10**6)
+            result = split.entropies(split.terms)
+        assert calls == [6]
+        assert split.terms[2][0] is Z._weights
+        interference = linear_combination(*zip(*cross))
+        full = linear_combination([G1, G1 + 1, GS], [X, Y, Z])
+        assert result == (entropy_bits(interference), entropy_bits(full), 6, 12)
+
+    def test_generic_theorem1_places_and_merges_nothing_outside_build_wn(self, monkeypatch):
+        # a generic K = 2 or d = 0 user's terms are all one-term groups whose
+        # key words the bound rules out, so no lattice is formed, no key of
+        # W_N is decoded and no step is merged
+        calls, inside = [], []
+        place, merge, build_wn = icdof.dist._place, icdof.dist._merge, icdof.bounds.build_wn
+
+        def spy_place(*args):  # a lattice is formed when the placement is first read
+            calls.append(("_place", bool(inside)))
+            yield from place(*args)
+
+        def spy_build(*args, **kwargs):
+            inside.append(1)
+            try:
+                return build_wn(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(icdof.dist, "_place", spy_place)
+        monkeypatch.setattr(icdof.dist, "_merge",
+                            lambda a, b: calls.append(("_merge", bool(inside))) or merge(a, b))
+        monkeypatch.setattr(icdof.bounds, "build_wn", spy_build)
+        for K, d, N in ((2, 1, 3), (4, 0, 4)):
+            report = theorem1_certified_bound(ChannelMatrix.generic(K), d, N)
+            assert len(report.per_user_terms) == K
+        # W_N's own placement and steps at d = 1 are seen, and nothing else
+        assert ("_place", True) in calls and ("_merge", True) in calls
+        assert all(within for _, within in calls)
 
 
 @st.composite
